@@ -21,7 +21,7 @@ use std::time::Instant;
 
 use sfet_bench::{banner, figure_dir};
 use sfet_pdn::{DroopMap, PdnGrid};
-use sfet_sim::{SimOptions, SolverPolicy};
+use sfet_sim::{LinearSolver, SimOptions, SolverPolicy};
 
 struct MapRun {
     grid: String,
@@ -32,8 +32,12 @@ struct MapRun {
     map: DroopMap,
 }
 
+/// One droop map. `Direct` runs pin sparse LU: the configured default
+/// backend is dense, which `Direct` would otherwise honour.
 fn run_map(grid: &PdnGrid, policy: SolverPolicy, points: usize, name: &'static str) -> MapRun {
-    let opts = SimOptions::for_duration(grid.t_stop, points).with_solver_policy(policy);
+    let opts = SimOptions::for_duration(grid.t_stop, points)
+        .with_solver(LinearSolver::Sparse)
+        .with_solver_policy(policy);
     let start = Instant::now();
     let map = grid.droop_map_with(&opts).expect("droop map");
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;

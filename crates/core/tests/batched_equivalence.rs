@@ -19,7 +19,9 @@
 //!   [`SweepOutcome::Failed`] with scalar-exact attempt counts while their
 //!   tile siblings stay untouched;
 //! * per-task accounting: `exec.*` telemetry totals and [`ExecStats`]
-//!   agree with each other and with a scalar run of the same sweep.
+//!   agree with each other and with a scalar run of the same sweep;
+//! * solver dispatch: droop-map lanes above the sparse threshold run on
+//!   sparse LU with factor reuse, exactly as their scalar runs do.
 
 use proptest::prelude::*;
 use sfet_circuit::{Circuit, SourceWaveform};
@@ -27,7 +29,8 @@ use sfet_devices::ptm::PtmParams;
 use sfet_numeric::exec::{task_seed, ExecConfig, SweepOutcome};
 use sfet_numeric::fault::FaultPlan;
 use sfet_numeric::integrate::Method;
-use sfet_sim::{transient, transient_batch, BatchSpec, SimOptions, TranResult};
+use sfet_pdn::PdnGrid;
+use sfet_sim::{transient, transient_batch, BatchSpec, SimOptions, SolverPolicy, TranResult};
 use sfet_telemetry::{names, SharedAggregator, Telemetry};
 use sfet_verify::analytic::catalog;
 use softfet::design_space::{vimt_vmit_grid_stats, vimt_vmit_grid_with};
@@ -97,6 +100,46 @@ fn golden_scenario_circuits_scalar_vs_batched_bitwise() {
                 );
             }
         }
+    }
+}
+
+/// Lanes take their backend from the solver policy, as scalar runs do:
+/// under the default options, droop-map grids above the sparse threshold
+/// run on sparse LU and reuse the factors of unchanged matrices — bitwise
+/// equal to scalar, `SolverStats` included.
+#[test]
+fn droop_map_lanes_follow_the_solver_policy() {
+    let grids = [0.15e-9, 0.2e-9, 0.25e-9].map(|site_stagger| PdnGrid {
+        site_stagger,
+        ..PdnGrid::chip(6, 6)
+    });
+    let n = grids[0].unknown_estimate();
+    assert!(n >= SolverPolicy::AUTO_SPARSE_THRESHOLD);
+    let circuits: Vec<Circuit> = grids.iter().map(|g| g.build().unwrap()).collect();
+    let tstop = grids[0].t_stop;
+    let opts = SimOptions::for_duration(tstop, 400);
+    let specs: Vec<BatchSpec<'_>> = circuits
+        .iter()
+        .map(|c| BatchSpec {
+            circuit: c,
+            tstop,
+            opts: &opts,
+        })
+        .collect();
+    let batched = transient_batch(&specs);
+    for (lane, (c, b)) in circuits.iter().zip(&batched).enumerate() {
+        let b = b.as_ref().unwrap();
+        assert_tran_bitwise(
+            &transient(c, tstop, &opts).unwrap(),
+            b,
+            &format!("grid lane {lane}"),
+        );
+        let st = b.stats().solver;
+        assert!(st.factor_nnz < n * n, "sparse factors: {st:?}");
+        assert!(
+            st.full_factorizations + st.refactorizations < st.solves,
+            "unchanged matrices reuse their factors: {st:?}"
+        );
     }
 }
 

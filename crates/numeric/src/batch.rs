@@ -26,7 +26,8 @@
 //! * the sparse backends share only the *value-independent* assembler
 //!   pattern across lanes (see [`CscAssembler::finish_adopting`]); pivot
 //!   orders are value-dependent, so every lane keeps its own
-//!   [`SparseLu`] and makes its own refactor/full/fallback decisions.
+//!   [`SparseFactorCache`] and makes its own reuse/refactor/full/fallback
+//!   decisions.
 //!
 //! A failed lane (singular matrix, degraded pivot with failed recovery)
 //! never stalls or perturbs its siblings: dead lanes keep computing benign
@@ -34,7 +35,7 @@
 //! only the first error per lane is reported via [`LaneReport`].
 
 use crate::dense::SINGULARITY_EPS;
-use crate::sparse::{CscAssembler, SparseLu};
+use crate::sparse::{CscAssembler, FactorStep, SparseFactorCache};
 use crate::{NumericError, Result};
 
 /// Per-lane outcome of one [`BatchBackend::factor_solve`] round.
@@ -52,7 +53,10 @@ pub struct LaneReport {
     pub result: Result<()>,
     /// The lane performed a full (re-pivoting) factorisation.
     pub full_factorization: bool,
-    /// The lane reused its cached symbolic analysis (sparse only).
+    /// The lane ran a numeric-only refactorisation along its cached
+    /// symbolic analysis (sparse only). A lane whose matrix was unchanged
+    /// solves with its cached factors and sets neither this flag nor
+    /// `full_factorization`.
     pub refactorization: bool,
     /// The lane's numeric refactorisation was rejected for pivot
     /// degradation and retried as a full factorisation (sparse only).
@@ -60,8 +64,8 @@ pub struct LaneReport {
     /// Assembler pattern epoch after this round (sparse backend);
     /// `0` on the dense backend.
     pub pattern_epoch: u64,
-    /// Stored factor entries of a successful factorisation (`n*n` on the
-    /// dense backend); `0` when the lane did not factor.
+    /// Stored factor entries of the factors the lane solved with (`n*n`
+    /// on the dense backend); `0` when the lane did not get factors.
     pub factor_nnz: usize,
 }
 
@@ -363,24 +367,23 @@ impl BatchBackend for BatchDense {
 /// The first active lane compiles the stamp-sequence → CSC pattern; every
 /// other lane adopts it ([`CscAssembler::finish_adopting`]), skipping the
 /// per-lane sort-and-compile. Pivot orders are value-dependent, so each
-/// lane keeps its own [`SparseLu`] and runs the scalar
-/// refactor / pivot-fallback / full-factorisation decision independently —
-/// which is what keeps every lane bitwise identical to a scalar run.
+/// lane keeps its own [`SparseFactorCache`] and climbs the scalar
+/// reuse / refactor / full-factorisation ladder independently — which is
+/// what keeps every lane bitwise identical to a scalar run.
 #[derive(Debug)]
 pub struct BatchSparse {
     n: usize,
     lanes: usize,
-    reuse: bool,
     asms: Vec<CscAssembler>,
-    lus: Vec<Option<SparseLu>>,
-    lu_epochs: Vec<u64>,
+    caches: Vec<SparseFactorCache>,
     scratch: Vec<f64>,
 }
 
 impl BatchSparse {
     /// Creates a batched sparse backend for `lanes` systems of `n`
-    /// unknowns. `reuse` enables the numeric-only refactorisation path,
-    /// exactly like the scalar MNA engine's `reuse_factorization`.
+    /// unknowns. `reuse` enables factor reuse and the numeric-only
+    /// refactorisation path, exactly like the scalar MNA engine's
+    /// `reuse_factorization`.
     ///
     /// # Panics
     ///
@@ -390,10 +393,8 @@ impl BatchSparse {
         BatchSparse {
             n,
             lanes,
-            reuse,
             asms: (0..lanes).map(|_| CscAssembler::new(n, n)).collect(),
-            lus: (0..lanes).map(|_| None).collect(),
-            lu_epochs: vec![0; lanes],
+            caches: (0..lanes).map(|_| SparseFactorCache::new(reuse)).collect(),
             scratch: Vec::with_capacity(n),
         }
     }
@@ -452,45 +453,21 @@ impl BatchBackend for BatchSparse {
             let a = asm.matrix().expect("finish compiles a pattern");
             let rep = &mut reports[l];
             rep.pattern_epoch = epoch;
-            let mut refactored = false;
-            if self.reuse && self.lu_epochs[l] == epoch {
-                if let Some(f) = self.lus[l].as_mut() {
-                    match f.refactor(a) {
-                        Ok(()) => refactored = true,
-                        Err(NumericError::PivotDegraded { .. }) => {
-                            // Frozen pivot order went bad; the full
-                            // factorisation below re-pivots.
-                            rep.pivot_fallback = true;
-                        }
-                        Err(NumericError::SingularMatrix { .. }) => {
-                            // Singular under the frozen order; the full
-                            // factorisation gets to try other pivots.
-                        }
-                        Err(e) => {
-                            rep.result = Err(e);
-                            continue;
-                        }
-                    }
+            let cache = &mut self.caches[l];
+            let factored = cache.factor(a, epoch);
+            rep.pivot_fallback = factored.pivot_fallback;
+            match factored.step {
+                Ok(step) => {
+                    rep.full_factorization = step == FactorStep::Full;
+                    rep.refactorization = step == FactorStep::Refactored;
+                }
+                Err(e) => {
+                    rep.result = Err(e);
+                    continue;
                 }
             }
-            if refactored {
-                rep.refactorization = true;
-            } else {
-                match a.lu() {
-                    Ok(f) => {
-                        self.lus[l] = Some(f);
-                        self.lu_epochs[l] = epoch;
-                        rep.full_factorization = true;
-                    }
-                    Err(e) => {
-                        rep.result = Err(e);
-                        continue;
-                    }
-                }
-            }
-            let f = self.lus[l].as_ref().expect("factorised above");
-            rep.factor_nnz = f.factor_nnz();
-            if let Err(e) = f.solve_in_place(&mut rhs[l * n..(l + 1) * n], &mut self.scratch) {
+            rep.factor_nnz = cache.factor_nnz();
+            if let Err(e) = cache.solve_in_place(&mut rhs[l * n..(l + 1) * n], &mut self.scratch) {
                 rep.result = Err(e);
             }
         }
@@ -502,6 +479,7 @@ impl BatchBackend for BatchSparse {
 mod tests {
     use super::*;
     use crate::dense::{DenseMatrix, LuFactors};
+    use crate::sparse::SparseLu;
 
     /// Deterministic LCG fill, as used by the dense unit tests.
     fn lcg(seed: &mut u64) -> f64 {
@@ -724,6 +702,49 @@ mod tests {
                         rhs[l * n + i].to_bits(),
                         "round {round} lane {l} unknown {i}"
                     );
+                }
+            }
+        }
+    }
+
+    /// A lane whose stamps repeat bit for bit solves with its cached
+    /// factors (no factorisation flag), while a sibling whose values moved
+    /// refactors; both stay bitwise equal to the scalar reference.
+    #[test]
+    fn batch_sparse_reuses_unchanged_lanes() {
+        let n = 5;
+        let lanes = 2;
+        let mut batch = BatchSparse::new(n, lanes, true);
+        let active = vec![true; lanes];
+        let mut refs: Vec<ScalarSparseRef> = (0..lanes).map(|_| ScalarSparseRef::new(n)).collect();
+        for round in 0..3u64 {
+            batch.begin(&active);
+            let mut rhs = vec![0.5; n * lanes];
+            // Lane 0 stamps the same values every round; lane 1 new ones.
+            let stamps = [tridiag_stamps(n, 7), tridiag_stamps(n, 100 + round)];
+            for (l, lane_stamps) in stamps.iter().enumerate() {
+                for &(r, c, v) in lane_stamps {
+                    batch.add(l, r, c, v);
+                }
+            }
+            let reports = batch.factor_solve(&mut rhs, &active);
+            for (l, rep) in reports.iter().enumerate() {
+                assert!(rep.result.is_ok());
+                let expect = match (round, l) {
+                    (0, _) => (true, false),
+                    (_, 0) => (false, false),
+                    _ => (false, true),
+                };
+                assert_eq!(
+                    (rep.full_factorization, rep.refactorization),
+                    expect,
+                    "round {round} lane {l}"
+                );
+                assert!(rep.factor_nnz > 0);
+                let mut b = vec![0.5; n];
+                refs[l].solve(&stamps[l], &mut b);
+                for i in 0..n {
+                    assert_eq!(b[i].to_bits(), rhs[l * n + i].to_bits());
                 }
             }
         }

@@ -3,7 +3,8 @@
 //! The assembly path mirrors the classic SPICE flow: devices stamp into a
 //! coordinate-format [`TripletMatrix`], which is compressed once into a
 //! [`CscMatrix`], and the compressed form is factorised by the left-looking
-//! Gilbert–Peierls LU in [`lu`].
+//! Gilbert–Peierls LU in [`lu`]. A [`SparseFactorCache`] keeps those
+//! factors across the same-pattern solves of a Newton loop.
 //!
 //! # Example
 //!
@@ -25,11 +26,13 @@
 //! ```
 
 mod assembler;
+mod cache;
 mod coo;
 mod csc;
 pub mod lu;
 
 pub use assembler::CscAssembler;
+pub use cache::{FactorReport, FactorStep, SparseFactorCache};
 pub use coo::TripletMatrix;
 pub use csc::CscMatrix;
 pub use lu::SparseLu;

@@ -12,14 +12,15 @@
 //! # Scale and solver choice
 //!
 //! A grid tile contributes two unknowns (rail node + decap internal
-//! node), so chip-scale grids reach 10⁴–10⁵ MNA unknowns — past the
-//! practical range of the dense LU and into territory where the sparse
-//! direct factorisation's fill-in dominates runtime. This is the workload
-//! the iterative backend exists for: with the default
-//! [`SolverPolicy::Auto`](sfet_sim::SolverPolicy) dispatch, grids beyond
-//! the size threshold route to GMRES+ILU(0) automatically, and
-//! mid-size grids (where LU is still feasible) gate its accuracy — see
-//! `bench_pdn_grid` and `docs/SOLVERS.md`.
+//! node), so even a 6×6 grid is past the dense LU's range, and chip-scale
+//! grids reach 10⁴–10⁵ MNA unknowns, where the sparse direct
+//! factorisation's fill-in dominates runtime. With the default
+//! [`SolverPolicy::Auto`](sfet_sim::SolverPolicy) dispatch, grids from 64
+//! unknowns run on the reusable sparse LU — the grid is linear, so its
+//! matrix changes only with the step size and most solves reuse the
+//! factors — and grids beyond the GMRES threshold route to GMRES+ILU(0)
+//! automatically, with mid-size grids (where LU is still feasible)
+//! gating its accuracy — see `bench_pdn_grid` and `docs/SOLVERS.md`.
 //!
 //! # Site placement and staggering
 //!

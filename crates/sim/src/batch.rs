@@ -25,7 +25,9 @@
 //! * value-dependent decisions (step-size choice, convergence, pivoting,
 //!   refactor-vs-full) are taken per lane exactly as scalar.
 //!
-//! Lanes must share a *shape* — MNA size, linear solver, and
+//! Lanes must share a *shape* — MNA size, linear solver (as resolved by
+//! [`SimOptions::effective_solver`], so the solver policy and
+//! `SFET_SOLVER` apply to lanes as they do to scalar runs), and
 //! factor-reuse flag — for the SoA backend to apply. A non-uniform batch
 //! silently falls back to per-lane scalar `transient` calls (bitwise
 //! equal by definition). Lanes that fail option/circuit validation error
@@ -104,7 +106,7 @@ pub fn transient_batch(specs: &[BatchSpec<'_>]) -> Vec<Result<TranResult>> {
     for (spec, pre) in specs.iter().zip(&prevalidated) {
         if let Ok(compiled) = pre {
             let this = (
-                spec.opts.solver,
+                spec.opts.effective_solver(compiled.size),
                 spec.opts.reuse_factorization,
                 compiled.size,
             );
@@ -437,7 +439,8 @@ impl<'a> Lane<'a> {
     /// Processes the linear-solve result for the current Newton iteration:
     /// solver accounting, the damped update, convergence, accept/reject.
     fn advance(&mut self, rep: &LaneReport, x_next: &[f64], elapsed_ns: u64) {
-        // Solver accounting mirrors `MnaMatrix::factor_solve` per lane.
+        // Solver accounting mirrors `MnaMatrix::factor_solve` per lane (a
+        // lane that reused its factors sets neither factorisation flag).
         // Timing attributes the whole batched solve to every active lane
         // (excluded from `SolverStats` equality).
         self.solver.pattern_rebuilds = rep.pattern_epoch;
@@ -620,9 +623,10 @@ impl<'a> Lane<'a> {
             opts.telemetry.histogram(names::H_TRAN_DT, self.dt_cur);
             opts.telemetry
                 .histogram(names::H_TRAN_STEP_ITERS, iters as f64);
-            if self.dt > self.dt_cur {
+            let next = self.dt.min(opts.dtmax);
+            if next > self.dt_cur {
                 opts.telemetry.counter(names::TRAN_DT_GROWTHS, 1);
-            } else if self.dt < self.dt_cur {
+            } else if next < self.dt_cur {
                 opts.telemetry.counter(names::TRAN_DT_SHRINKS, 1);
             }
         }
@@ -765,6 +769,38 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The batched stepper counts `tran.dt_growths` after the `dtmax` cap,
+    /// exactly as the scalar one does.
+    #[test]
+    fn dt_growths_match_scalar_at_dtmax() {
+        use sfet_telemetry::{SharedAggregator, Telemetry};
+        let tstop = 10e-12;
+        let ckt = crate::transient::tests::rc_charging_at_dtmax();
+        let count = |batched: bool| {
+            let agg = SharedAggregator::new();
+            let opts =
+                SimOptions::for_duration(tstop, 200).with_telemetry(Telemetry::new(agg.clone()));
+            let specs = [BatchSpec {
+                circuit: &ckt,
+                tstop,
+                opts: &opts,
+            }; 2];
+            if batched {
+                for r in transient_batch(&specs) {
+                    r.unwrap();
+                }
+            } else {
+                for s in &specs {
+                    transient(s.circuit, s.tstop, s.opts).unwrap();
+                }
+            }
+            agg.snapshot().counter(names::TRAN_DT_GROWTHS)
+        };
+        let scalar = count(false);
+        assert!((2..=24).contains(&scalar), "{scalar} growths in two runs");
+        assert_eq!(count(true), scalar);
     }
 
     #[test]

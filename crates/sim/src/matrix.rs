@@ -1,13 +1,13 @@
 //! MNA matrix backends with reusable factorisation.
 //!
 //! Cell-level circuits (tens of unknowns) factor fastest with the dense
-//! LU; PDN-scale systems (hundreds+ of unknowns, >95 % structurally zero)
-//! with the sparse Gilbert–Peierls LU. The backend is selected via
-//! [`LinearSolver`](crate::SimOptions) and both share the same stamping
-//! interface, so device code is backend-agnostic. The `solver_backend`
-//! Criterion bench in `sfet-bench` quantifies the crossover.
+//! LU; PDN-scale systems (hundreds of unknowns and up, >95 % structurally
+//! zero) with the sparse Gilbert–Peierls LU; full-chip grids past a few
+//! thousand unknowns with GMRES. The default [`SolverPolicy::Auto`] picks
+//! one by system size (see [`SolverPolicy::resolve`]), and all three share
+//! the same stamping interface, so device code is backend-agnostic.
 //!
-//! Both backends are built for the Newton hot loop, where the same matrix
+//! The backends are built for the Newton hot loop, where the same matrix
 //! structure is assembled and solved thousands of times:
 //!
 //! * **dense** — stamps accumulate into a persistent [`DenseMatrix`], which
@@ -16,26 +16,36 @@
 //!   allocation;
 //! * **sparse** — stamps go through a pattern-caching [`CscAssembler`]
 //!   (stamp sequence compiled once into a fixed CSC pattern plus scatter
-//!   map), and the Gilbert–Peierls symbolic analysis is cached in a
-//!   [`SparseLu`] whose numeric-only `refactor` is reused across Newton
-//!   iterations and timesteps. A refactorisation whose frozen pivot
-//!   degrades past threshold transparently falls back to a full,
-//!   re-pivoting factorisation.
+//!   map), and the factors live in a [`SparseFactorCache`]: a matrix
+//!   whose values repeat bit for bit (a linear circuit at a fixed step
+//!   size) solves with the cached factors, a changed one runs the
+//!   numeric-only refactorisation along the cached symbolic analysis, and
+//!   a refactorisation whose frozen pivot degrades past threshold falls
+//!   back to a full, re-pivoting factorisation;
+//! * **iterative** — ILU(0)-preconditioned GMRES over the same compiled
+//!   pattern, with a [`SparseFactorCache`] as the fallback for stagnated
+//!   solves.
 
 use std::time::Instant;
 
 use sfet_numeric::dense::{DenseMatrix, LuFactors};
 use sfet_numeric::krylov::{gmres, GmresOptions, GmresWorkspace, Ilu0};
-use sfet_numeric::sparse::{CscAssembler, SparseLu};
+use sfet_numeric::sparse::{CscAssembler, FactorReport, FactorStep, SparseFactorCache};
 use sfet_numeric::{NumericError, Result};
 
 /// Which linear-solver backend the MNA engine uses.
+///
+/// Under the default [`SolverPolicy::Auto`] this is a floor, not a pin:
+/// systems of [`SolverPolicy::AUTO_SPARSE_THRESHOLD`] unknowns or more
+/// leave `Dense` for `Sparse`, and larger ones again for `Iterative`.
+/// [`SolverPolicy::Direct`] honours `Dense` and `Sparse` at any size.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum LinearSolver {
     /// Dense LU with partial pivoting — fastest for small systems.
     #[default]
     Dense,
-    /// Sparse left-looking (Gilbert–Peierls) LU — scales to PDN meshes.
+    /// Sparse left-looking (Gilbert–Peierls) LU — scales to PDN meshes,
+    /// and reuses its factors while the assembled values repeat.
     Sparse,
     /// Matrix-free restarted GMRES(m) with an ILU(0) preconditioner over
     /// the compiled CSC pattern — the full-chip path for grids where
@@ -62,31 +72,47 @@ pub const SOLVER_ENV: &str = "SFET_SOLVER";
 /// How the engines choose a [`LinearSolver`] for each system.
 ///
 /// The policy is resolved against the *system size* at matrix-creation
-/// time, so one `SimOptions` value works for both a 10-unknown inverter
-/// (direct LU) and a 10⁵-unknown PDN grid (GMRES) without manual backend
-/// switching. Selected via [`SimOptions::with_solver_policy`](crate::SimOptions::with_solver_policy)
+/// time, so one `SimOptions` value works for a 10-unknown inverter (dense
+/// LU), a 300-unknown droop map (sparse LU) and a 10⁵-unknown PDN grid
+/// (GMRES) without manual backend switching. Selected via
+/// [`SimOptions::with_solver_policy`](crate::SimOptions::with_solver_policy)
 /// or the [`SOLVER_ENV`] environment variable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SolverPolicy {
-    /// Size dispatch: systems with at least
-    /// [`AUTO_ITERATIVE_THRESHOLD`](SolverPolicy::AUTO_ITERATIVE_THRESHOLD)
-    /// unknowns use [`LinearSolver::Iterative`]; smaller ones keep the
-    /// configured direct backend.
+    /// Size dispatch: dense LU below
+    /// [`AUTO_SPARSE_THRESHOLD`](SolverPolicy::AUTO_SPARSE_THRESHOLD)
+    /// unknowns, sparse LU from there, GMRES from
+    /// [`AUTO_ITERATIVE_THRESHOLD`](SolverPolicy::AUTO_ITERATIVE_THRESHOLD).
+    /// A configured `Sparse` or `Iterative` backend is kept where the size
+    /// alone would pick a lighter one.
     #[default]
     Auto,
-    /// Always use the configured direct backend (dense/sparse LU).
+    /// Always use the configured direct backend (dense/sparse LU) — the
+    /// way to pin dense LU at any size.
     Direct,
     /// Always use [`LinearSolver::Iterative`], regardless of size.
     Iterative,
 }
 
 impl SolverPolicy {
+    /// System size at which [`SolverPolicy::Auto`] moves from dense to
+    /// sparse LU.
+    ///
+    /// Measured on transients (docs/SOLVERS.md): sparse LU with factor
+    /// reuse runs 16–21 % slower than dense on the 10-unknown nonlinear
+    /// power-gate wake, and 1.3–2.1× faster on 24–56-unknown linear
+    /// grids. 64 keeps the paper's cell-level circuits well clear of the
+    /// cut-off on the dense side and 12×12-tile droop maps (294 unknowns)
+    /// on the sparse side.
+    pub const AUTO_SPARSE_THRESHOLD: usize = 64;
+
     /// System size at which [`SolverPolicy::Auto`] switches to GMRES.
     ///
-    /// Chosen from the `solver_backend` bench: below ~4k unknowns the
-    /// sparse LU refactor-and-solve beats GMRES+ILU(0) wall-clock, and
-    /// its factor memory is still negligible; above it the iterative
-    /// path wins on both and is the only one that reaches 10⁵ unknowns.
+    /// Conservative: below it sparse LU beats GMRES+ILU(0) wall-clock and
+    /// its factor memory is still negligible. On PDN grids sparse LU with
+    /// factor reuse still wins at 4 614 unknowns (docs/SOLVERS.md), but
+    /// its fill grows faster than the unknown count while ILU(0) never
+    /// fills, and only the iterative path reaches 10⁵ unknowns.
     pub const AUTO_ITERATIVE_THRESHOLD: usize = 4096;
 
     /// Parses `direct`, `gmres` (alias `iterative`), or `auto`
@@ -128,6 +154,12 @@ impl SolverPolicy {
 
     /// Resolves the policy to a concrete backend for an `n`-unknown
     /// system, given the directly-configured backend.
+    ///
+    /// | policy | `n` < 64 | 64 ≤ `n` < 4096 | `n` ≥ 4096 |
+    /// |--------|----------|-----------------|------------|
+    /// | `Auto` | configured | `Sparse`, or `Iterative` if configured | `Iterative` |
+    /// | `Direct` | configured (`Iterative` → `Sparse`) | same | same |
+    /// | `Iterative` | `Iterative` | `Iterative` | `Iterative` |
     pub fn resolve(self, configured: LinearSolver, n: usize) -> LinearSolver {
         match self {
             SolverPolicy::Direct => match configured {
@@ -140,6 +172,8 @@ impl SolverPolicy {
                     || n >= SolverPolicy::AUTO_ITERATIVE_THRESHOLD
                 {
                     LinearSolver::Iterative
+                } else if n >= SolverPolicy::AUTO_SPARSE_THRESHOLD {
+                    LinearSolver::Sparse
                 } else {
                     configured
                 }
@@ -172,7 +206,9 @@ pub struct SolverStats {
     /// Numeric-only refactorisations that reused the cached symbolic
     /// analysis and frozen pivot order (sparse backend only).
     pub refactorizations: u64,
-    /// Linear solves (forward/back substitutions).
+    /// Linear solves (forward/back substitutions). On the sparse backend
+    /// `solves - full_factorizations - refactorizations` counts the solves
+    /// that reused the factors of an unchanged matrix.
     pub solves: u64,
     /// Sparse stamp-pattern compilations: the initial one plus one per
     /// stamp-sequence change (e.g. DC gmin shunts toggling).
@@ -225,6 +261,15 @@ impl SolverStats {
         }
     }
 
+    /// Counts a sparse factorisation's pivot fallback (even when the full
+    /// factorisation after it failed) and passes its step on.
+    fn count_factor(&mut self, report: FactorReport) -> Result<FactorStep> {
+        if report.pivot_fallback {
+            self.pivot_fallbacks += 1;
+        }
+        report.step
+    }
+
     /// Combines the stats of two run segments (e.g. a checkpointed prefix
     /// and its resumed continuation): cumulative counters add, while
     /// `factor_nnz` — a latest-factorisation diagnostic — comes from
@@ -253,7 +298,8 @@ impl SolverStats {
 #[derive(Debug, Clone)]
 pub(crate) struct MnaMatrix {
     backend: Backend,
-    /// Allow the sparse backend to reuse cached factors across solves.
+    /// Allow the iterative backend to refresh its ILU(0) numerically
+    /// across solves (the sparse caches carry their own flag).
     reuse: bool,
     stats: SolverStats,
 }
@@ -267,9 +313,7 @@ enum Backend {
     },
     Sparse {
         asm: Box<CscAssembler>,
-        lu: Option<SparseLu>,
-        /// Assembler epoch the cached symbolic analysis belongs to.
-        lu_epoch: u64,
+        lu: SparseFactorCache,
         scratch: Vec<f64>,
     },
     Iterative {
@@ -278,9 +322,8 @@ enum Backend {
         /// assembler pattern epoch is unchanged.
         ilu: Option<Ilu0>,
         ilu_epoch: u64,
-        /// Direct sparse-LU fallback cache for stagnated GMRES solves.
-        lu: Option<SparseLu>,
-        lu_epoch: u64,
+        /// Direct sparse-LU fallback for stagnated GMRES solves.
+        lu: SparseFactorCache,
         ws: Box<GmresWorkspace>,
         /// Solution buffer (GMRES starts from x = 0 for determinism).
         x: Vec<f64>,
@@ -295,8 +338,8 @@ const GMRES_RESTART: usize = 64;
 
 impl MnaMatrix {
     /// Creates an `n x n` matrix for the chosen backend. `reuse` enables
-    /// the sparse numeric-only refactorisation path (dense is always
-    /// in-place regardless).
+    /// factor reuse and numeric-only refactorisation on the sparse and
+    /// iterative backends (dense is always in-place regardless).
     pub(crate) fn new(backend: LinearSolver, n: usize, reuse: bool) -> Self {
         let backend = match backend {
             LinearSolver::Dense => Backend::Dense {
@@ -306,16 +349,14 @@ impl MnaMatrix {
             },
             LinearSolver::Sparse => Backend::Sparse {
                 asm: Box::new(CscAssembler::new(n, n)),
-                lu: None,
-                lu_epoch: 0,
+                lu: SparseFactorCache::new(reuse),
                 scratch: Vec::with_capacity(n),
             },
             LinearSolver::Iterative => Backend::Iterative {
                 asm: Box::new(CscAssembler::new(n, n)),
                 ilu: None,
                 ilu_epoch: 0,
-                lu: None,
-                lu_epoch: 0,
+                lu: SparseFactorCache::new(reuse),
                 ws: Box::new(GmresWorkspace::new(n, GMRES_RESTART)),
                 x: vec![0.0; n],
                 scratch: Vec::with_capacity(n),
@@ -349,8 +390,8 @@ impl MnaMatrix {
     /// Factorises the assembled matrix and solves `A x = rhs` in place:
     /// `rhs` is overwritten with the solution. This is the Newton hot
     /// path — steady-state calls perform no heap allocation on the dense
-    /// backend and reuse the cached pattern + symbolic analysis on the
-    /// sparse one.
+    /// backend and reuse the cached pattern, symbolic analysis and (for
+    /// unchanged values) factors on the sparse one.
     ///
     /// # Errors
     ///
@@ -374,51 +415,24 @@ impl MnaMatrix {
                 self.stats.factor_nnz = m.rows() * m.cols();
                 factors.solve_in_place(rhs, scratch)?;
             }
-            Backend::Sparse {
-                asm,
-                lu,
-                lu_epoch,
-                scratch,
-            } => {
+            Backend::Sparse { asm, lu, scratch } => {
                 asm.finish();
                 let epoch = asm.epoch();
                 let a = asm.matrix().expect("finish compiles a pattern");
                 self.stats.pattern_rebuilds = epoch;
-                let mut refactored = false;
-                if self.reuse && *lu_epoch == epoch {
-                    if let Some(f) = lu.as_mut() {
-                        match f.refactor(a) {
-                            Ok(()) => refactored = true,
-                            Err(NumericError::PivotDegraded { .. }) => {
-                                // Frozen pivot order went bad; a full
-                                // factorisation below re-pivots.
-                                self.stats.pivot_fallbacks += 1;
-                            }
-                            Err(NumericError::SingularMatrix { .. }) => {
-                                // Singular under the frozen order; the full
-                                // factorisation gets to try other pivots.
-                            }
-                            Err(e) => return Err(e),
-                        }
-                    }
+                match self.stats.count_factor(lu.factor(a, epoch))? {
+                    FactorStep::Full => self.stats.full_factorizations += 1,
+                    FactorStep::Refactored => self.stats.refactorizations += 1,
+                    FactorStep::Reused => {}
                 }
-                if refactored {
-                    self.stats.refactorizations += 1;
-                } else {
-                    *lu = Some(a.lu()?);
-                    *lu_epoch = epoch;
-                    self.stats.full_factorizations += 1;
-                }
-                let f = lu.as_ref().expect("factorised above");
-                self.stats.factor_nnz = f.factor_nnz();
-                f.solve_in_place(rhs, scratch)?;
+                self.stats.factor_nnz = lu.factor_nnz();
+                lu.solve_in_place(rhs, scratch)?;
             }
             Backend::Iterative {
                 asm,
                 ilu,
                 ilu_epoch,
                 lu,
-                lu_epoch,
                 ws,
                 x,
                 scratch,
@@ -466,25 +480,8 @@ impl MnaMatrix {
                         // failing the analysis.
                         self.stats.gmres_iterations += iterations as u64;
                         self.stats.gmres_fallbacks += 1;
-                        let mut refactored = false;
-                        if self.reuse && *lu_epoch == epoch {
-                            if let Some(f) = lu.as_mut() {
-                                match f.refactor(a) {
-                                    Ok(()) => refactored = true,
-                                    Err(NumericError::PivotDegraded { .. }) => {
-                                        self.stats.pivot_fallbacks += 1;
-                                    }
-                                    Err(NumericError::SingularMatrix { .. }) => {}
-                                    Err(e) => return Err(e),
-                                }
-                            }
-                        }
-                        if !refactored {
-                            *lu = Some(a.lu()?);
-                            *lu_epoch = epoch;
-                        }
-                        let f = lu.as_ref().expect("factorised above");
-                        f.solve_in_place(rhs, scratch)?;
+                        self.stats.count_factor(lu.factor(a, epoch))?;
+                        lu.solve_in_place(rhs, scratch)?;
                     }
                     Err(e) => return Err(e),
                 }
@@ -577,29 +574,37 @@ mod tests {
         ));
     }
 
+    /// `resolve` on both sides of both thresholds, for every policy and
+    /// configured backend.
     #[test]
     fn solver_policy_resolution() {
+        use LinearSolver::{Dense as D, Iterative as I, Sparse as S};
         use SolverPolicy::*;
-        let th = SolverPolicy::AUTO_ITERATIVE_THRESHOLD;
-        assert_eq!(Auto.resolve(LinearSolver::Dense, 10), LinearSolver::Dense);
-        assert_eq!(
-            Auto.resolve(LinearSolver::Sparse, th),
-            LinearSolver::Iterative
-        );
-        assert_eq!(
-            Auto.resolve(LinearSolver::Iterative, 10),
-            LinearSolver::Iterative,
-            "an explicit iterative backend wins at any size"
-        );
-        assert_eq!(
-            Direct.resolve(LinearSolver::Iterative, th * 2),
-            LinearSolver::Sparse,
-            "direct policy maps the iterative backend to sparse LU"
-        );
-        assert_eq!(
-            Iterative.resolve(LinearSolver::Dense, 2),
-            LinearSolver::Iterative
-        );
+        let sp = SolverPolicy::AUTO_SPARSE_THRESHOLD;
+        let it = SolverPolicy::AUTO_ITERATIVE_THRESHOLD;
+        assert!(sp < it);
+        let sizes = [2, sp - 1, sp, it - 1, it, 2 * it];
+        // One row per (policy, configured): the backend at each size.
+        let table = [
+            (Auto, D, [D, D, S, S, I, I]),
+            (Auto, S, [S, S, S, S, I, I]),
+            (Auto, I, [I, I, I, I, I, I]),
+            (Direct, D, [D, D, D, D, D, D]),
+            (Direct, S, [S, S, S, S, S, S]),
+            (Direct, I, [S, S, S, S, S, S]),
+            (Iterative, D, [I, I, I, I, I, I]),
+            (Iterative, S, [I, I, I, I, I, I]),
+            (Iterative, I, [I, I, I, I, I, I]),
+        ];
+        for (policy, configured, expect) in table {
+            for (n, want) in sizes.into_iter().zip(expect) {
+                assert_eq!(
+                    policy.resolve(configured, n),
+                    want,
+                    "{policy} with {configured} configured at n = {n}"
+                );
+            }
+        }
         assert_eq!(SolverPolicy::default(), Auto);
     }
 
@@ -674,6 +679,37 @@ mod tests {
             out
         };
         assert_eq!(solve_seq(true), solve_seq(false));
+    }
+
+    /// Unchanged values (a linear circuit at a fixed step) solve with the
+    /// cached factors: no numeric work, and bitwise the same answers as
+    /// factoring every time.
+    #[test]
+    fn sparse_unchanged_values_reuse_factors() {
+        let solve_seq = |reuse: bool| -> (Vec<u64>, SolverStats) {
+            let mut m = MnaMatrix::new(LinearSolver::Sparse, 2, reuse);
+            let mut out = Vec::new();
+            for k in 0..6 {
+                // Two distinct matrices, each assembled three times running.
+                let g = if k < 3 { 1e-3 } else { 2e-3 };
+                m.clear();
+                m.add(0, 0, g);
+                m.add(0, 1, 1.0);
+                m.add(1, 0, 1.0);
+                let mut rhs = vec![0.5 * k as f64, 2.0];
+                m.factor_solve(&mut rhs).unwrap();
+                out.extend(rhs.iter().map(|v| v.to_bits()));
+            }
+            (out, m.stats())
+        };
+        let (reused, st) = solve_seq(true);
+        let (fresh, st_fresh) = solve_seq(false);
+        assert_eq!(reused, fresh);
+        assert_eq!(st.solves, 6);
+        assert_eq!(st.full_factorizations, 1);
+        assert_eq!(st.refactorizations, 1, "only the value change refactors");
+        assert_eq!(st_fresh.full_factorizations, 6);
+        assert_eq!(st.factor_nnz, st_fresh.factor_nnz);
     }
 
     #[test]

@@ -46,10 +46,13 @@ pub struct SimOptions {
     pub gmin: f64,
     /// Hard cap on total attempted steps.
     pub max_steps: usize,
-    /// Linear-solver backend for the MNA system.
+    /// Linear-solver backend for the MNA system, as resolved against the
+    /// system size by [`solver_policy`](Self::solver_policy) (under the
+    /// default policy, large systems move from `Dense` to sparse LU).
     pub solver: LinearSolver,
     /// Reuse the cached sparsity pattern and symbolic factorisation across
-    /// Newton iterations and timesteps (sparse backend). Produces
+    /// Newton iterations and timesteps (sparse backend), and the factors
+    /// themselves while the assembled values repeat bit for bit. Produces
     /// bitwise-identical results to fresh factorisation; disable only for
     /// solver debugging / regression comparison.
     pub reuse_factorization: bool,
@@ -196,7 +199,9 @@ impl SimOptions {
     ///
     /// let opts = SimOptions::default().with_solver_policy(SolverPolicy::Iterative);
     /// assert_eq!(opts.effective_solver(8), LinearSolver::Iterative);
-    /// assert_eq!(SimOptions::default().effective_solver(8), LinearSolver::Dense);
+    /// let auto = SimOptions::default().with_solver_policy(SolverPolicy::Auto);
+    /// assert_eq!(auto.effective_solver(8), LinearSolver::Dense);
+    /// assert_eq!(auto.effective_solver(294), LinearSolver::Sparse);
     /// ```
     pub fn effective_solver(&self, n: usize) -> LinearSolver {
         self.solver_policy
@@ -302,6 +307,10 @@ mod tests {
     fn effective_solver_applies_policy() {
         let base = SimOptions::default().with_solver_policy(SolverPolicy::Auto);
         assert_eq!(base.effective_solver(16), LinearSolver::Dense);
+        assert_eq!(
+            base.effective_solver(SolverPolicy::AUTO_SPARSE_THRESHOLD),
+            LinearSolver::Sparse
+        );
         assert_eq!(
             base.effective_solver(SolverPolicy::AUTO_ITERATIVE_THRESHOLD),
             LinearSolver::Iterative

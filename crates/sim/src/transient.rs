@@ -361,9 +361,12 @@ pub fn transient_resumable(
             opts.telemetry.histogram(names::H_TRAN_DT, dt_cur);
             opts.telemetry
                 .histogram(names::H_TRAN_STEP_ITERS, iters as f64);
-            if dt > dt_cur {
+            // The controller proposes before the `dtmax` cap; a step
+            // already at the cap has not grown.
+            let next = dt.min(opts.dtmax);
+            if next > dt_cur {
                 opts.telemetry.counter(names::TRAN_DT_GROWTHS, 1);
-            } else if dt < dt_cur {
+            } else if next < dt_cur {
                 opts.telemetry.counter(names::TRAN_DT_SHRINKS, 1);
             }
         }
@@ -668,7 +671,7 @@ impl Recorder {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::matrix::LinearSolver;
     use sfet_circuit::SourceWaveform;
@@ -1023,6 +1026,45 @@ mod tests {
         let r = transient(&ckt, 1e-12, &SimOptions::default()).unwrap();
         assert!(r.stats().steps_accepted > 0);
         assert!(r.stats().newton_iterations >= r.stats().steps_accepted);
+    }
+
+    /// An RC charging from an initial condition under a DC source: no
+    /// breakpoints, so after its ramp-up from `dtmax / 16` the stepper
+    /// sits at the `dtmax` cap.
+    pub(crate) fn rc_charging_at_dtmax() -> Circuit {
+        let mut ckt = Circuit::new();
+        let a = ckt.node("a");
+        let out = ckt.node("out");
+        let g = Circuit::ground();
+        ckt.add_voltage_source("V1", a, g, SourceWaveform::Dc(1.0))
+            .unwrap();
+        ckt.add_resistor("R1", a, out, 1e3).unwrap();
+        ckt.add_capacitor("C1", out, g, 1e-15).unwrap();
+        ckt.set_node_ic(out, 0.0);
+        ckt
+    }
+
+    /// `tran.dt_growths` counts steps after which dt really grew: a step
+    /// pinned at `dtmax` is not a growth, even though the controller's
+    /// uncapped proposal is 1.3× larger.
+    #[test]
+    fn dt_growths_stop_at_the_dtmax_cap() {
+        use sfet_telemetry::{SharedAggregator, Telemetry};
+        let agg = SharedAggregator::new();
+        let tstop = 10e-12;
+        let opts = SimOptions::for_duration(tstop, 200).with_telemetry(Telemetry::new(agg.clone()));
+        let r = transient(&rc_charging_at_dtmax(), tstop, &opts).unwrap();
+        let accepted = r.stats().steps_accepted;
+        assert!(accepted > 200, "{accepted} steps");
+        let snap = agg.snapshot();
+        let growths = snap.counter(names::TRAN_DT_GROWTHS);
+        // 1.3^11 > 16: eleven growths take dt from dtmax / 16 to the cap,
+        // and one follows the last step, shortened to land on tstop.
+        assert!(
+            (1..=12).contains(&growths),
+            "{growths} growths in {accepted} accepted steps"
+        );
+        assert_eq!(snap.counter(names::TRAN_DT_SHRINKS), 0);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use sfet_circuit::{Circuit, SourceWaveform};
 use sfet_devices::mosfet::MosfetModel;
 use sfet_devices::ptm::PtmParams;
-use sfet_sim::{dc_operating_point, dc_sweep, transient, LinearSolver, SimOptions};
+use sfet_sim::{dc_operating_point, dc_sweep, transient, LinearSolver, SimOptions, SolverPolicy};
 
 fn soft_inverter() -> Circuit {
     let mut ckt = Circuit::new();
@@ -305,13 +305,17 @@ fn sparse_backend_handles_pdn_scale_grid() {
     // IR drop: ~100 mA across a mesh of ~2 ohm effective = visible sag.
     assert!(v_far.last_value() < 0.999);
     assert!(v_far.last_value() > 0.5, "grid still delivers");
-    // Cross-check the end state against the dense backend.
+    // Cross-check the end state against the dense backend (`Direct`, or
+    // the size dispatch would send this 102-unknown grid to sparse LU).
     let rd = transient(
         &ckt,
         tstop,
-        &SimOptions::for_duration(tstop, 500).with_solver(LinearSolver::Dense),
+        &SimOptions::for_duration(tstop, 500)
+            .with_solver(LinearSolver::Dense)
+            .with_solver_policy(SolverPolicy::Direct),
     )
     .unwrap();
+    assert_eq!(rd.stats().solver.factor_nnz, 102 * 102, "dense arm");
     let vd_far = rd.voltage(&format!("g{}_{}", n - 1, n - 1)).unwrap();
     assert!((v_far.last_value() - vd_far.last_value()).abs() < 1e-6);
 }
