@@ -112,12 +112,13 @@ impl Json {
         out
     }
 
-    fn write(&self, out: &mut String) {
+    /// Appends the [`Json::to_json`] text of the value to `out`.
+    pub(crate) fn write(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(true) => out.push_str("true"),
             Json::Bool(false) => out.push_str("false"),
-            Json::Num(n) => out.push_str(&fmt_f64(*n)),
+            Json::Num(n) => write_f64(out, *n),
             Json::Str(s) => write_escaped(out, s),
             Json::Arr(items) => {
                 out.push('[');
@@ -145,26 +146,51 @@ impl Json {
     }
 }
 
-/// Formats an `f64` as a JSON number: shortest round-trippable form for
-/// finite values (integers gain a `.0` in Rust's `{:?}`, which JSON
-/// accepts), `null` for NaN/±inf.
+/// Longest text [`write_f64`] can append: 17 significant digits, a sign,
+/// a point and a three-digit exponent (`-2.2250738585072014e-308`).
+pub(crate) const MAX_F64_LEN: usize = 24;
+
+/// Formats an `f64` as a JSON number; the spelling is [`write_f64`]'s.
 pub fn fmt_f64(value: f64) -> String {
+    let mut text = String::new();
+    write_f64(&mut text, value);
+    text
+}
+
+/// Appends an `f64` to `out` as a JSON number, in place: Rust's shortest
+/// round-trippable `{:?}` form for finite values, with the `.0` that
+/// `{:?}` gives integral values dropped, and `null` for NaN/±inf.
+///
+/// # Example
+///
+/// ```
+/// use sfet_serve::json::write_f64;
+///
+/// let mut out = String::from("[1.0,");
+/// for v in [5.0, -0.0, 1e-7, 0.1, f64::NAN] {
+///     write_f64(&mut out, v);
+///     out.push(',');
+/// }
+/// assert_eq!(out, "[1.0,5,-0,1e-7,0.1,null,");
+/// ```
+pub fn write_f64(out: &mut String, value: f64) {
     if value.is_finite() {
-        let mut text = format!("{value:?}");
+        let start = out.len();
+        let _ = write!(out, "{value:?}");
         // `{:?}` spells integral values `5.0`; the bare integer is one
         // byte shorter, reads better in counters, and parses back to the
-        // same bits (`-0` included), so trim the suffix.
-        if text.ends_with(".0") {
-            text.truncate(text.len() - 2);
+        // same bits (`-0` included), so trim the suffix — of the appended
+        // text only, never of what `out` already held.
+        if out[start..].ends_with(".0") {
+            out.truncate(out.len() - 2);
         }
-        text
     } else {
-        "null".to_owned()
+        out.push_str("null");
     }
 }
 
 /// Appends `s` as a quoted, escaped JSON string literal.
-fn write_escaped(out: &mut String, s: &str) {
+pub(crate) fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
     for ch in s.chars() {
         match ch {
@@ -479,6 +505,77 @@ mod tests {
         assert_eq!(fmt_f64(5.0), "5");
         assert_eq!(fmt_f64(-0.0), "-0");
         assert_eq!(fmt_f64(1e300), "1e300");
+    }
+
+    /// The served-float spelling `write_f64` must reproduce byte for byte:
+    /// `{:?}` into its own `String`, a trailing `.0` trimmed, `null` for
+    /// non-finite values.
+    fn reference_spelling(value: f64) -> String {
+        if value.is_finite() {
+            let mut text = format!("{value:?}");
+            if text.ends_with(".0") {
+                text.truncate(text.len() - 2);
+            }
+            text
+        } else {
+            "null".to_owned()
+        }
+    }
+
+    fn assert_spelled_as_reference(value: f64) {
+        const PREFIX: &str = "[1.0,";
+        let expected = reference_spelling(value);
+        let mut out = String::from(PREFIX);
+        write_f64(&mut out, value);
+        let bits = value.to_bits();
+        assert_eq!(
+            &out[..PREFIX.len()],
+            PREFIX,
+            "prefix trimmed at {bits:#018x}"
+        );
+        assert_eq!(&out[PREFIX.len()..], expected, "spelling of {bits:#018x}");
+        assert!(
+            expected.len() <= MAX_F64_LEN,
+            "{expected} exceeds MAX_F64_LEN"
+        );
+    }
+
+    #[test]
+    fn write_f64_matches_the_reference_spelling() {
+        let below = |x: f64| f64::from_bits(x.to_bits() - 1);
+        let above = |x: f64| f64::from_bits(x.to_bits() + 1);
+        for x in [
+            0.0,
+            -0.0,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            f64::MIN_POSITIVE,
+            f64::MAX,
+            f64::MIN,
+            1.0,
+            -3.0,
+            1e15,
+            9007199254740992.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+            // `{:?}` switches between decimal and exponent form at 1e-4
+            // and 1e16.
+            1e-4,
+            below(1e-4),
+            above(1e-4),
+            1e16,
+            below(1e16),
+            above(1e16),
+            -below(1e16),
+        ] {
+            assert_spelled_as_reference(x);
+        }
+        for i in 0..1_000_000 {
+            let bits = sfet_numeric::exec::task_seed(0x5eed, i);
+            assert_spelled_as_reference(f64::from_bits(bits));
+        }
     }
 
     #[test]

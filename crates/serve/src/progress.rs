@@ -13,18 +13,19 @@
 //! Volume control: spans and counters pass through one-to-one (the
 //! transient emits its counter totals once, at the analysis boundary),
 //! but per-step histogram observations — tens of thousands for a long
-//! run — are *sampled*: every [`PROGRESS_EVERY`]-th observation becomes
-//! one `progress` event carrying the cumulative observation count, which
-//! doubles as a live steps-completed gauge. The SSE grammar is
-//! documented in `docs/SERVE.md#events`.
+//! run — are not forwarded. Only `tran.dt_seconds`, observed once per
+//! accepted step, is counted: every [`PROGRESS_EVERY`]-th step becomes
+//! one `progress` event carrying the cumulative count, a live
+//! steps-completed gauge. The SSE grammar is documented in
+//! `docs/SERVE.md#events`.
 
 use std::sync::{Arc, Condvar, Mutex};
 
-use sfet_telemetry::{Event, TelemetrySink};
+use sfet_telemetry::{names, Event, TelemetrySink};
 
 use crate::json::build::{obj, s, u};
 
-/// Emit one `progress` event per this many histogram observations.
+/// Emit one `progress` event per this many accepted steps.
 pub const PROGRESS_EVERY: u64 = 1024;
 
 /// Hard cap on retained SSE blocks per job; beyond it non-terminal
@@ -120,16 +121,13 @@ pub fn sse_block(event: &str, data: &str) -> String {
 #[derive(Debug)]
 pub struct HubSink {
     hub: Arc<EventHub>,
-    observations: u64,
+    steps: u64,
 }
 
 impl HubSink {
     /// A sink feeding `hub`.
     pub fn new(hub: Arc<EventHub>) -> HubSink {
-        HubSink {
-            hub,
-            observations: 0,
-        }
+        HubSink { hub, steps: 0 }
     }
 }
 
@@ -159,15 +157,19 @@ impl TelemetrySink for HubSink {
                     .to_json(),
                 );
             }
-            Event::Histogram { .. } => {
+            Event::Histogram { name, .. } => {
                 // Sampled: one progress heartbeat per PROGRESS_EVERY
-                // observations. (`tran.dt_seconds` observes once per
-                // accepted step, so the count tracks steps completed.)
-                self.observations += 1;
-                if self.observations.is_multiple_of(PROGRESS_EVERY) {
+                // accepted steps. `tran.dt_seconds` observes once per
+                // accepted step; the other per-step histograms would
+                // count the same step again.
+                if name != names::H_TRAN_DT {
+                    return;
+                }
+                self.steps += 1;
+                if self.steps.is_multiple_of(PROGRESS_EVERY) {
                     self.hub.push(
                         "progress",
-                        &obj(vec![("observations", u(self.observations))]).to_json(),
+                        &obj(vec![("observations", u(self.steps))]).to_json(),
                     );
                 }
             }
@@ -211,6 +213,32 @@ mod tests {
         assert_eq!(events.len(), 2, "one progress block per PROGRESS_EVERY");
         assert!(events[0].starts_with("event: progress\n"));
         assert!(events[1].contains("\"observations\":2048"));
+    }
+
+    #[test]
+    fn progress_counts_accepted_steps_not_observations() {
+        // Both steppers observe the step size and the step's Newton
+        // iterations on every accepted step.
+        let hub = EventHub::new();
+        let mut sink = HubSink::new(hub.clone());
+        for _ in 0..(PROGRESS_EVERY * 2) {
+            sink.record(&Event::Histogram {
+                name: names::H_TRAN_DT,
+                value: 1e-12,
+            });
+            sink.record(&Event::Histogram {
+                name: names::H_TRAN_STEP_ITERS,
+                value: 2.0,
+            });
+        }
+        let events = hub.snapshot();
+        assert_eq!(
+            events.len(),
+            2,
+            "one progress block per PROGRESS_EVERY steps"
+        );
+        assert!(events[0].contains("{\"observations\":1024}"), "{events:?}");
+        assert!(events[1].contains("{\"observations\":2048}"), "{events:?}");
     }
 
     #[test]

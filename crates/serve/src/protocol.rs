@@ -12,7 +12,7 @@ use sfet_sim::{SimOptions, TranResult};
 
 use crate::error::ApiError;
 use crate::json::build::{obj, u};
-use crate::json::{fmt_f64, Json};
+use crate::json::{fmt_f64, write_escaped, write_f64, Json, MAX_F64_LEN};
 use crate::spec::OptimizeWork;
 
 /// API version; the path prefix of every route (`/v1/...`). Bumped on
@@ -209,7 +209,7 @@ pub fn canonical_options(opts: &SimOptions, tstop: f64, extra: &str) -> String {
 /// integration suite pins served bytes against a direct library call
 /// through this same function.
 pub fn encode_tran_result(result: &TranResult) -> String {
-    let mut out = String::with_capacity(4096);
+    let mut out = String::with_capacity(tran_document_bound(result));
     out.push_str("{\"result\":\"");
     out.push_str(RESULT_VERSION);
     out.push_str("\",\"times\":");
@@ -263,7 +263,7 @@ pub fn encode_tran_result(result: &TranResult) -> String {
                 out.push(',');
             }
             out.push_str("{\"time\":");
-            out.push_str(&fmt_f64(ev.time));
+            write_f64(&mut out, ev.time);
             out.push_str(",\"to\":\"");
             out.push_str(if ev.is_imt() {
                 "metallic"
@@ -298,9 +298,36 @@ pub fn encode_tran_result(result: &TranResult) -> String {
             ]),
         ),
     ]);
-    out.push_str(&stats.to_json());
+    stats.write(&mut out);
     out.push('}');
     out
+}
+
+/// An upper bound on the length of the [`encode_tran_result`] document,
+/// so its buffer is reserved once and never regrown. Every column holds
+/// one sample per time point, and a sample takes at most
+/// `MAX_F64_LEN` bytes and a comma; a key escapes to at most six bytes
+/// per input byte.
+fn tran_document_bound(result: &TranResult) -> usize {
+    // Per event: `{"time":` + value + `,"to":"insulating"},`.
+    const EVENT_LEN: usize = MAX_F64_LEN + 28;
+    // Per PTM: `{"resistance":` + `,"events":[` + `]},`.
+    const PTM_LEN: usize = 28;
+    // The version header, the section braces and the stats object.
+    const FIXED_LEN: usize = 1024;
+    let names = || {
+        result
+            .node_names()
+            .chain(result.branch_names())
+            .chain(result.ptm_names())
+    };
+    let column_len = result.times().len() * (MAX_F64_LEN + 1) + 2;
+    let keys: usize = names().map(|k| 6 * k.len() + 3).sum();
+    let ptms: usize = result
+        .ptm_names()
+        .map(|p| result.ptm_events(p).map_or(0, <[_]>::len) * EVENT_LEN + PTM_LEN)
+        .sum();
+    (1 + names().count()) * column_len + keys + ptms + FIXED_LEN
 }
 
 /// Encodes an [`OptimizeOutcome`] as the versioned, **deterministic**
@@ -331,22 +358,22 @@ pub fn encode_optimize_result(work: &OptimizeWork, outcome: &OptimizeOutcome) ->
     out.push_str(",\"population\":");
     out.push_str(&work.population.to_string());
     out.push_str(",\"vdd\":");
-    out.push_str(&fmt_f64(work.vdd));
+    write_f64(&mut out, work.vdd);
     out.push_str(",\"axes\":[");
     for (i, name) in axes.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        out.push_str(&Json::Str((*name).to_owned()).to_json());
+        write_escaped(&mut out, name);
     }
     out.push_str("],\"baseline\":{\"droop_mv\":");
-    out.push_str(&fmt_f64(outcome.baseline.droop_mv));
+    write_f64(&mut out, outcome.baseline.droop_mv);
     out.push_str("},\"reference\":{\"droop_reduction_pct\":");
-    out.push_str(&fmt_f64(ref_eval.droop_reduction_pct));
+    write_f64(&mut out, ref_eval.droop_reduction_pct);
     out.push_str(",\"delay\":");
-    out.push_str(&fmt_f64(ref_eval.delay));
+    write_f64(&mut out, ref_eval.delay);
     out.push_str(",\"area_ratio\":");
-    out.push_str(&fmt_f64(ref_eval.area_ratio));
+    write_f64(&mut out, ref_eval.area_ratio);
     out.push_str("},\"best\":");
     write_point(&mut out, best);
     out.push_str(",\"beats_reference\":");
@@ -379,7 +406,7 @@ pub fn encode_optimize_result(work: &OptimizeWork, outcome: &OptimizeOutcome) ->
             ("best_reduction_pct", Json::Num(g.best_reduction_pct)),
             ("improved", Json::Bool(g.improved)),
         ]);
-        out.push_str(&row.to_json());
+        row.write(&mut out);
     }
     out.push_str("]}");
     out
@@ -394,17 +421,17 @@ fn write_point(out: &mut String, point: &sfet_optimize::EvaluatedPoint) {
     out.push_str(",\"values\":");
     write_f64_array(out, &point.values);
     out.push_str(",\"objective\":");
-    out.push_str(&fmt_f64(point.eval.objective));
+    write_f64(out, point.eval.objective);
     out.push_str(",\"droop_mv\":");
-    out.push_str(&fmt_f64(point.eval.droop_mv));
+    write_f64(out, point.eval.droop_mv);
     out.push_str(",\"droop_reduction_pct\":");
-    out.push_str(&fmt_f64(point.eval.droop_reduction_pct));
+    write_f64(out, point.eval.droop_reduction_pct);
     out.push_str(",\"delay\":");
-    out.push_str(&fmt_f64(point.eval.delay));
+    write_f64(out, point.eval.delay);
     out.push_str(",\"delay_penalty_pct\":");
-    out.push_str(&fmt_f64(point.eval.delay_penalty_pct));
+    write_f64(out, point.eval.delay_penalty_pct);
     out.push_str(",\"area_ratio\":");
-    out.push_str(&fmt_f64(point.eval.area_ratio));
+    write_f64(out, point.eval.area_ratio);
     out.push_str(",\"feasible\":");
     out.push_str(if point.eval.feasible { "true" } else { "false" });
     out.push('}');
@@ -414,7 +441,7 @@ fn write_key(out: &mut String, name: &str) {
     // Signal names come from the circuit builder, which rejects exotic
     // characters, but escape anyway: the encoder must never emit invalid
     // JSON.
-    out.push_str(&Json::Str(name.to_owned()).to_json());
+    write_escaped(out, name);
     out.push(':');
 }
 
@@ -424,7 +451,7 @@ fn write_f64_array(out: &mut String, values: &[f64]) {
         if i > 0 {
             out.push(',');
         }
-        out.push_str(&fmt_f64(v));
+        write_f64(out, v);
     }
     out.push(']');
 }
@@ -469,6 +496,33 @@ mod tests {
             .get("stats")
             .and_then(|s| s.get("steps_accepted"))
             .is_some());
+    }
+
+    #[test]
+    fn document_is_reserved_once_and_never_regrown() {
+        // A PTM in series with a capacitor, ramped: nodes, a branch, a
+        // resistance column and phase-transition events.
+        let mut ckt = Circuit::new();
+        let (inp, vc, gnd) = (ckt.node("in"), ckt.node("vc"), Circuit::ground());
+        ckt.add_voltage_source(
+            "VIN",
+            inp,
+            gnd,
+            SourceWaveform::ramp(0.0, 1.0, 1e-11, 3e-11),
+        )
+        .unwrap();
+        ckt.add_ptm("P1", inp, vc, sfet_devices::ptm::PtmParams::vo2_default())
+            .unwrap();
+        ckt.add_capacitor("C1", vc, gnd, 0.5e-15).unwrap();
+        let ptm = transient(&ckt, 5e-10, &SimOptions::for_duration(5e-10, 400)).unwrap();
+        assert!(!ptm.ptm_events("P1").unwrap().is_empty());
+
+        for r in [rc_result(), ptm] {
+            let doc = encode_tran_result(&r);
+            // `String::with_capacity` reserves exactly the bound; a
+            // regrown buffer would hold more.
+            assert_eq!(doc.capacity(), tran_document_bound(&r));
+        }
     }
 
     #[test]

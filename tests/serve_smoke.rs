@@ -1,0 +1,109 @@
+//! The served-bytes contract at the workspace root: an in-process job
+//! server answers a repeated `rc_step` job from its result store, and
+//! every document it serves is byte-identical to `encode_tran_result` of
+//! the direct `transient` call, so each sample parses back to the engine's
+//! bits.
+
+use sfet_circuit::{Circuit, SourceWaveform};
+use sfet_serve::json::Json;
+use sfet_serve::{encode_tran_result, Client, ServeConfig, Server};
+use sfet_sim::{transient, SimOptions};
+
+const JOB: &str = r#"{"scenario":"rc_step","params":{"r":2200,"tstop":5e-12}}"#;
+
+/// The same circuit and options `rc_step` resolves `JOB` to.
+fn direct_result() -> sfet_sim::TranResult {
+    let (tstop, t_ramp) = (5e-12, 1e-12);
+    let mut ckt = Circuit::new();
+    let (inp, out, gnd) = (ckt.node("in"), ckt.node("out"), Circuit::ground());
+    ckt.add_voltage_source("V1", inp, gnd, SourceWaveform::ramp(0.0, 1.0, 0.0, t_ramp))
+        .unwrap();
+    ckt.add_resistor("R1", inp, out, 2200.0).unwrap();
+    ckt.add_capacitor("C1", out, gnd, 1e-15).unwrap();
+    transient(&ckt, tstop, &SimOptions::for_duration(tstop, 400)).unwrap()
+}
+
+fn submit(client: &Client) -> (u16, Json) {
+    let response = client.submit_raw(JOB).unwrap();
+    (response.status, response.json().unwrap())
+}
+
+fn bits(values: &[Json]) -> Vec<u64> {
+    values
+        .iter()
+        .map(|v| v.as_f64().unwrap().to_bits())
+        .collect()
+}
+
+fn raw_bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+#[test]
+fn repeated_job_is_a_cache_hit_serving_the_direct_call_bytes() {
+    let dir = std::env::temp_dir().join(format!("sfet-serve-smoke-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let server = std::sync::Arc::new(
+        Server::bind("127.0.0.1:0", ServeConfig::new(&dir).with_workers(1)).unwrap(),
+    );
+    let handle = server.spawn();
+    let client = Client::new(server.addr());
+
+    let (status, first) = submit(&client);
+    assert_eq!(status, 202, "a fresh job is accepted: {first:?}");
+    let first_id = first
+        .get("job_id")
+        .and_then(Json::as_str)
+        .unwrap()
+        .to_owned();
+    let events = client.follow_events(&first_id).unwrap();
+    assert_eq!(events.last().unwrap().0, "done", "events: {events:?}");
+
+    let (status, second) = submit(&client);
+    assert_eq!(status, 200, "the repeat is answered from the store");
+    assert_eq!(second.get("cached").and_then(Json::as_bool), Some(true));
+    let second_id = second.get("job_id").and_then(Json::as_str).unwrap();
+
+    let health = client.health().unwrap().json().unwrap();
+    assert_eq!(health.get("sim_attempts").and_then(Json::as_f64), Some(1.0));
+    assert_eq!(health.get("cache_hits").and_then(Json::as_f64), Some(1.0));
+
+    let a = client.result(&first_id).unwrap();
+    let b = client.result(second_id).unwrap();
+    assert_eq!((a.status, b.status), (200, 200));
+    assert_eq!(a.body, b.body, "the hit serves the stored bytes");
+    let direct = direct_result();
+    assert_eq!(a.body, encode_tran_result(&direct), "served == direct call");
+
+    let doc = a.json().unwrap();
+    let times = doc.get("times").and_then(Json::as_arr).unwrap();
+    assert_eq!(bits(times), raw_bits(direct.times()));
+    let Some(Json::Obj(nodes)) = doc.get("nodes") else {
+        panic!("nodes is not an object");
+    };
+    assert_eq!(nodes.len(), direct.node_names().count());
+    for (name, samples) in nodes {
+        let samples = samples.as_arr().unwrap();
+        assert_eq!(
+            bits(samples),
+            raw_bits(direct.node_samples(name).unwrap()),
+            "{name}"
+        );
+    }
+    let Some(Json::Obj(branches)) = doc.get("branches") else {
+        panic!("branches is not an object");
+    };
+    assert_eq!(branches.len(), direct.branch_names().count());
+    for (name, samples) in branches {
+        let wave = direct.branch_current(name).unwrap();
+        assert_eq!(
+            bits(samples.as_arr().unwrap()),
+            raw_bits(wave.values()),
+            "{name}"
+        );
+    }
+
+    client.shutdown().unwrap();
+    handle.join().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
