@@ -1,21 +1,22 @@
-//! Batched transient analysis: B independent sweep lanes advanced through
-//! one shared structure-of-arrays linear solver.
+//! The transient stepper: one lane state machine, driven by one round loop
+//! over a linear solver that holds one or many lanes.
 //!
-//! [`transient_batch`] runs each lane of a [`BatchSpec`] slice through the
-//! *identical* algorithm as the scalar [`transient`](crate::transient)
-//! engine — the step-size controller, the damped Newton update, LTE and
-//! PTM-event rejection, and every accounting quirk are transcribed
-//! verbatim — but the per-iteration linearise/factor/solve runs through a
-//! [`BatchBackend`], which lays the B Jacobians out lane-minor so the
-//! dense kernels auto-vectorise across lanes.
+//! [`transient`] and [`transient_resumable`](crate::transient_resumable)
+//! run a single lane over an [`MnaMatrix`] (dense, sparse or GMRES).
+//! [`transient_batch`] runs each lane of a [`BatchSpec`] slice over a
+//! [`BatchBackend`], which lays the B Jacobians out lane-minor so the dense
+//! kernels auto-vectorise across lanes. Both go through the same code for
+//! step-size control, the damped Newton update, LTE and PTM-event
+//! rejection, fault injection, the `timestep`/`newton_iter` spans and
+//! checkpoints; only the [`LaneSolver`] under the loop differs.
 //!
 //! # Determinism contract
 //!
 //! Every lane's waveform, events, and [`TranStats`] are **bitwise
-//! identical** to a scalar `transient` run of the same (circuit, tstop,
+//! identical** to a [`transient`] run of the same (circuit, tstop,
 //! options) triple. The backends guarantee that each lane executes the
-//! same sequence of f64 operations as the scalar solver; this module
-//! guarantees the surrounding stepper does too:
+//! same sequence of f64 operations as the scalar solver; the round loop
+//! guarantees the rest:
 //!
 //! * lanes advance **round-robin by Newton iteration**, not in time
 //!   lockstep — a lane whose step was rejected simply starts its retry in
@@ -23,38 +24,36 @@
 //! * the DC operating point is solved scalar per lane (it runs once, off
 //!   the hot path);
 //! * value-dependent decisions (step-size choice, convergence, pivoting,
-//!   refactor-vs-full) are taken per lane exactly as scalar.
+//!   refactor-vs-full) are taken per lane.
 //!
 //! Lanes must share a *shape* — MNA size, linear solver (as resolved by
 //! [`SimOptions::effective_solver`], so the solver policy and
 //! `SFET_SOLVER` apply to lanes as they do to scalar runs), and
 //! factor-reuse flag — for the SoA backend to apply. A non-uniform batch
-//! silently falls back to per-lane scalar `transient` calls (bitwise
-//! equal by definition). Lanes that fail option/circuit validation error
+//! silently falls back to per-lane [`transient`] calls (bitwise equal by
+//! definition). Lanes that fail option/circuit validation error
 //! individually without aborting siblings.
 //!
-//! # Differences from the scalar engine
-//!
-//! * No checkpoint/restart (use [`transient_resumable`]
-//!   (crate::transient_resumable) for that).
-//! * No `Step`/`Iteration`-level telemetry spans — only the analysis-level
-//!   `transient` span per lane. Counters and histograms are emitted
-//!   exactly as scalar.
-//! * `SolverStats::solve_time_ns` attributes each whole-batch solve to
-//!   every active lane (timing is excluded from equality comparisons).
+//! Lanes of one batch that share a telemetry sink interleave their spans.
+//! `SolverStats::solve_time_ns` attributes each whole-batch solve to every
+//! active lane (timing is excluded from equality comparisons).
+//! Checkpoints are written and resumed only through
+//! [`transient_resumable`](crate::transient_resumable).
 
+use std::path::Path;
 use std::time::Instant;
 
+use crate::checkpoint::{self, CheckpointPolicy, TranSnapshot};
 use crate::dcop::{init_state_from_dc, solve_dc, DcWorkspace};
 use crate::devices::{volt, CompiledCircuit, SimDevice, Stamp, StampMode};
-use crate::matrix::{LinearSolver, SolverStats};
+use crate::matrix::{LinearSolver, MnaMatrix, SolverStats};
 use crate::options::SimOptions;
 use crate::result::{TranResult, TranStats};
 use crate::trace;
-use crate::transient::{lagrange3, transient, unknown_name, Recorder};
+use crate::transient::{compile_checked, non_finite_unknown, transient, unknown_name, Recorder};
 use crate::{Result, SimError};
 use sfet_circuit::Circuit;
-use sfet_numeric::batch::{BatchBackend, BatchDense, BatchSparse, LaneReport};
+use sfet_numeric::batch::{BatchBackend, BatchDense, BatchSparse};
 use sfet_numeric::fault::FaultPlan;
 use sfet_numeric::integrate::Method;
 use sfet_telemetry::{names, Level, SpanGuard};
@@ -87,50 +86,17 @@ pub fn transient_batch(specs: &[BatchSpec<'_>]) -> Vec<Result<TranResult>> {
     // --- a scalar fallback below cannot double-emit anything.
     let prevalidated: Vec<Result<CompiledCircuit>> = specs
         .iter()
-        .map(|s| {
-            s.opts.validate()?;
-            if !(s.tstop > 0.0 && s.tstop.is_finite()) {
-                return Err(SimError::InvalidOptions(format!(
-                    "tstop must be positive and finite, got {:e}",
-                    s.tstop
-                )));
-            }
-            s.circuit.validate()?;
-            Ok(CompiledCircuit::compile(s.circuit))
-        })
+        .map(|s| compile_checked(s.circuit, s.tstop, s.opts))
         .collect();
 
-    // --- Shape uniformity across the lanes that validated. ---
-    let mut shape: Option<(LinearSolver, bool, usize)> = None;
-    let mut uniform = true;
-    for (spec, pre) in specs.iter().zip(&prevalidated) {
-        if let Ok(compiled) = pre {
-            let this = (
-                spec.opts.effective_solver(compiled.size),
-                spec.opts.reuse_factorization,
-                compiled.size,
-            );
-            match shape {
-                None => shape = Some(this),
-                Some(s) if s == this => {}
-                Some(_) => {
-                    uniform = false;
-                    break;
-                }
-            }
-        }
-    }
-    let Some((solver, reuse, n)) = shape else {
-        // Every lane failed validation: return the per-lane errors.
-        return prevalidated
-            .into_iter()
-            .map(|pre| match pre {
-                Ok(_) => unreachable!("shape is set when any lane validates"),
-                Err(e) => Err(e),
-            })
-            .collect();
-    };
-    if !uniform {
+    // --- The lanes that validated must share one shape.
+    let mut shapes = specs.iter().zip(&prevalidated).filter_map(|(spec, pre)| {
+        let n = pre.as_ref().ok()?.size;
+        let opts = spec.opts;
+        Some((opts.effective_solver(n), opts.reuse_factorization, n))
+    });
+    let shape = shapes.next();
+    if shapes.any(|s| Some(s) != shape) {
         return specs
             .iter()
             .map(|s| transient(s.circuit, s.tstop, s.opts))
@@ -138,129 +104,197 @@ pub fn transient_batch(specs: &[BatchSpec<'_>]) -> Vec<Result<TranResult>> {
     }
 
     // --- Pass B: per-lane setup (span, DC operating point, recorder). ---
-    let nl = specs.len();
-    let mut early: Vec<Option<Result<TranResult>>> = Vec::with_capacity(nl);
-    let mut lanes: Vec<Option<Box<Lane<'_>>>> = Vec::with_capacity(nl);
-    for (spec, pre) in specs.iter().zip(prevalidated) {
-        match pre {
-            Err(e) => {
-                early.push(Some(Err(e)));
-                lanes.push(None);
-            }
-            Ok(compiled) => match Lane::setup(spec, compiled) {
-                Ok(lane) => {
-                    early.push(None);
-                    lanes.push(Some(Box::new(lane)));
-                }
-                Err(e) => {
-                    early.push(Some(Err(e)));
-                    lanes.push(None);
-                }
-            },
-        }
-    }
+    let no_checkpoints = CheckpointPolicy::disabled();
+    let mut lanes: Vec<Result<Lane<'_>>> = specs
+        .iter()
+        .zip(prevalidated)
+        .map(|(spec, pre)| {
+            pre.and_then(|compiled| Lane::setup(compiled, spec.tstop, spec.opts, &no_checkpoints))
+        })
+        .collect();
 
     // --- Drive all live lanes to completion, one batched solve per round.
     // Monomorphised per backend so the per-entry `add` calls in the
     // stamping loop inline instead of going through a vtable.
-    match solver {
-        LinearSolver::Dense => drive_lanes(&mut BatchDense::new(n, nl), &mut lanes, n),
+    let nl = specs.len();
+    match shape {
+        Some((LinearSolver::Dense, _, n)) => {
+            drive_lanes(&mut Batched::new(BatchDense::new(n, nl)), &mut lanes, n)
+        }
         // Batched lanes share one factorisation across lanes, which an
         // iterative solve cannot amortise — GMRES lanes run on the shared
-        // sparse LU instead (scalar runs still use the Krylov path).
-        LinearSolver::Sparse | LinearSolver::Iterative => {
-            drive_lanes(&mut BatchSparse::new(n, nl, reuse), &mut lanes, n)
-        }
+        // sparse LU instead (single-lane runs still use the Krylov path).
+        Some((LinearSolver::Sparse | LinearSolver::Iterative, reuse, n)) => drive_lanes(
+            &mut Batched::new(BatchSparse::new(n, nl, reuse)),
+            &mut lanes,
+            n,
+        ),
+        // Every lane failed validation: only their errors remain.
+        None => {}
     }
-
     lanes
         .into_iter()
-        .zip(early)
-        .map(|(lane, early)| match lane {
-            Some(lane) => lane.result.expect("driver ran every lane to completion"),
-            None => early.expect("lane-less slot carries an early error"),
-        })
+        .map(|lane| lane.and_then(Lane::into_result))
         .collect()
 }
 
-/// The round loop: advance step control, stamp active lanes, one batched
-/// factor+solve, then per-lane Newton bookkeeping — until every lane is
-/// [`LanePhase::Done`].
-fn drive_lanes<B: BatchBackend>(backend: &mut B, lanes: &mut [Option<Box<Lane<'_>>>], n: usize) {
-    let nl = lanes.len();
-    let mut rhs = vec![0.0; n * nl];
-    let mut active = vec![false; nl];
-    loop {
-        // Phase 1: advance step control until every live lane either needs
-        // a Newton solve or has finished.
-        for lane in lanes.iter_mut().flatten() {
-            if matches!(lane.phase, LanePhase::StartStep) {
-                lane.begin_step();
-            }
-        }
-        let mut any = false;
-        for (l, lane) in lanes.iter().enumerate() {
-            active[l] = lane
-                .as_ref()
-                .is_some_and(|ln| matches!(ln.phase, LanePhase::Newton));
-            any |= active[l];
-        }
-        if !any {
-            break;
-        }
+/// The linear solve under the round loop: one same-shape MNA system per
+/// lane, assembled and factor-solved together. [`MnaMatrix`] is the
+/// one-lane solver; [`Batched`] adapts a [`BatchBackend`].
+///
+/// Devices stamp into the solver itself, so a one-lane run stamps
+/// straight into its `MnaMatrix`; the stamps land in the lane last
+/// passed to [`select`](LaneSolver::select). The `add` call sequence is
+/// the same at every width, which is what the batch backends'
+/// determinism contract needs.
+pub(crate) trait LaneSolver: Stamp {
+    /// Begins an assembly round for the lanes flagged in `active`.
+    fn begin(&mut self, active: &[bool]);
+    /// Directs the stamps that follow into lane `lane`'s system.
+    fn select(&mut self, lane: usize);
+    /// Factors every active lane and solves it in place — lane `l`'s slice
+    /// `rhs[l*n..(l+1)*n]` becomes its solution — and stores the lane's
+    /// outcome in `solved[l]`. The outcomes go into caller-owned storage,
+    /// so a round on [`MnaMatrix`] allocates nothing.
+    fn factor_solve(
+        &mut self,
+        rhs: &mut [f64],
+        active: &[bool],
+        solved: &mut [sfet_numeric::Result<()>],
+    );
+    /// Lane `lane`'s solver counters so far.
+    fn stats(&self, lane: usize) -> SolverStats;
+}
 
-        // Phase 2: each active lane stamps its Jacobian lane and rhs slice.
-        backend.begin(&active);
-        for (l, slot) in lanes.iter_mut().enumerate() {
-            if !active[l] {
-                continue;
-            }
-            let lane = slot.as_mut().expect("active lane is live");
-            lane.iter += 1;
-            let rhs_lane = &mut rhs[l * n..(l + 1) * n];
-            rhs_lane.iter_mut().for_each(|v| *v = 0.0);
-            let mode = StampMode::Transient {
-                t_next: lane.t_next,
-                dt: lane.dt_cur,
-                method: lane.method,
-            };
-            let mut sink = LaneStamp {
-                backend: &mut *backend,
-                lane: l,
-            };
-            for device in &lane.compiled.devices {
-                device.stamp(mode, &lane.x_iter, &mut sink, rhs_lane, lane.opts.gmin);
-            }
-        }
+impl LaneSolver for MnaMatrix {
+    fn begin(&mut self, _active: &[bool]) {
+        self.clear();
+    }
 
-        // Phase 3: one factor+solve across all active lanes.
-        let t0 = Instant::now();
-        let reports = backend.factor_solve(&mut rhs, &active);
-        let elapsed_ns = t0.elapsed().as_nanos() as u64;
+    fn select(&mut self, _lane: usize) {}
 
-        // Phase 4: per-lane Newton update, convergence, accept/reject.
-        for (l, slot) in lanes.iter_mut().enumerate() {
-            if !active[l] {
-                continue;
-            }
-            let lane = slot.as_mut().expect("active lane is live");
-            lane.advance(&reports[l], &rhs[l * n..(l + 1) * n], elapsed_ns);
+    fn factor_solve(
+        &mut self,
+        rhs: &mut [f64],
+        _active: &[bool],
+        solved: &mut [sfet_numeric::Result<()>],
+    ) {
+        solved[0] = MnaMatrix::factor_solve(self, rhs);
+    }
+
+    fn stats(&self, _lane: usize) -> SolverStats {
+        MnaMatrix::stats(self)
+    }
+}
+
+/// A [`BatchBackend`] as a [`LaneSolver`]. It keeps each lane's
+/// [`SolverStats`] the way `MnaMatrix::factor_solve` keeps its own (a lane
+/// that reused its factors counts neither factorisation) and attributes
+/// each whole-batch solve's time to every active lane.
+struct Batched<B> {
+    backend: B,
+    stats: Vec<SolverStats>,
+    /// The lane [`Stamp::add`] writes to.
+    selected: usize,
+}
+
+impl<B: BatchBackend> Batched<B> {
+    fn new(backend: B) -> Self {
+        Batched {
+            stats: vec![SolverStats::default(); backend.lanes()],
+            backend,
+            selected: 0,
         }
     }
 }
 
-/// Per-lane adapter routing a device's `add` calls into one lane of the
-/// shared backend. The call sequence is identical to scalar stamping into
-/// `MnaMatrix`, which is what the backends' determinism contract needs.
-struct LaneStamp<'b, B: BatchBackend> {
-    backend: &'b mut B,
-    lane: usize,
-}
-
-impl<B: BatchBackend> Stamp for LaneStamp<'_, B> {
+impl<B: BatchBackend> Stamp for Batched<B> {
     #[inline]
     fn add(&mut self, r: usize, c: usize, v: f64) {
-        self.backend.add(self.lane, r, c, v);
+        self.backend.add(self.selected, r, c, v);
+    }
+}
+
+impl<B: BatchBackend> LaneSolver for Batched<B> {
+    fn begin(&mut self, active: &[bool]) {
+        self.backend.begin(active);
+    }
+
+    fn select(&mut self, lane: usize) {
+        self.selected = lane;
+    }
+
+    fn factor_solve(
+        &mut self,
+        rhs: &mut [f64],
+        active: &[bool],
+        solved: &mut [sfet_numeric::Result<()>],
+    ) {
+        let t0 = Instant::now();
+        let reports = self.backend.factor_solve(rhs, active);
+        let elapsed_ns = t0.elapsed().as_nanos() as u64;
+        for (l, rep) in reports.into_iter().enumerate() {
+            if !active[l] {
+                continue;
+            }
+            let stats = &mut self.stats[l];
+            stats.pattern_rebuilds = rep.pattern_epoch;
+            if rep.pivot_fallback {
+                stats.pivot_fallbacks += 1;
+            }
+            if rep.refactorization {
+                stats.refactorizations += 1;
+            }
+            if rep.full_factorization {
+                stats.full_factorizations += 1;
+            }
+            if rep.factor_nnz != 0 {
+                stats.factor_nnz = rep.factor_nnz;
+            }
+            stats.solve_time_ns += elapsed_ns;
+            if rep.result.is_ok() {
+                stats.solves += 1;
+            }
+            solved[l] = rep.result;
+        }
+    }
+
+    fn stats(&self, lane: usize) -> SolverStats {
+        self.stats[lane]
+    }
+}
+
+/// The round loop: step control for every lane between steps, then one
+/// assembly and one factor+solve across the lanes mid-Newton, then each of
+/// those lanes' Newton update — until no lane wants a solve.
+pub(crate) fn drive_lanes<S: LaneSolver>(solver: &mut S, lanes: &mut [Result<Lane<'_>>], n: usize) {
+    let nl = lanes.len();
+    let mut rhs = vec![0.0; n * nl];
+    let mut active = vec![false; nl];
+    let mut solved: Vec<sfet_numeric::Result<()>> = (0..nl).map(|_| Ok(())).collect();
+    loop {
+        for (l, slot) in lanes.iter_mut().enumerate() {
+            active[l] = slot.as_mut().is_ok_and(|lane| {
+                lane.begin_step(&*solver, l);
+                matches!(lane.phase, LanePhase::Newton)
+            });
+        }
+        if !active.contains(&true) {
+            break;
+        }
+        solver.begin(&active);
+        for (l, slot) in lanes.iter_mut().enumerate() {
+            if let (true, Ok(lane)) = (active[l], slot) {
+                lane.stamp(solver, l, &mut rhs[l * n..(l + 1) * n]);
+            }
+        }
+        solver.factor_solve(&mut rhs, &active, &mut solved);
+        for (l, slot) in lanes.iter_mut().enumerate() {
+            if let (true, Ok(lane)) = (active[l], slot) {
+                let outcome = std::mem::replace(&mut solved[l], Ok(()));
+                lane.advance(outcome, &mut rhs[l * n..(l + 1) * n], &*solver, l);
+            }
+        }
     }
 }
 
@@ -269,69 +303,78 @@ enum LanePhase {
     StartStep,
     /// Mid-Newton: the lane wants a linear solve this round.
     Newton,
-    /// Finished (result stored); the lane no longer participates.
-    Done,
+    /// Finished; the lane no longer participates.
+    Done(Box<Result<TranResult>>),
 }
 
-/// All stepper state for one lane — the local variables of the scalar
-/// transient loop, lifted into a struct so the loop can be suspended at
-/// the linear solve.
-struct Lane<'a> {
+/// All stepper state for one transient run, suspended at the linear solve
+/// between rounds.
+pub(crate) struct Lane<'a> {
     opts: &'a SimOptions,
     tstop: f64,
     compiled: CompiledCircuit,
-    fault: Option<FaultPlan>,
-    recorder: Option<Recorder>,
+    fault: FaultPlan,
+    ckpt: &'a CheckpointPolicy,
+    /// Binds snapshots to this (circuit, tstop, method) triple.
+    fingerprint: u64,
+    recorder: Recorder,
     stats: TranStats,
-    /// Per-lane solver counters (the batch backend has no `MnaMatrix`).
-    solver: SolverStats,
+    /// Solver counters of the segments before a resume. The solver itself
+    /// starts fresh (one extra full factorisation, which does not perturb
+    /// the waveform — factor reuse is bitwise-identical to fresh
+    /// factorisation by the solver's determinism contract).
+    resumed_solver: SolverStats,
     node_count: usize,
     x: Vec<f64>,
     t: f64,
     dt: f64,
     force_be: bool,
+    /// History for the quadratic LTE predictor: two previous accepted points.
     hist: Vec<(f64, Vec<f64>)>,
     // Current step attempt.
     dt_cur: f64,
     t_next: f64,
     method: Method,
     lands_on_corner: bool,
+    /// Every solve of this attempt is poisoned (the `nan@` fault-plan
+    /// entry), exercising the non-finite guard exactly the way a
+    /// genuinely diverging solve would.
+    poison: bool,
     // Newton iterate for the current attempt.
     x_iter: Vec<f64>,
     iter: usize,
     phase: LanePhase,
-    /// Analysis-level `transient` span; dropped when the lane finishes.
+    /// The `transient`, `timestep` and `newton_iter` spans; each closes
+    /// when it is taken.
     span: Option<SpanGuard>,
-    result: Option<Result<TranResult>>,
+    step_span: Option<SpanGuard>,
+    iter_span: Option<SpanGuard>,
 }
 
 impl<'a> Lane<'a> {
-    /// Mirrors the scalar fresh-start path: span, DC operating point,
-    /// recorder, initial stepper state.
-    fn setup(spec: &BatchSpec<'a>, mut compiled: CompiledCircuit) -> Result<Self> {
-        let opts = spec.opts;
-        let fault = opts.fault.clone().or_else(FaultPlan::from_env);
-        let span = opts.telemetry.span(Level::Analysis, names::SPAN_TRANSIENT);
-        let node_count = compiled.node_names.len();
-
-        let mut dc_ws = DcWorkspace::new(&compiled, opts);
-        let x_dc = solve_dc(&mut compiled, opts, &mut dc_ws)?;
-        trace::emit_dc_stats(&opts.telemetry, &dc_ws.stats());
-        init_state_from_dc(&mut compiled, &x_dc, opts);
-
-        let mut recorder = Recorder::new(&compiled);
-        recorder.record(0.0, &x_dc, &compiled);
-
-        Ok(Lane {
+    /// Opens the analysis span and restores the stepper state from
+    /// `ckpt.resume_from`, or starts it from the DC operating point.
+    pub(crate) fn setup(
+        compiled: CompiledCircuit,
+        tstop: f64,
+        opts: &'a SimOptions,
+        ckpt: &'a CheckpointPolicy,
+    ) -> Result<Self> {
+        let mut lane = Lane {
             opts,
-            tstop: spec.tstop,
-            compiled,
-            fault,
-            recorder: Some(recorder),
+            tstop,
+            fault: opts
+                .fault
+                .clone()
+                .or_else(FaultPlan::from_env)
+                .unwrap_or_default(),
+            ckpt,
+            fingerprint: checkpoint::fingerprint(&compiled, tstop, opts.method),
+            recorder: Recorder::default(),
             stats: TranStats::default(),
-            solver: SolverStats::default(),
-            node_count,
-            x: x_dc,
+            resumed_solver: SolverStats::default(),
+            node_count: compiled.node_names.len(),
+            x: Vec::new(),
             t: 0.0,
             dt: (opts.dtmax / 16.0).max(opts.dtmin),
             force_be: true, // first step: backward Euler
@@ -340,139 +383,233 @@ impl<'a> Lane<'a> {
             t_next: 0.0,
             method: opts.method,
             lands_on_corner: false,
+            poison: false,
             x_iter: Vec::new(),
             iter: 0,
             phase: LanePhase::StartStep,
-            span: Some(span),
-            result: None,
-        })
+            span: Some(opts.telemetry.span(Level::Analysis, names::SPAN_TRANSIENT)),
+            step_span: None,
+            iter_span: None,
+            compiled,
+        };
+        if let Some(path) = &ckpt.resume_from {
+            lane.resume(path)?;
+        } else {
+            let mut dc_ws = DcWorkspace::new(&lane.compiled, opts);
+            let x_dc = solve_dc(&mut lane.compiled, opts, &mut dc_ws)?;
+            // The initial operating point reports under the `dc.*`
+            // namespace; it is deliberately excluded from `TranStats`/`tran.*`.
+            trace::emit_dc_stats(&opts.telemetry, &dc_ws.stats());
+            init_state_from_dc(&mut lane.compiled, &x_dc, opts);
+            lane.recorder = Recorder::new(&lane.compiled);
+            lane.recorder.record(0.0, &x_dc, &lane.compiled);
+            lane.x = x_dc;
+        }
+        Ok(lane)
     }
 
-    /// Step control: the top of the scalar `while` loop, run repeatedly
-    /// until the lane reaches a Newton solve or finishes. Injected Newton
-    /// failures are rejected here (they replace the whole solve), so the
-    /// loop can retry immediately without waiting a round.
-    // The negated guard mirrors the scalar `while` condition exactly,
-    // including its exit on a non-finite `t`.
+    /// Restores the stepper state from the snapshot at `path`, checking
+    /// every length the stepper indexes by.
+    fn resume(&mut self, path: &Path) -> Result<()> {
+        let snap = checkpoint::read_snapshot(path, self.fingerprint)?;
+        checkpoint::restore_devices(&mut self.compiled, &snap.devices)?;
+        let n = self.compiled.size;
+        if snap.x.len() != n {
+            return Err(SimError::Checkpoint(format!(
+                "snapshot solution has {} unknowns, circuit has {n}",
+                snap.x.len()
+            )));
+        }
+        // The writer keeps at most the two points the LTE predictor reads.
+        if snap.hist.len() > 2 || snap.hist.iter().any(|(_, h)| h.len() != n) {
+            return Err(SimError::Checkpoint(format!(
+                "snapshot LTE history must hold at most 2 points of {n} unknowns"
+            )));
+        }
+        self.recorder = Recorder::restore(
+            &self.compiled,
+            snap.times,
+            snap.node_data,
+            snap.branch_data,
+            snap.ptm_resistance,
+        )?;
+        self.stats = snap.stats;
+        self.resumed_solver = std::mem::take(&mut self.stats.solver);
+        self.x = snap.x;
+        self.t = snap.t;
+        self.dt = snap.dt;
+        self.force_be = snap.force_be;
+        self.hist = snap.hist;
+        self.opts.telemetry.counter(names::CHECKPOINT_RESUMED, 1);
+        Ok(())
+    }
+
+    /// The run's result, once the round loop has finished the lane.
+    pub(crate) fn into_result(self) -> Result<TranResult> {
+        match self.phase {
+            LanePhase::Done(result) => *result,
+            _ => unreachable!("the round loop runs every lane to completion"),
+        }
+    }
+
+    /// Step control, repeated until the lane wants a Newton solve or is
+    /// done. An injected Newton failure replaces the whole solve, so it is
+    /// rejected here and the shrunk step retried at once.
+    // The negated guard exits on a non-finite `t` too.
     #[allow(clippy::neg_cmp_op_on_partial_ord)]
-    fn begin_step(&mut self) {
-        loop {
+    fn begin_step(&mut self, solver: &impl LaneSolver, l: usize) {
+        while matches!(self.phase, LanePhase::StartStep) {
             if !(self.t < self.tstop * (1.0 - 1e-12)) {
-                self.finish_ok();
-                return;
+                self.stats.solver = self.resumed_solver.merged(&solver.stats(l));
+                trace::emit_tran_stats(&self.opts.telemetry, &self.stats);
+                let recorder = std::mem::take(&mut self.recorder);
+                let result = recorder.finish(&self.compiled, self.stats);
+                return self.finish(Ok(result));
             }
             self.stats.steps_attempted += 1;
-            if self.stats.steps_attempted > self.opts.max_steps {
-                self.finish_err(SimError::StepBudgetExceeded {
-                    time: self.t,
-                    steps: self.stats.steps_attempted,
-                });
-                return;
+            let step = self.stats.steps_attempted;
+            if step > self.opts.max_steps {
+                let time = self.t;
+                return self.finish(Err(SimError::StepBudgetExceeded { time, steps: step }));
             }
-            if let Some(plan) = &self.fault {
-                if plan.crash_at(self.stats.steps_attempted as u64) {
-                    self.finish_err(SimError::InjectedCrash {
-                        time: self.t,
-                        step: self.stats.steps_attempted,
-                    });
-                    return;
-                }
+            // Simulated process kill: abort without writing a checkpoint
+            // (an honest crash leaves only the last *periodic* snapshot).
+            if self.fault.crash_at(step as u64) {
+                let time = self.t;
+                return self.finish(Err(SimError::InjectedCrash { time, step }));
             }
+            self.step_span = Some(self.opts.telemetry.span(Level::Step, names::SPAN_TIMESTEP));
 
-            // --- Choose the step size (transcribed from scalar). ---
-            let mut dt_cur = self.dt.min(self.opts.dtmax).min(self.tstop - self.t);
+            // --- Choose the step size. ---
+            let opts = self.opts;
+            let mut dt_cur = self.dt.min(opts.dtmax).min(self.tstop - self.t);
             let mut lands_on_corner = false;
             if let Some(bp) = self.compiled.next_breakpoint(self.t) {
                 let gap = bp - self.t;
                 if gap <= dt_cur {
-                    dt_cur = gap.max(self.opts.dtmin);
+                    // Snap onto the corner. A corner closer than dtmin
+                    // cannot be landed on exactly, so step across it with a
+                    // dtmin-sized step instead of silently stepping over it
+                    // with the full step; either way the corner is treated
+                    // as a discontinuity (backward Euler next step).
+                    dt_cur = gap.max(opts.dtmin);
                     lands_on_corner = true;
                 }
             }
+            // Resolve in-flight PTM ramps with sub-T_PTM steps.
             for device in &self.compiled.devices {
                 if let SimDevice::Ptm { state, .. } = device {
                     if state.in_transition() {
-                        dt_cur = dt_cur.min((state.params().t_ptm / 8.0).max(self.opts.dtmin));
+                        dt_cur = dt_cur.min((state.params().t_ptm / 8.0).max(opts.dtmin));
                     }
                 }
             }
-            dt_cur = dt_cur.max(self.opts.dtmin);
+            dt_cur = dt_cur.max(opts.dtmin);
             let t_next = self.t + dt_cur;
-            let method = if self.force_be {
-                Method::BackwardEuler
-            } else {
-                self.opts.method
-            };
-
             for device in &mut self.compiled.devices {
                 device.prepare_step(t_next);
             }
             self.dt_cur = dt_cur;
             self.t_next = t_next;
-            self.method = method;
+            self.method = if self.force_be {
+                Method::BackwardEuler
+            } else {
+                opts.method
+            };
             self.lands_on_corner = lands_on_corner;
-
-            let injected = self
-                .fault
-                .as_ref()
-                .is_some_and(|plan| plan.fail_newton(self.stats.steps_attempted as u64));
-            if injected {
-                let err = SimError::NonConvergence {
+            self.poison = self.fault.poison_newton(step as u64);
+            if self.fault.fail_newton(step as u64) {
+                self.reject_solve(SimError::NonConvergence {
                     time: t_next,
                     dt: dt_cur,
                     residual: f64::INFINITY,
                     unknown: Some("<injected fault>".into()),
-                };
-                if self.reject_solve(err) {
-                    return; // lane terminated at the dtmin floor
-                }
-                continue; // retry the shrunk step in this same round
+                });
+                continue;
             }
-
             self.x_iter.clone_from(&self.x);
             self.iter = 0;
             self.phase = LanePhase::Newton;
-            return;
         }
     }
 
-    /// Processes the linear-solve result for the current Newton iteration:
-    /// solver accounting, the damped update, convergence, accept/reject.
-    fn advance(&mut self, rep: &LaneReport, x_next: &[f64], elapsed_ns: u64) {
-        // Solver accounting mirrors `MnaMatrix::factor_solve` per lane (a
-        // lane that reused its factors sets neither factorisation flag).
-        // Timing attributes the whole batched solve to every active lane
-        // (excluded from `SolverStats` equality).
-        self.solver.pattern_rebuilds = rep.pattern_epoch;
-        if rep.pivot_fallback {
-            self.solver.pivot_fallbacks += 1;
+    /// Opens one Newton iteration: stamps the lane's Jacobian into `solver`
+    /// and its right-hand side into `rhs`.
+    fn stamp(&mut self, solver: &mut impl LaneSolver, l: usize, rhs: &mut [f64]) {
+        let opts = self.opts;
+        self.iter += 1;
+        self.iter_span = Some(
+            opts.telemetry
+                .span(Level::Iteration, names::SPAN_NEWTON_ITER),
+        );
+        rhs.fill(0.0);
+        let mode = StampMode::Transient {
+            t_next: self.t_next,
+            dt: self.dt_cur,
+            method: self.method,
+        };
+        solver.select(l);
+        for device in &self.compiled.devices {
+            device.stamp(mode, &self.x_iter, solver, rhs, opts.gmin);
         }
-        if rep.refactorization {
-            self.solver.refactorizations += 1;
-        }
-        if rep.full_factorization {
-            self.solver.full_factorizations += 1;
-        }
-        if rep.factor_nnz != 0 {
-            self.solver.factor_nnz = rep.factor_nnz;
-        }
-        self.solver.solve_time_ns += elapsed_ns;
-        if let Err(e) = &rep.result {
-            self.reject_solve(SimError::from(e.clone()));
-            return;
-        }
-        self.solver.solves += 1;
+    }
 
-        // --- Damped Newton update on the raw solve (scalar transcription).
+    /// Takes this round's solve: the Newton update closes the iteration,
+    /// then the step is accepted, rejected, or iterated again next round.
+    fn advance(
+        &mut self,
+        solved: sfet_numeric::Result<()>,
+        x_next: &mut [f64],
+        solver: &impl LaneSolver,
+        l: usize,
+    ) {
+        let converged = self.newton_update(solved, x_next);
+        self.iter_span = None;
+        match converged {
+            Ok(true) => self.accept_step(solver, l),
+            Ok(false) => {}
+            Err(err) => self.reject_solve(err),
+        }
+    }
+
+    /// Moves the Newton iterate toward the raw solve `x_next`, damped to
+    /// `max_newton_step`. `Ok(true)` when converged, `Ok(false)` while the
+    /// iteration budget lasts, and the error that fails the solve otherwise.
+    fn newton_update(
+        &mut self,
+        solved: sfet_numeric::Result<()>,
+        x_next: &mut [f64],
+    ) -> Result<bool> {
+        solved?;
+        if self.poison {
+            x_next[0] = f64::NAN;
+        }
+        // A NaN/Inf iterate would pass the `raw.abs() > tol` convergence
+        // test below (NaN comparisons are false) and be accepted as a
+        // "converged" step — reject it here instead. The recovery ladder
+        // then retries, and if the breakdown persists the run ends with a
+        // [`NumericError::NonFinite`](sfet_numeric::NumericError::NonFinite)
+        // at `dtmin` naming the unknown.
+        if let Some(bad) = x_next.iter().position(|v| !v.is_finite()) {
+            let stage = format!("transient Newton solve at t={:.6e} s", self.t_next);
+            return Err(non_finite_unknown(&self.compiled, bad, &stage));
+        }
+        let opts = self.opts;
         let mut max_dx = 0.0f64;
         for (xn, xo) in x_next.iter().zip(&self.x_iter) {
             max_dx = max_dx.max((xn - xo).abs());
         }
-        let scale = if max_dx > self.opts.max_newton_step {
-            self.opts.max_newton_step / max_dx
+        let scale = if max_dx > opts.max_newton_step {
+            opts.max_newton_step / max_dx
         } else {
             1.0
         };
+        // Convergence is measured on the RAW (undamped) update: a raw step
+        // within tolerance means the iterate already sits at the Newton
+        // target, even when the damping clamp made `scale < 1` — the case
+        // a sharp PTM edge hits when one large-tolerance unknown drives
+        // the clamp. (Measuring the *damped* update instead would accept a
+        // damped crawl that is nowhere near the solution.)
         let mut converged = true;
         let mut max_raw = 0.0f64;
         let mut worst = 0usize;
@@ -480,9 +617,9 @@ impl<'a> Lane<'a> {
             let raw = xn - *xi;
             *xi += raw * scale;
             let tol = if i < self.node_count {
-                self.opts.reltol * xi.abs() + self.opts.vntol
+                opts.reltol * xi.abs() + opts.vntol
             } else {
-                self.opts.reltol * xi.abs() + self.opts.abstol
+                opts.reltol * xi.abs() + opts.abstol
             };
             if raw.abs() > max_raw {
                 max_raw = raw.abs();
@@ -492,39 +629,47 @@ impl<'a> Lane<'a> {
                 converged = false;
             }
         }
-        if converged {
-            self.accept_step();
-        } else if self.iter >= self.opts.max_newton_iter {
-            let err = SimError::NonConvergence {
-                time: self.t_next,
-                dt: self.dt_cur,
-                residual: max_raw,
-                unknown: unknown_name(&self.compiled, worst, self.node_count),
-            };
-            self.reject_solve(err);
+        if converged || self.iter < opts.max_newton_iter {
+            return Ok(converged);
         }
-        // else: stay in Newton for the next round.
+        Err(SimError::NonConvergence {
+            time: self.t_next,
+            dt: self.dt_cur,
+            residual: max_raw,
+            unknown: unknown_name(&self.compiled, worst, self.node_count),
+        })
     }
 
-    /// Newton-failure rejection (solver error, budget exhaustion, injected
-    /// fault). Returns `true` when the lane terminated (backward-Euler
-    /// attempt at the dtmin floor failed).
-    fn reject_solve(&mut self, err: SimError) -> bool {
-        self.stats.steps_rejected += 1;
+    /// Newton-failure rejection (solver error, non-finite iterate, budget
+    /// exhaustion, injected fault).
+    fn reject_solve(&mut self, err: SimError) {
+        // The predictor history is stale across a rejected solve followed
+        // by a backward-Euler restart.
         self.hist.clear();
+        // Give up only after a backward-Euler attempt AT dtmin has failed;
+        // otherwise clamp the quartered retry to dtmin so the floor step is
+        // actually attempted. The inner error is propagated as-is: it
+        // carries the final residual and the worst unknown, which
+        // failed-sweep diagnostics rely on.
         if self.method == Method::BackwardEuler && self.dt_cur <= self.opts.dtmin * (1.0 + 1e-9) {
-            self.finish_err(err);
-            return true;
+            return self.finish(Err(err));
         }
-        self.dt = (self.dt_cur / 4.0).max(self.opts.dtmin);
         self.force_be = true;
-        self.phase = LanePhase::StartStep;
-        false
+        self.reject((self.dt_cur / 4.0).max(self.opts.dtmin));
     }
 
-    /// Converged solve: LTE control, PTM event refinement, accept.
-    /// Transcribed from the scalar accept path.
-    fn accept_step(&mut self) {
+    /// Rejects the current attempt; the next one starts from the same
+    /// point with step `dt`.
+    fn reject(&mut self, dt: f64) {
+        self.stats.steps_rejected += 1;
+        self.dt = dt;
+        self.step_span = None;
+        self.phase = LanePhase::StartStep;
+    }
+
+    /// Converged solve: LTE control, PTM event refinement, accept, and the
+    /// periodic checkpoint.
+    fn accept_step(&mut self, solver: &impl LaneSolver, l: usize) {
         let iters = self.iter;
         self.stats.newton_iterations += iters;
         let opts = self.opts;
@@ -534,18 +679,19 @@ impl<'a> Lane<'a> {
         if opts.lte_control && self.hist.len() == 2 && !self.force_be {
             let (t0, x0) = (&self.hist[0].0, &self.hist[0].1);
             let (t1, x1) = (&self.hist[1].0, &self.hist[1].1);
+            // Quadratic extrapolation through (t0,x0), (t1,x1), (t,x) to t_next.
             let mut err = 0.0f64;
             for i in 0..self.node_count {
                 let pred = lagrange3(*t0, x0[i], *t1, x1[i], self.t, self.x[i], self.t_next);
                 err = err.max((self.x_iter[i] - pred).abs());
             }
             if err > opts.lte_tol && self.dt_cur > 4.0 * opts.dtmin {
-                self.stats.steps_rejected += 1;
                 opts.telemetry.counter(names::TRAN_LTE_REJECTIONS, 1);
-                self.dt = self.dt_cur * 0.5;
-                self.phase = LanePhase::StartStep;
-                return;
+                return self.reject(self.dt_cur * 0.5);
             }
+            // Smooth region: let the step grow toward dtmax (applied at the
+            // step-size update below, so it is not clobbered by the
+            // iteration-count controller).
             lte_grow = err < 0.1 * opts.lte_tol;
         }
 
@@ -560,17 +706,19 @@ impl<'a> Lane<'a> {
             }
         }
         if worst_overshoot > opts.event_vtol && self.dt_cur > 2.0 * opts.dtmin {
-            self.stats.steps_rejected += 1;
-            self.dt = self.dt_cur / 2.0;
-            self.phase = LanePhase::StartStep;
-            return;
+            return self.reject(self.dt_cur / 2.0);
         }
 
         // --- Accept. ---
         for device in &mut self.compiled.devices {
             device.commit(&self.x_iter, self.t_next, self.dt_cur, self.method);
         }
+        // A slope discontinuity at a source corner excites the trapezoidal
+        // rule's undamped oscillatory mode in capacitor branch currents
+        // (classic "trapezoidal ringing"); take one L-stable backward-Euler
+        // step across every corner to kill it at the source.
         self.force_be = self.lands_on_corner;
+        // Fire any armed transitions at the accepted point.
         let mut fired = false;
         for device in &mut self.compiled.devices {
             if let SimDevice::Ptm {
@@ -597,6 +745,7 @@ impl<'a> Lane<'a> {
             self.force_be = true;
             self.dt = self.dt_cur.min(opts.dtmax / 16.0).max(opts.dtmin);
         } else if opts.lte_control {
+            // LTE owns the growth policy; Newton difficulty still shrinks.
             self.dt = if iters > 12 {
                 self.dt_cur * 0.6
             } else if lte_grow {
@@ -605,6 +754,7 @@ impl<'a> Lane<'a> {
                 self.dt_cur
             };
         } else {
+            // Iteration-count step control.
             self.dt = if iters <= 5 {
                 self.dt_cur * 1.3
             } else if iters > 12 {
@@ -615,14 +765,14 @@ impl<'a> Lane<'a> {
         }
 
         self.recorder
-            .as_mut()
-            .expect("recorder present until finish")
             .record(self.t_next, &self.x_iter, &self.compiled);
         self.stats.steps_accepted += 1;
         if opts.telemetry.is_enabled() {
             opts.telemetry.histogram(names::H_TRAN_DT, self.dt_cur);
             opts.telemetry
                 .histogram(names::H_TRAN_STEP_ITERS, iters as f64);
+            // The controller proposes before the `dtmax` cap; a step
+            // already at the cap has not grown.
             let next = self.dt.min(opts.dtmax);
             if next > self.dt_cur {
                 opts.telemetry.counter(names::TRAN_DT_GROWTHS, 1);
@@ -630,33 +780,74 @@ impl<'a> Lane<'a> {
                 opts.telemetry.counter(names::TRAN_DT_SHRINKS, 1);
             }
         }
+        // The accepted iterate becomes `x` and the previous point joins the
+        // LTE history; the buffer nothing keeps any more backs the next
+        // attempt's iterate, so a steady-state step allocates nothing here.
+        let prev = std::mem::replace(&mut self.x, std::mem::take(&mut self.x_iter));
         if self.force_be {
+            // The accepted point sits on a discontinuity (source corner or
+            // PTM transition): extrapolating through pre-discontinuity
+            // points would mispredict, so restart the LTE history.
             self.hist.clear();
+            self.x_iter = prev;
         } else {
             if self.hist.len() == 2 {
-                self.hist.remove(0);
+                self.x_iter = self.hist.remove(0).1;
             }
-            self.hist.push((self.t, self.x.clone()));
+            self.hist.push((self.t, prev));
         }
-        std::mem::swap(&mut self.x, &mut self.x_iter);
         self.t = self.t_next;
+        if let Err(err) = self.write_checkpoint(solver, l) {
+            return self.finish(Err(err));
+        }
+        self.step_span = None;
         self.phase = LanePhase::StartStep;
     }
 
-    fn finish_ok(&mut self) {
-        self.stats.solver = self.solver;
-        trace::emit_tran_stats(&self.opts.telemetry, &self.stats);
-        self.span.take(); // close the analysis span
-        let recorder = self.recorder.take().expect("finish runs once");
-        self.result = Some(Ok(recorder.finish(&self.compiled, self.stats)));
-        self.phase = LanePhase::Done;
+    /// Writes the periodic snapshot when one is due, after the state
+    /// advanced.
+    fn write_checkpoint(&self, solver: &impl LaneSolver, l: usize) -> Result<()> {
+        let ckpt = self.ckpt;
+        let every = ckpt.checkpoint_every;
+        let due = every > 0 && self.stats.steps_accepted.is_multiple_of(every);
+        let (Some(path), true) = (&ckpt.checkpoint_to, due) else {
+            return Ok(());
+        };
+        let snap = TranSnapshot {
+            t: self.t,
+            dt: self.dt,
+            force_be: self.force_be,
+            x: self.x.clone(),
+            hist: self.hist.clone(),
+            stats: TranStats {
+                solver: self.resumed_solver.merged(&solver.stats(l)),
+                ..self.stats
+            },
+            times: self.recorder.times.clone(),
+            node_data: self.recorder.node_data.clone(),
+            branch_data: self.recorder.branch_data.clone(),
+            ptm_resistance: self.recorder.ptm_resistance.clone(),
+            devices: checkpoint::capture_devices(&self.compiled),
+        };
+        checkpoint::write_snapshot(path, &snap, self.fingerprint)?;
+        self.opts.telemetry.counter(names::CHECKPOINT_WRITTEN, 1);
+        Ok(())
     }
 
-    fn finish_err(&mut self, err: SimError) {
-        self.span.take(); // scalar drops the span when the error propagates
-        self.result = Some(Err(err));
-        self.phase = LanePhase::Done;
+    /// Ends the run: closes the open step span, then the analysis span.
+    fn finish(&mut self, result: Result<TranResult>) {
+        self.step_span = None;
+        self.span = None;
+        self.phase = LanePhase::Done(Box::new(result));
     }
+}
+
+/// Quadratic Lagrange extrapolation through three points.
+fn lagrange3(t0: f64, y0: f64, t1: f64, y1: f64, t2: f64, y2: f64, t: f64) -> f64 {
+    let l0 = (t - t1) * (t - t2) / ((t0 - t1) * (t0 - t2));
+    let l1 = (t - t0) * (t - t2) / ((t1 - t0) * (t1 - t2));
+    let l2 = (t - t0) * (t - t1) / ((t2 - t0) * (t2 - t1));
+    y0 * l0 + y1 * l1 + y2 * l2
 }
 
 #[cfg(test)]

@@ -36,10 +36,10 @@ pub(crate) fn volt(x: &[f64], u: Unknown) -> f64 {
 }
 
 /// A Jacobian sink devices stamp into. [`MnaMatrix`] is the scalar
-/// implementation; the batched transient engine stamps each lane of a
-/// [`sfet_numeric::batch::BatchBackend`] through a per-lane adapter. Both
-/// receive the *identical* sequence of `add` calls for a given device list
-/// and iterate, which is what keeps batched solves bitwise-equal to scalar.
+/// implementation; the transient stepper's batch adapter stamps into the
+/// selected lane of a [`sfet_numeric::batch::BatchBackend`]. Both receive
+/// the *identical* sequence of `add` calls for a given device list and
+/// iterate, which is what keeps batched solves bitwise-equal to scalar.
 pub(crate) trait Stamp {
     /// `jac[r][c] += v`.
     fn add(&mut self, r: usize, c: usize, v: f64);

@@ -11,9 +11,10 @@
 //!    *event detection*: steps are rejected and bisected so each phase
 //!    transition begins within a tight tolerance of its true crossing
 //!    time, then the resistance ramp is resolved with sub-`T_PTM` steps);
-//! 3. [`transient_batch`] runs B independent transients through one
-//!    structure-of-arrays linear solver — each lane bitwise identical to
-//!    its scalar [`transient`] run — for parameter-sweep throughput.
+//! 3. [`transient_batch`] runs B independent transients through the same
+//!    stepper over one structure-of-arrays linear solver — each lane
+//!    bitwise identical to its [`transient`] run — for parameter-sweep
+//!    throughput.
 //!
 //! # Example
 //!

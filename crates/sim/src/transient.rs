@@ -16,6 +16,10 @@
 //! backward Euler (L-stable) to damp the discontinuity; other steps use
 //! the configured method (trapezoidal by default).
 //!
+//! The stepper is the lane state machine in `batch.rs`, which
+//! [`transient_batch`](crate::transient_batch) runs over many lanes; the
+//! entry points here run it as a single lane over an `MnaMatrix`.
+//!
 //! # Checkpoint/restart
 //!
 //! [`transient_resumable`] adds crash resilience: with a
@@ -25,19 +29,15 @@
 
 use std::collections::HashMap;
 
-use crate::checkpoint::{self, CheckpointPolicy, TranSnapshot};
-use crate::dcop::{init_state_from_dc, solve_dc, DcWorkspace};
-use crate::devices::{volt, CompiledCircuit, SimDevice, StampMode};
-use crate::matrix::{MnaMatrix, SolverStats};
+use crate::batch::{drive_lanes, Lane};
+use crate::checkpoint::CheckpointPolicy;
+use crate::devices::{CompiledCircuit, SimDevice};
+use crate::matrix::MnaMatrix;
 use crate::options::SimOptions;
 use crate::result::{TranResult, TranStats};
-use crate::trace;
 use crate::{Result, SimError};
 use sfet_circuit::Circuit;
-use sfet_numeric::fault::FaultPlan;
-use sfet_numeric::integrate::Method;
 use sfet_numeric::NumericError;
-use sfet_telemetry::{names, Level};
 
 /// Runs a transient analysis from `t = 0` to `tstop`.
 ///
@@ -76,6 +76,22 @@ pub fn transient_resumable(
     opts: &SimOptions,
     ckpt: &CheckpointPolicy,
 ) -> Result<TranResult> {
+    let compiled = compile_checked(circuit, tstop, opts)?;
+    let n = compiled.size;
+    let mut jac = MnaMatrix::new(opts.effective_solver(n), n, opts.reuse_factorization);
+    let mut lane = [Lane::setup(compiled, tstop, opts, ckpt)];
+    drive_lanes(&mut jac, &mut lane, n);
+    let [lane] = lane;
+    lane?.into_result()
+}
+
+/// Validates a transient's options, stop time and circuit, and compiles
+/// the circuit. Emits no telemetry.
+pub(crate) fn compile_checked(
+    circuit: &Circuit,
+    tstop: f64,
+    opts: &SimOptions,
+) -> Result<CompiledCircuit> {
     opts.validate()?;
     if !(tstop > 0.0 && tstop.is_finite()) {
         return Err(SimError::InvalidOptions(format!(
@@ -83,443 +99,7 @@ pub fn transient_resumable(
         )));
     }
     circuit.validate()?;
-    let fault = opts.fault.clone().or_else(FaultPlan::from_env);
-
-    let run_span = opts.telemetry.span(Level::Analysis, names::SPAN_TRANSIENT);
-    let mut compiled = CompiledCircuit::compile(circuit);
-    let fingerprint = checkpoint::fingerprint(&compiled, tstop, opts.method);
-
-    let n = compiled.size;
-    let node_count = compiled.node_names.len();
-    let mut jac = MnaMatrix::new(opts.effective_solver(n), n, opts.reuse_factorization);
-    let mut rhs = vec![0.0; n];
-
-    // Stepper state: restored from a snapshot, or initialised from the DC
-    // operating point.
-    let mut recorder;
-    let mut stats;
-    // Solver counters accumulated by earlier segments of a resumed run;
-    // `jac` starts fresh (one extra full factorisation, which does not
-    // perturb the waveform — factor reuse is bitwise-identical to fresh
-    // factorisation by the solver's determinism contract).
-    let resumed_solver: SolverStats;
-    let mut x: Vec<f64>;
-    let mut t: f64;
-    let mut dt: f64;
-    let mut force_be: bool;
-    // History for the quadratic LTE predictor: two previous accepted points.
-    let mut hist: Vec<(f64, Vec<f64>)>;
-
-    if let Some(resume_path) = &ckpt.resume_from {
-        let snap = checkpoint::read_snapshot(resume_path, fingerprint)?;
-        checkpoint::restore_devices(&mut compiled, &snap.devices)?;
-        if snap.x.len() != n {
-            return Err(SimError::Checkpoint(format!(
-                "snapshot solution has {} unknowns, circuit has {n}",
-                snap.x.len()
-            )));
-        }
-        recorder = Recorder::restore(
-            &compiled,
-            snap.times,
-            snap.node_data,
-            snap.branch_data,
-            snap.ptm_resistance,
-        )?;
-        stats = snap.stats;
-        resumed_solver = stats.solver;
-        stats.solver = SolverStats::default();
-        x = snap.x;
-        t = snap.t;
-        dt = snap.dt;
-        force_be = snap.force_be;
-        hist = snap.hist;
-        opts.telemetry.counter(names::CHECKPOINT_RESUMED, 1);
-    } else {
-        let mut dc_ws = DcWorkspace::new(&compiled, opts);
-        let x_dc = solve_dc(&mut compiled, opts, &mut dc_ws)?;
-        // The initial operating point reports under the `dc.*` namespace; it
-        // is deliberately excluded from `TranStats`/`tran.*`.
-        trace::emit_dc_stats(&opts.telemetry, &dc_ws.stats());
-        init_state_from_dc(&mut compiled, &x_dc, opts);
-
-        recorder = Recorder::new(&compiled);
-        recorder.record(0.0, &x_dc, &compiled);
-
-        stats = TranStats::default();
-        resumed_solver = SolverStats::default();
-        x = x_dc;
-        t = 0.0;
-        dt = (opts.dtmax / 16.0).max(opts.dtmin);
-        force_be = true; // first step: backward Euler
-        hist = Vec::with_capacity(2);
-    }
-
-    while t < tstop * (1.0 - 1e-12) {
-        stats.steps_attempted += 1;
-        if stats.steps_attempted > opts.max_steps {
-            return Err(SimError::StepBudgetExceeded {
-                time: t,
-                steps: stats.steps_attempted,
-            });
-        }
-        if let Some(plan) = &fault {
-            // Simulated process kill: abort without writing a checkpoint
-            // (an honest crash leaves only the last *periodic* snapshot).
-            if plan.crash_at(stats.steps_attempted as u64) {
-                return Err(SimError::InjectedCrash {
-                    time: t,
-                    step: stats.steps_attempted,
-                });
-            }
-        }
-        // Dropped at every exit from this loop body (accept or any of the
-        // rejection `continue`s), closing the step-attempt span.
-        let _step_span = opts.telemetry.span(Level::Step, names::SPAN_TIMESTEP);
-
-        // --- Choose the step size. ---
-        let mut dt_cur = dt.min(opts.dtmax).min(tstop - t);
-        let mut lands_on_corner = false;
-        if let Some(bp) = compiled.next_breakpoint(t) {
-            let gap = bp - t;
-            if gap <= dt_cur {
-                // Snap onto the corner. A corner closer than dtmin cannot
-                // be landed on exactly, so step across it with a
-                // dtmin-sized step instead of silently stepping over it
-                // with the full step; either way the corner is treated as
-                // a discontinuity (backward Euler next step).
-                dt_cur = gap.max(opts.dtmin);
-                lands_on_corner = true;
-            }
-        }
-        // Resolve in-flight PTM ramps with sub-T_PTM steps.
-        for device in &compiled.devices {
-            if let SimDevice::Ptm { state, .. } = device {
-                if state.in_transition() {
-                    dt_cur = dt_cur.min((state.params().t_ptm / 8.0).max(opts.dtmin));
-                }
-            }
-        }
-        dt_cur = dt_cur.max(opts.dtmin);
-        let t_next = t + dt_cur;
-        let method = if force_be {
-            Method::BackwardEuler
-        } else {
-            opts.method
-        };
-
-        // --- Solve. ---
-        for device in &mut compiled.devices {
-            device.prepare_step(t_next);
-        }
-        let injected_newton_failure = fault
-            .as_ref()
-            .is_some_and(|plan| plan.fail_newton(stats.steps_attempted as u64));
-        let injected_nan = fault
-            .as_ref()
-            .is_some_and(|plan| plan.poison_newton(stats.steps_attempted as u64));
-        let solve = if injected_newton_failure {
-            Err(SimError::NonConvergence {
-                time: t_next,
-                dt: dt_cur,
-                residual: f64::INFINITY,
-                unknown: Some("<injected fault>".into()),
-            })
-        } else {
-            newton_transient(
-                &compiled,
-                &x,
-                t_next,
-                dt_cur,
-                method,
-                opts,
-                &mut jac,
-                &mut rhs,
-                node_count,
-                injected_nan,
-            )
-        };
-        let (x_new, iters) = match solve {
-            Ok(pair) => pair,
-            Err(err) => {
-                stats.steps_rejected += 1;
-                // The predictor history is stale across a rejected solve
-                // followed by a backward-Euler restart.
-                hist.clear();
-                // Give up only after a backward-Euler attempt AT dtmin has
-                // failed; otherwise clamp the quartered retry to dtmin so
-                // the floor step is actually attempted. The inner error is
-                // propagated as-is: it carries the final residual and the
-                // worst unknown, which failed-sweep diagnostics rely on.
-                if method == Method::BackwardEuler && dt_cur <= opts.dtmin * (1.0 + 1e-9) {
-                    return Err(err);
-                }
-                dt = (dt_cur / 4.0).max(opts.dtmin);
-                force_be = true;
-                continue;
-            }
-        };
-        stats.newton_iterations += iters;
-
-        // --- Local-truncation-error control (optional). ---
-        let mut lte_grow = false;
-        if opts.lte_control && hist.len() == 2 && !force_be {
-            let (t0, x0) = (&hist[0].0, &hist[0].1);
-            let (t1, x1) = (&hist[1].0, &hist[1].1);
-            // Quadratic extrapolation through (t0,x0), (t1,x1), (t,x) to t_next.
-            let mut err = 0.0f64;
-            for i in 0..node_count {
-                let pred = lagrange3(*t0, x0[i], *t1, x1[i], t, x[i], t_next);
-                err = err.max((x_new[i] - pred).abs());
-            }
-            if err > opts.lte_tol && dt_cur > 4.0 * opts.dtmin {
-                stats.steps_rejected += 1;
-                opts.telemetry.counter(names::TRAN_LTE_REJECTIONS, 1);
-                dt = dt_cur * 0.5;
-                continue;
-            }
-            // Smooth region: let the step grow toward dtmax (applied at the
-            // step-size update below, so it is not clobbered by the
-            // iteration-count controller).
-            lte_grow = err < 0.1 * opts.lte_tol;
-        }
-
-        // --- PTM event refinement. ---
-        let mut worst_overshoot = 0.0f64;
-        for device in &compiled.devices {
-            if let SimDevice::Ptm { p, n, state, .. } = device {
-                let v = volt(&x_new, *p) - volt(&x_new, *n);
-                if let Some(excess) = state.threshold_excess(v) {
-                    worst_overshoot = worst_overshoot.max(excess);
-                }
-            }
-        }
-        if worst_overshoot > opts.event_vtol && dt_cur > 2.0 * opts.dtmin {
-            stats.steps_rejected += 1;
-            dt = dt_cur / 2.0;
-            continue;
-        }
-
-        // --- Accept. ---
-        for device in &mut compiled.devices {
-            device.commit(&x_new, t_next, dt_cur, method);
-        }
-        // A slope discontinuity at a source corner excites the trapezoidal
-        // rule's undamped oscillatory mode in capacitor branch currents
-        // (classic "trapezoidal ringing"); take one L-stable backward-Euler
-        // step across every corner to kill it at the source.
-        force_be = lands_on_corner;
-        // Fire any armed transitions at the accepted point.
-        let mut fired = false;
-        for device in &mut compiled.devices {
-            if let SimDevice::Ptm {
-                p,
-                n,
-                state,
-                events,
-                ..
-            } = device
-            {
-                let v = volt(&x_new, *p) - volt(&x_new, *n);
-                if let Some(excess) = state.threshold_excess(v) {
-                    if excess >= 0.0 {
-                        let event = state.fire(t_next);
-                        trace::emit_ptm_event(&opts.telemetry, &event);
-                        events.push(event);
-                        stats.ptm_transitions += 1;
-                        fired = true;
-                    }
-                }
-            }
-        }
-        if fired {
-            force_be = true;
-            dt = dt_cur.min(opts.dtmax / 16.0).max(opts.dtmin);
-        } else if opts.lte_control {
-            // LTE owns the growth policy; Newton difficulty still shrinks.
-            dt = if iters > 12 {
-                dt_cur * 0.6
-            } else if lte_grow {
-                dt_cur * 2.0
-            } else {
-                dt_cur
-            };
-        } else {
-            // Iteration-count step control.
-            dt = if iters <= 5 {
-                dt_cur * 1.3
-            } else if iters > 12 {
-                dt_cur * 0.6
-            } else {
-                dt_cur
-            };
-        }
-
-        recorder.record(t_next, &x_new, &compiled);
-        stats.steps_accepted += 1;
-        if opts.telemetry.is_enabled() {
-            opts.telemetry.histogram(names::H_TRAN_DT, dt_cur);
-            opts.telemetry
-                .histogram(names::H_TRAN_STEP_ITERS, iters as f64);
-            // The controller proposes before the `dtmax` cap; a step
-            // already at the cap has not grown.
-            let next = dt.min(opts.dtmax);
-            if next > dt_cur {
-                opts.telemetry.counter(names::TRAN_DT_GROWTHS, 1);
-            } else if next < dt_cur {
-                opts.telemetry.counter(names::TRAN_DT_SHRINKS, 1);
-            }
-        }
-        if force_be {
-            // The accepted point sits on a discontinuity (source corner or
-            // PTM transition): extrapolating through pre-discontinuity
-            // points would mispredict, so restart the LTE history.
-            hist.clear();
-        } else {
-            if hist.len() == 2 {
-                hist.remove(0);
-            }
-            hist.push((t, x.clone()));
-        }
-        x = x_new;
-        t = t_next;
-
-        // --- Periodic checkpoint (after the state advanced). ---
-        if let Some(path) = &ckpt.checkpoint_to {
-            if ckpt.checkpoint_every > 0 && stats.steps_accepted % ckpt.checkpoint_every == 0 {
-                let mut snap_stats = stats;
-                snap_stats.solver = resumed_solver.merged(&jac.stats());
-                let snap = TranSnapshot {
-                    t,
-                    dt,
-                    force_be,
-                    x: x.clone(),
-                    hist: hist.clone(),
-                    stats: snap_stats,
-                    times: recorder.times.clone(),
-                    node_data: recorder.node_data.clone(),
-                    branch_data: recorder.branch_data.clone(),
-                    ptm_resistance: recorder.ptm_resistance.clone(),
-                    devices: checkpoint::capture_devices(&compiled),
-                };
-                checkpoint::write_snapshot(path, &snap, fingerprint)?;
-                opts.telemetry.counter(names::CHECKPOINT_WRITTEN, 1);
-            }
-        }
-    }
-
-    stats.solver = resumed_solver.merged(&jac.stats());
-    trace::emit_tran_stats(&opts.telemetry, &stats);
-    drop(run_span);
-    Ok(recorder.finish(&compiled, stats))
-}
-
-/// Quadratic Lagrange extrapolation through three points. Shared with the
-/// batched transient engine so both LTE controllers are the same code.
-pub(crate) fn lagrange3(t0: f64, y0: f64, t1: f64, y1: f64, t2: f64, y2: f64, t: f64) -> f64 {
-    let l0 = (t - t1) * (t - t2) / ((t0 - t1) * (t0 - t2));
-    let l1 = (t - t0) * (t - t2) / ((t1 - t0) * (t1 - t2));
-    let l2 = (t - t0) * (t - t1) / ((t2 - t0) * (t2 - t1));
-    y0 * l0 + y1 * l1 + y2 * l2
-}
-
-/// Newton solve for one transient time point. Returns the solution and the
-/// iteration count.
-///
-/// `poison` injects a NaN into every linear-solver solution (the `nan@`
-/// fault-plan entry), exercising the non-finite guard below exactly the
-/// way a genuinely diverging solve would.
-#[allow(clippy::too_many_arguments)]
-fn newton_transient(
-    compiled: &CompiledCircuit,
-    x0: &[f64],
-    t_next: f64,
-    dt: f64,
-    method: Method,
-    opts: &SimOptions,
-    jac: &mut MnaMatrix,
-    rhs: &mut [f64],
-    node_count: usize,
-    poison: bool,
-) -> Result<(Vec<f64>, usize)> {
-    let mode = StampMode::Transient { t_next, dt, method };
-    let mut x = x0.to_vec();
-    // Final-iteration diagnostics for the NonConvergence payload.
-    let mut last_residual = f64::INFINITY;
-    let mut last_worst = 0usize;
-    for iter in 1..=opts.max_newton_iter {
-        let _iter_span = opts
-            .telemetry
-            .span(Level::Iteration, names::SPAN_NEWTON_ITER);
-        jac.clear();
-        rhs.iter_mut().for_each(|v| *v = 0.0);
-        for device in &compiled.devices {
-            device.stamp(mode, &x, jac, rhs, opts.gmin);
-        }
-        jac.factor_solve(rhs)?;
-        if poison {
-            rhs[0] = f64::NAN;
-        }
-        let x_next: &[f64] = rhs;
-        // A NaN/Inf iterate would pass the `raw.abs() > tol` convergence
-        // test below (NaN comparisons are false) and be accepted as a
-        // "converged" step — reject it here instead. The caller's recovery
-        // ladder then retries, and if the breakdown persists the run ends
-        // with a [`NumericError::NonFinite`] at `dtmin` naming the unknown.
-        if let Some(bad) = x_next.iter().position(|v| !v.is_finite()) {
-            return Err(non_finite_unknown(
-                compiled,
-                bad,
-                &format!("transient Newton solve at t={t_next:.6e} s"),
-            ));
-        }
-
-        let mut max_dx = 0.0f64;
-        for (xn, xo) in x_next.iter().zip(&x) {
-            max_dx = max_dx.max((xn - xo).abs());
-        }
-        let scale = if max_dx > opts.max_newton_step {
-            opts.max_newton_step / max_dx
-        } else {
-            1.0
-        };
-        // Convergence is measured on the RAW (undamped) update: a raw step
-        // within tolerance means the iterate already sits at the Newton
-        // target, even when the damping clamp made `scale < 1` — the case
-        // a sharp PTM edge hits when one large-tolerance unknown drives
-        // the clamp. (Measuring the *damped* update instead would accept a
-        // damped crawl that is nowhere near the solution.)
-        let mut converged = true;
-        let mut max_raw = 0.0f64;
-        let mut worst = 0usize;
-        for i in 0..x.len() {
-            let raw = x_next[i] - x[i];
-            x[i] += raw * scale;
-            let tol = if i < node_count {
-                opts.reltol * x[i].abs() + opts.vntol
-            } else {
-                opts.reltol * x[i].abs() + opts.abstol
-            };
-            if raw.abs() > max_raw {
-                max_raw = raw.abs();
-                worst = i;
-            }
-            if raw.abs() > tol {
-                converged = false;
-            }
-        }
-        if converged {
-            return Ok((x, iter));
-        }
-        last_residual = max_raw;
-        last_worst = worst;
-    }
-    Err(SimError::NonConvergence {
-        time: t_next,
-        dt,
-        residual: last_residual,
-        unknown: unknown_name(compiled, last_worst, node_count),
-    })
+    Ok(CompiledCircuit::compile(circuit))
 }
 
 /// Builds the error for a non-finite Newton iterate: a
@@ -551,13 +131,13 @@ pub(crate) fn unknown_name(
     }
 }
 
-/// Accumulates sampled signals during integration. Shared with the batched
-/// transient engine (one per lane).
+/// Accumulates sampled signals during integration, one per lane.
+#[derive(Default)]
 pub(crate) struct Recorder {
-    times: Vec<f64>,
-    node_data: Vec<Vec<f64>>,
-    branch_data: Vec<Vec<f64>>,
-    ptm_resistance: Vec<Vec<f64>>,
+    pub(crate) times: Vec<f64>,
+    pub(crate) node_data: Vec<Vec<f64>>,
+    pub(crate) branch_data: Vec<Vec<f64>>,
+    pub(crate) ptm_resistance: Vec<Vec<f64>>,
 }
 
 impl Recorder {
@@ -572,7 +152,7 @@ impl Recorder {
 
     /// Rebuilds a recorder from checkpointed sample columns, validating
     /// that the column layout matches the compiled circuit.
-    fn restore(
+    pub(crate) fn restore(
         compiled: &CompiledCircuit,
         times: Vec<f64>,
         node_data: Vec<Vec<f64>>,
@@ -677,6 +257,9 @@ pub(crate) mod tests {
     use sfet_circuit::SourceWaveform;
     use sfet_devices::mosfet::MosfetModel;
     use sfet_devices::ptm::PtmParams;
+    use sfet_numeric::fault::FaultPlan;
+    use sfet_numeric::integrate::Method;
+    use sfet_telemetry::names;
 
     fn opts_for(tstop: f64) -> SimOptions {
         SimOptions::for_duration(tstop, 2000)
@@ -1383,6 +966,65 @@ pub(crate) mod tests {
             assert_bitwise_equal(&straight, &resumed, &format!("{method:?}"));
             let _ = std::fs::remove_file(&path);
         }
+    }
+
+    /// A snapshot whose LTE history the predictor cannot index — points
+    /// shorter than the solution, or more than the two the writer keeps —
+    /// is a named checkpoint error on resume, not a panic and not a run
+    /// with LTE control silently off.
+    #[test]
+    fn resume_rejects_malformed_lte_history() {
+        use crate::checkpoint::{read_snapshot, write_snapshot};
+        let ckt = rc_charging_at_dtmax();
+        let tstop = 10e-12;
+        let opts = SimOptions::for_duration(tstop, 200).with_lte(1e-3);
+        let path = tmp_path("short-hist");
+        let crashing = opts
+            .clone()
+            .with_fault_plan(FaultPlan::new().with_crash(60));
+        let err = transient_resumable(
+            &ckt,
+            tstop,
+            &crashing,
+            &CheckpointPolicy::write_to(&path, 20),
+        )
+        .unwrap_err();
+        assert!(matches!(err, SimError::InjectedCrash { .. }), "{err}");
+
+        let fingerprint = crate::circuit_fingerprint(&ckt, tstop, opts.method);
+        let good = read_snapshot(&path, fingerprint).unwrap();
+        assert_eq!(good.hist.len(), 2, "the snapshot carries a full history");
+        let resume = CheckpointPolicy::disabled().with_resume_from(&path);
+        let mut short = good.clone();
+        for (_, x) in &mut short.hist {
+            x.truncate(1);
+        }
+        let mut long = good.clone();
+        long.hist.push(long.hist[1].clone());
+        for bad in [short, long] {
+            write_snapshot(&path, &bad, fingerprint).unwrap();
+            match transient_resumable(&ckt, tstop, &opts, &resume) {
+                Err(SimError::Checkpoint(msg)) => assert!(msg.contains("LTE history"), "{msg}"),
+                other => panic!("expected a checkpoint error, got {other:?}"),
+            }
+        }
+        write_snapshot(&path, &good, fingerprint).unwrap();
+        let resumed = transient_resumable(&ckt, tstop, &opts, &resume).unwrap();
+        let straight = transient(&ckt, tstop, &opts).unwrap();
+        let bits = |r: &TranResult| -> Vec<u64> {
+            let v = r.voltage("out").unwrap();
+            r.times()
+                .iter()
+                .chain(v.values())
+                .map(|x| x.to_bits())
+                .collect()
+        };
+        assert_eq!(
+            bits(&resumed),
+            bits(&straight),
+            "well-formed history resumes"
+        );
+        let _ = std::fs::remove_file(&path);
     }
 
     /// `resume_if_exists` with no snapshot on disk degrades to a fresh

@@ -7,7 +7,7 @@ use std::sync::{Arc, Mutex};
 
 use sfet_circuit::{Circuit, SourceWaveform};
 use sfet_devices::ptm::PtmParams;
-use sfet_sim::{dc_operating_point_with_stats, transient, SimOptions};
+use sfet_sim::{dc_operating_point_with_stats, transient, transient_batch, BatchSpec, SimOptions};
 use sfet_telemetry::{names, JsonlSink, Level, SharedAggregator, Telemetry};
 
 /// RC low-pass driven by a step ramp: the tiniest circuit that exercises
@@ -263,4 +263,35 @@ fn disabled_telemetry_changes_nothing() {
     assert_eq!(a.stats(), b.stats(), "observation must not perturb the run");
     assert_eq!(a.times(), b.times());
     assert!(!agg.snapshot().is_empty());
+}
+
+/// A batched lane runs the same stepper as `transient`, so at
+/// `Level::Iteration` a one-lane batch writes the same event stream:
+/// every `timestep` and `newton_iter` span, counter and histogram, in the
+/// same order (timings stripped, since they are wall-clock).
+#[test]
+fn one_lane_batch_emits_the_transient_trace() {
+    let trace = |batched: bool| {
+        let buf = SharedBuf::default();
+        let sink = JsonlSink::new(buf.clone()).with_timings(false);
+        let opts = SimOptions::for_duration(120e-12, 500)
+            .with_telemetry(Telemetry::with_level(sink, Level::Iteration));
+        let ckt = staircase_circuit();
+        if batched {
+            let spec = BatchSpec {
+                circuit: &ckt,
+                tstop: 120e-12,
+                opts: &opts,
+            };
+            transient_batch(&[spec]).pop().unwrap().unwrap();
+        } else {
+            transient(&ckt, 120e-12, &opts).unwrap();
+        }
+        opts.telemetry.flush();
+        buf.contents()
+    };
+    let scalar = trace(false);
+    assert!(scalar.contains(r#""name":"newton_iter""#), "{scalar}");
+    assert!(scalar.contains(r#""name":"timestep""#));
+    assert!(trace(true) == scalar, "one-lane batch trace differs");
 }
