@@ -6,9 +6,10 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use sfet_devices::ptm::{hysteresis_sweep, PtmParams};
+use sfet_numeric::exec::ExecConfig;
 use sfet_pdn::io_buffer::IoBufferScenario;
 use sfet_pdn::power_gate::PowerGateScenario;
-use softfet::design_space::{slew_sweep, tptm_sweep, vimt_vmit_grid};
+use softfet::design_space::{slew_sweep_with, tptm_sweep_with, vimt_vmit_grid_with};
 use softfet::inverter::{InverterSpec, Topology};
 use softfet::metrics::measure_inverter;
 
@@ -38,8 +39,14 @@ fn fig06_grid_small(c: &mut Criterion) {
     c.bench_function("fig06_grid_3x1", |b| {
         b.iter(|| {
             std::hint::black_box(
-                vimt_vmit_grid(1.0, PtmParams::vo2_default(), &[0.3, 0.4, 0.5], &[0.1])
-                    .expect("grid"),
+                vimt_vmit_grid_with(
+                    &ExecConfig::from_env(),
+                    1.0,
+                    PtmParams::vo2_default(),
+                    &[0.3, 0.4, 0.5],
+                    &[0.1],
+                )
+                .expect("grid"),
             )
         })
     });
@@ -49,7 +56,13 @@ fn fig08_tptm_small(c: &mut Criterion) {
     c.bench_function("fig08_tptm_3pts", |b| {
         b.iter(|| {
             std::hint::black_box(
-                tptm_sweep(1.0, PtmParams::vo2_default(), &[5e-12, 10e-12, 20e-12]).expect("sweep"),
+                tptm_sweep_with(
+                    &ExecConfig::from_env(),
+                    1.0,
+                    PtmParams::vo2_default(),
+                    &[5e-12, 10e-12, 20e-12],
+                )
+                .expect("sweep"),
             )
         })
     });
@@ -59,7 +72,13 @@ fn fig09_slew_small(c: &mut Criterion) {
     c.bench_function("fig09_slew_2pts", |b| {
         b.iter(|| {
             std::hint::black_box(
-                slew_sweep(1.0, PtmParams::vo2_default(), &[30e-12, 100e-12]).expect("sweep"),
+                slew_sweep_with(
+                    &ExecConfig::from_env(),
+                    1.0,
+                    PtmParams::vo2_default(),
+                    &[30e-12, 100e-12],
+                )
+                .expect("sweep"),
             )
         })
     });

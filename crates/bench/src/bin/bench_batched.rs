@@ -127,12 +127,13 @@ fn monte_carlo_case(n: usize, workers: usize, iters: u32) -> Measurement {
     let indices: Vec<usize> = (0..n).collect();
     let scalar_cfg = ExecConfig::with_workers(workers);
     let scalar_sweep = || {
-        let mut values = exec::par_map(&scalar_cfg, &indices, |_, &i| {
+        let sample = |_, _, &i: &usize| {
             let mut rng = VariationRng::new(task_seed(seed, i as u64));
             let ptm = var.sample(&base, &mut rng);
             measure_inverter(&InverterSpec::minimum(vdd, Topology::SoftFet(ptm))).map(|m| m.i_max)
-        })
-        .expect("scalar sweep");
+        };
+        let (mut values, _) =
+            exec::par_map(&scalar_cfg, &indices, exec::Task::Each(&sample)).expect("scalar sweep");
         values.sort_by(f64::total_cmp);
         values
     };

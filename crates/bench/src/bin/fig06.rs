@@ -4,7 +4,7 @@
 use sfet_bench::{banner, save_rows};
 use sfet_devices::ptm::PtmParams;
 use sfet_numeric::exec::ExecConfig;
-use softfet::design_space::vimt_vmit_grid_stats;
+use softfet::design_space::{optimal_vimt_vs_vcc_with, vimt_vmit_grid_with};
 use softfet::inverter::{InverterSpec, Topology};
 use softfet::metrics::measure_inverter;
 use softfet::report::{fmt_exec_stats, fmt_si, Table};
@@ -19,7 +19,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let v_mits = [0.05, 0.10, 0.15, 0.20];
 
     let (points, stats) =
-        vimt_vmit_grid_stats(&ExecConfig::from_env(), 1.0, base, &v_imts, &v_mits)?;
+        vimt_vmit_grid_with(&ExecConfig::from_env(), 1.0, base, &v_imts, &v_mits)?;
     println!("{}\n", fmt_exec_stats(&stats));
 
     for metric in ["I_MAX", "di/dt", "delay"] {
@@ -84,7 +84,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // V_CC dependence of the optimum (paper §IV-E: "strong function of
     // V_CC and/or V_IMT").
     println!("\noptimal V_IMT vs V_CC:");
-    let opt = softfet::design_space::optimal_vimt_vs_vcc(
+    let opt = optimal_vimt_vs_vcc_with(
+        &ExecConfig::from_env(),
         base,
         &[0.6, 0.8, 1.0],
         &[0.25, 0.3, 0.35, 0.4, 0.45, 0.5, 0.55, 0.6],

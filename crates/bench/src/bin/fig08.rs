@@ -3,7 +3,8 @@
 
 use sfet_bench::{banner, save_rows};
 use sfet_devices::ptm::PtmParams;
-use softfet::design_space::tptm_sweep;
+use sfet_numeric::exec::ExecConfig;
+use softfet::design_space::tptm_sweep_with;
 use softfet::report::{fmt_si, Table};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -17,7 +18,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .map(|ps| ps * 1e-12)
         .collect();
 
-    let points = tptm_sweep(1.0, base, &t_ptms)?;
+    let points = tptm_sweep_with(&ExecConfig::from_env(), 1.0, base, &t_ptms)?;
 
     let mut table = Table::new(&["T_PTM", "transitions", "I_MAX", "max di/dt", "delay"]);
     let mut rows = Vec::new();

@@ -3,7 +3,8 @@
 
 use sfet_bench::{banner, save_rows};
 use sfet_devices::ptm::PtmParams;
-use softfet::design_space::slew_sweep;
+use sfet_numeric::exec::ExecConfig;
+use softfet::design_space::slew_sweep_with;
 use softfet::recommend::{best_ratio, in_recommended_band, ratio_sweep, RECOMMENDED_RATIO};
 use softfet::report::{fmt_pct, fmt_si, Table};
 
@@ -15,7 +16,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .iter()
         .map(|ps| ps * 1e-12)
         .collect();
-    let points = slew_sweep(1.0, ptm, &t_rises)?;
+    let points = slew_sweep_with(&ExecConfig::from_env(), 1.0, ptm, &t_rises)?;
 
     let mut table = Table::new(&[
         "t_rise",

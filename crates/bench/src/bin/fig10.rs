@@ -9,7 +9,8 @@
 
 use sfet_bench::{banner, save_csv, save_rows, telemetry_from_args};
 use sfet_devices::ptm::PtmParams;
-use sfet_pdn::power_gate::{wake_ramp_sweep, PowerGateScenario};
+use sfet_numeric::exec::ExecConfig;
+use sfet_pdn::power_gate::{wake_ramp_sweep_with, PowerGateScenario};
 use sfet_sim::SimOptions;
 use softfet::power_gate::compare_power_gate_with_options;
 use softfet::report::{fmt_si, Table};
@@ -77,7 +78,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // controller's ramp rate (routed through the parallel sweep engine).
     let mut sweep_table = Table::new(&["wake ramp", "droop base", "droop soft", "improvement"]);
     let mut sweep_rows = Vec::new();
-    let ramp_points = wake_ramp_sweep(&scenario, PtmParams::vo2_default(), &[1e-9, 2e-9, 4e-9])?;
+    let ramp_points = wake_ramp_sweep_with(
+        &ExecConfig::from_env(),
+        &scenario,
+        PtmParams::vo2_default(),
+        &[1e-9, 2e-9, 4e-9],
+    )?;
     for p in &ramp_points {
         sweep_table.add_row(vec![
             fmt_si(p.wake_ramp, "s"),

@@ -3,8 +3,9 @@
 
 use sfet_bench::{banner, save_csv, save_rows};
 use sfet_devices::ptm::PtmParams;
+use sfet_numeric::exec::ExecConfig;
 use sfet_pdn::io_buffer::IoBufferScenario;
-use softfet::io_buffer::{compare_io_buffer, ssn_vs_slew};
+use softfet::io_buffer::{compare_io_buffer, ssn_vs_slew_with};
 use softfet::report::{fmt_pct, fmt_si, Table};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -69,7 +70,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .iter()
         .map(|ps| ps * 1e-12)
         .collect();
-    let sweep = ssn_vs_slew(&scenario, ptm, &rises)?;
+    let sweep = ssn_vs_slew_with(&ExecConfig::from_env(), &scenario, ptm, &rises)?;
     let mut stable = Table::new(&["input rise", "SSN base", "SSN soft", "improvement"]);
     let mut rows = Vec::new();
     for p in &sweep {

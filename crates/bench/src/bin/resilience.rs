@@ -16,7 +16,7 @@
 use sfet_bench::{banner, figure_dir, save_rows};
 use sfet_devices::ptm::PtmParams;
 use sfet_numeric::exec::ExecConfig;
-use softfet::variation::{monte_carlo_imax_resumable, summarize_outcomes, PtmVariation};
+use softfet::variation::{monte_carlo_imax_outcomes, summarize_outcomes, PtmVariation};
 
 fn flag_value(args: &[String], flag: &str) -> Option<String> {
     args.iter().position(|a| a == flag).map(|i| {
@@ -51,14 +51,14 @@ fn main() {
         println!("  [fault] SFET_FAULT_PLAN armed — expect degraded results");
     }
 
-    let outcomes = match monte_carlo_imax_resumable(&cfg, 1.0, base, &var, samples, seed, &manifest)
-    {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("sweep failed: {e}");
-            std::process::exit(2);
-        }
-    };
+    let outcomes =
+        match monte_carlo_imax_outcomes(&cfg, 1.0, base, &var, samples, seed, Some(&manifest)) {
+            Ok(o) => o,
+            Err(e) => {
+                eprintln!("sweep failed: {e}");
+                std::process::exit(2);
+            }
+        };
 
     let mut rows = Vec::with_capacity(samples);
     let mut failed = 0usize;

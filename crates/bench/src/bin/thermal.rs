@@ -9,7 +9,8 @@
 
 use sfet_bench::{banner, save_rows};
 use sfet_devices::ptm::PtmParams;
-use softfet::design_space::temperature_sweep;
+use sfet_numeric::exec::ExecConfig;
+use softfet::design_space::temperature_sweep_with;
 use softfet::report::{fmt_pct, fmt_si, Table};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -19,7 +20,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     let base = PtmParams::vo2_default();
     let points = [0.0, 25.0, 40.0, 50.0, 60.0, 65.0];
-    let sweep = temperature_sweep(1.0, base, &points)?;
+    let sweep = temperature_sweep_with(&ExecConfig::from_env(), 1.0, base, &points)?;
 
     let mut table = Table::new(&[
         "ambient",

@@ -5,8 +5,9 @@
 //! sweep produces bitwise-identical results at any worker count (including
 //! serial), honours the `SFET_THREADS` override, and cancels on the first
 //! failing point, reporting it as [`SoftFetError::Sweep`] with the
-//! offending parameters. Each public sweep has a `*_with` variant taking an
-//! explicit [`ExecConfig`]; the plain variant uses [`ExecConfig::from_env`].
+//! offending parameters. Each sweep is one function taking an explicit
+//! [`ExecConfig`]; pass [`ExecConfig::from_env`] for the environment's
+//! policy.
 //!
 //! Single-transient sweeps (the V_IMT × V_MIT grid and the T_PTM sweep)
 //! additionally tile their points into structure-of-arrays lanes and run
@@ -21,7 +22,7 @@ use crate::metrics::{
 use crate::Result;
 use crate::SoftFetError;
 use sfet_devices::ptm::PtmParams;
-use sfet_numeric::exec::{self, ExecConfig, ExecStats};
+use sfet_numeric::exec::{self, ExecConfig, ExecStats, Task};
 use sfet_sim::SimOptions;
 
 /// One point of the V_IMT × V_MIT grid (Fig. 6).
@@ -94,11 +95,13 @@ where
     F: Fn(usize, &T) -> Result<U> + Sync,
     D: Fn(&T) -> String,
 {
-    exec::par_map(cfg, items, task).map_err(|e| SoftFetError::Sweep {
-        index: e.index,
-        context: describe(&items[e.index]),
-        source: Box::new(e.source),
-    })
+    exec::par_map(cfg, items, Task::Each(&|i, _, item| task(i, item)))
+        .map(|(values, _)| values)
+        .map_err(|e| SoftFetError::Sweep {
+            index: e.index,
+            context: describe(&items[e.index]),
+            source: Box::new(e.source),
+        })
 }
 
 /// Measures a Soft-FET inverter for one PTM parameter set at the paper's
@@ -131,10 +134,10 @@ where
     S: Fn(&T) -> InverterSpec + Sync,
     P: Fn(&T, &InverterMetrics) -> U + Sync,
 {
-    let (result, stats) = exec::par_map_batched_with_stats(cfg, items, |_start, tile| {
+    let tile = |_attempt, tile: &[(usize, &T)]| {
         let lanes: Vec<(InverterSpec, SimOptions)> = tile
             .iter()
-            .map(|item| {
+            .map(|(_, item)| {
                 let spec = spec_of(item);
                 let opts = inverter_sim_options(&spec);
                 (spec, opts)
@@ -144,19 +147,21 @@ where
         measure_inverter_batch(&refs)
             .into_iter()
             .zip(tile)
-            .map(|(r, item)| r.map(|m| point_of(item, &m)))
+            .map(|(r, (_, item))| r.map(|m| point_of(item, &m)))
             .collect()
-    });
-    let points = result.map_err(|e| SoftFetError::Sweep {
+    };
+    exec::par_map(cfg, items, Task::Tiled(&tile)).map_err(|e| SoftFetError::Sweep {
         index: e.index,
         context: describe(&items[e.index]),
         source: Box::new(e.source),
-    })?;
-    Ok((points, stats))
+    })
 }
 
-/// Sweeps the V_IMT × V_MIT grid (Fig. 6). Grid points with
-/// `v_mit >= v_imt` are physically impossible and are skipped.
+/// Sweeps the V_IMT × V_MIT grid (Fig. 6), returning the points with the
+/// engine statistics the figure binaries print. Grid points with
+/// `v_mit >= v_imt` are physically impossible and are skipped. Runs
+/// through the batched structure-of-arrays engine (docs/BATCHING.md); all
+/// [`ExecStats`] counts stay per-*point*, not per-tile.
 ///
 /// # Errors
 ///
@@ -165,7 +170,10 @@ where
 /// # Example
 ///
 /// ```no_run
-/// let pts = softfet::design_space::vimt_vmit_grid(
+/// use sfet_numeric::exec::ExecConfig;
+///
+/// let (pts, _stats) = softfet::design_space::vimt_vmit_grid_with(
+///     &ExecConfig::from_env(),
 ///     1.0,
 ///     sfet_devices::ptm::PtmParams::vo2_default(),
 ///     &[0.3, 0.4, 0.5],
@@ -174,39 +182,7 @@ where
 /// assert_eq!(pts.len(), 3);
 /// # Ok::<(), softfet::SoftFetError>(())
 /// ```
-pub fn vimt_vmit_grid(
-    vdd: f64,
-    base: PtmParams,
-    v_imts: &[f64],
-    v_mits: &[f64],
-) -> Result<Vec<GridPoint>> {
-    vimt_vmit_grid_with(&ExecConfig::from_env(), vdd, base, v_imts, v_mits)
-}
-
-/// [`vimt_vmit_grid`] with an explicit execution policy.
-///
-/// # Errors
-///
-/// Propagates the first simulation failure as [`SoftFetError::Sweep`].
 pub fn vimt_vmit_grid_with(
-    cfg: &ExecConfig,
-    vdd: f64,
-    base: PtmParams,
-    v_imts: &[f64],
-    v_mits: &[f64],
-) -> Result<Vec<GridPoint>> {
-    vimt_vmit_grid_stats(cfg, vdd, base, v_imts, v_mits).map(|(points, _)| points)
-}
-
-/// [`vimt_vmit_grid`] variant that also reports engine statistics, for the
-/// figure binaries. Runs through the batched structure-of-arrays engine
-/// (docs/BATCHING.md); all [`ExecStats`] counts stay per-*point*, not
-/// per-tile.
-///
-/// # Errors
-///
-/// Propagates the first simulation failure as [`SoftFetError::Sweep`].
-pub fn vimt_vmit_grid_stats(
     cfg: &ExecConfig,
     vdd: f64,
     base: PtmParams,
@@ -239,16 +215,7 @@ pub fn vimt_vmit_grid_stats(
     )
 }
 
-/// Sweeps the intrinsic switching time T_PTM (Fig. 8).
-///
-/// # Errors
-///
-/// Propagates the first simulation failure as [`SoftFetError::Sweep`].
-pub fn tptm_sweep(vdd: f64, base: PtmParams, t_ptms: &[f64]) -> Result<Vec<TptmPoint>> {
-    tptm_sweep_with(&ExecConfig::from_env(), vdd, base, t_ptms)
-}
-
-/// [`tptm_sweep`] with an explicit execution policy. Runs through the
+/// Sweeps the intrinsic switching time T_PTM (Fig. 8). Runs through the
 /// batched structure-of-arrays engine (docs/BATCHING.md).
 ///
 /// # Errors
@@ -277,18 +244,9 @@ pub fn tptm_sweep_with(
 }
 
 /// Sweeps the input slew (Fig. 9), measuring Soft-FET and baseline at each
-/// point so the percentage reduction is slew-consistent.
-///
-/// # Errors
-///
-/// Propagates the first simulation failure as [`SoftFetError::Sweep`].
-pub fn slew_sweep(vdd: f64, ptm: PtmParams, t_rises: &[f64]) -> Result<Vec<SlewPoint>> {
-    slew_sweep_with(&ExecConfig::from_env(), vdd, ptm, t_rises)
-}
-
-/// [`slew_sweep`] with an explicit execution policy. Stays on the scalar
-/// engine: each task runs *two* transients (Soft-FET and baseline) with
-/// slew-dependent durations, which doesn't map onto fixed-shape lanes.
+/// point so the percentage reduction is slew-consistent. Each task runs
+/// *two* transients with slew-dependent durations, which doesn't map onto
+/// fixed-shape lanes, so the sweep runs per item.
 ///
 /// # Errors
 ///
@@ -352,19 +310,6 @@ pub struct OptimalVimtPoint {
 /// # Errors
 ///
 /// Propagates the first simulation failure as [`SoftFetError::Sweep`].
-pub fn optimal_vimt_vs_vcc(
-    base: PtmParams,
-    vdds: &[f64],
-    vimt_fractions: &[f64],
-) -> Result<Vec<OptimalVimtPoint>> {
-    optimal_vimt_vs_vcc_with(&ExecConfig::from_env(), base, vdds, vimt_fractions)
-}
-
-/// [`optimal_vimt_vs_vcc`] with an explicit execution policy.
-///
-/// # Errors
-///
-/// Propagates the first simulation failure as [`SoftFetError::Sweep`].
 pub fn optimal_vimt_vs_vcc_with(
     cfg: &ExecConfig,
     base: PtmParams,
@@ -421,19 +366,6 @@ pub struct TemperaturePoint {
 /// # Errors
 ///
 /// Propagates the first simulation failure as [`SoftFetError::Sweep`].
-pub fn temperature_sweep(
-    vdd: f64,
-    base: PtmParams,
-    celsius_points: &[f64],
-) -> Result<Vec<TemperaturePoint>> {
-    temperature_sweep_with(&ExecConfig::from_env(), vdd, base, celsius_points)
-}
-
-/// [`temperature_sweep`] with an explicit execution policy.
-///
-/// # Errors
-///
-/// Propagates the first simulation failure as [`SoftFetError::Sweep`].
 pub fn temperature_sweep_with(
     cfg: &ExecConfig,
     vdd: f64,
@@ -464,7 +396,14 @@ mod tests {
 
     #[test]
     fn grid_skips_impossible_combos() {
-        let pts = vimt_vmit_grid(1.0, PtmParams::vo2_default(), &[0.3], &[0.1, 0.3, 0.5]).unwrap();
+        let (pts, _) = vimt_vmit_grid_with(
+            &ExecConfig::from_env(),
+            1.0,
+            PtmParams::vo2_default(),
+            &[0.3],
+            &[0.1, 0.3, 0.5],
+        )
+        .unwrap();
         // Only v_mit = 0.1 < v_imt = 0.3 survives.
         assert_eq!(pts.len(), 1);
         assert_eq!(pts[0].v_mit, 0.1);
@@ -474,8 +413,14 @@ mod tests {
     #[test]
     fn imax_dips_near_optimal_vimt() {
         // Fig. 6's headline: I_MAX(V_IMT=0.4) below both 0.25 and 0.55.
-        let pts =
-            vimt_vmit_grid(1.0, PtmParams::vo2_default(), &[0.25, 0.4, 0.55], &[0.1]).unwrap();
+        let (pts, _) = vimt_vmit_grid_with(
+            &ExecConfig::from_env(),
+            1.0,
+            PtmParams::vo2_default(),
+            &[0.25, 0.4, 0.55],
+            &[0.1],
+        )
+        .unwrap();
         let imax_of = |v: f64| {
             pts.iter()
                 .find(|p| (p.v_imt - v).abs() < 1e-9)
@@ -491,8 +436,13 @@ mod tests {
     fn optimal_vimt_tracks_vcc() {
         // The optimum V_IMT moves down with V_CC (paper §IV-E: "strong
         // function of V_CC").
-        let pts = optimal_vimt_vs_vcc(PtmParams::vo2_default(), &[0.7, 1.0], &[0.3, 0.4, 0.5, 0.6])
-            .unwrap();
+        let pts = optimal_vimt_vs_vcc_with(
+            &ExecConfig::from_env(),
+            PtmParams::vo2_default(),
+            &[0.7, 1.0],
+            &[0.3, 0.4, 0.5, 0.6],
+        )
+        .unwrap();
         assert!(pts[0].best_v_imt <= pts[1].best_v_imt + 1e-9);
         // And at the per-V_CC optimum the Soft-FET beats baseline at both
         // supplies.
@@ -510,7 +460,13 @@ mod tests {
     #[test]
     fn slew_sweep_benefit_shrinks_for_slow_edges() {
         // Fig. 9: soft-switching benefit vanishes with decreasing slew rate.
-        let pts = slew_sweep(1.0, PtmParams::vo2_default(), &[30e-12, 600e-12]).unwrap();
+        let pts = slew_sweep_with(
+            &ExecConfig::from_env(),
+            1.0,
+            PtmParams::vo2_default(),
+            &[30e-12, 600e-12],
+        )
+        .unwrap();
         assert!(
             pts[0].reduction_pct > pts[1].reduction_pct,
             "fast {:.1}% vs slow {:.1}%",
@@ -523,8 +479,13 @@ mod tests {
     fn invalid_point_reports_sweep_context() {
         // A non-physical PTM (t_ptm <= 0) fails validation inside the sweep;
         // the error must carry the task index and the parameters.
-        let err = tptm_sweep(1.0, PtmParams::vo2_default(), &[10e-12, -1.0])
-            .expect_err("negative t_ptm must fail");
+        let err = tptm_sweep_with(
+            &ExecConfig::from_env(),
+            1.0,
+            PtmParams::vo2_default(),
+            &[10e-12, -1.0],
+        )
+        .expect_err("negative t_ptm must fail");
         match err {
             SoftFetError::Sweep { index, context, .. } => {
                 assert_eq!(index, 1);
@@ -536,7 +497,7 @@ mod tests {
 
     #[test]
     fn grid_stats_cover_all_points() {
-        let (pts, stats) = vimt_vmit_grid_stats(
+        let (pts, stats) = vimt_vmit_grid_with(
             &ExecConfig::with_workers(2),
             1.0,
             PtmParams::vo2_default(),
@@ -557,7 +518,13 @@ mod temperature_tests {
 
     #[test]
     fn benefit_erodes_near_transition_temperature() {
-        let pts = temperature_sweep(1.0, PtmParams::vo2_default(), &[25.0, 45.0, 62.0]).unwrap();
+        let pts = temperature_sweep_with(
+            &ExecConfig::from_env(),
+            1.0,
+            PtmParams::vo2_default(),
+            &[25.0, 45.0, 62.0],
+        )
+        .unwrap();
         // Nominal ambient keeps the headline benefit.
         assert!(
             pts[0].reduction_pct > 40.0,

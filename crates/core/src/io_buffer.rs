@@ -74,19 +74,6 @@ pub fn compare_io_buffer(
 /// # Errors
 ///
 /// Propagates simulation failures as [`crate::SoftFetError::Sweep`].
-pub fn ssn_vs_slew(
-    scenario: &IoBufferScenario,
-    logic_ptm: PtmParams,
-    input_rises: &[f64],
-) -> Result<Vec<SsnVsSlewPoint>> {
-    ssn_vs_slew_with(&ExecConfig::from_env(), scenario, logic_ptm, input_rises)
-}
-
-/// [`ssn_vs_slew`] with an explicit execution policy.
-///
-/// # Errors
-///
-/// Propagates simulation failures as [`crate::SoftFetError::Sweep`].
 pub fn ssn_vs_slew_with(
     cfg: &ExecConfig,
     scenario: &IoBufferScenario,

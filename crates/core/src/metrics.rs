@@ -5,8 +5,9 @@
 //! propagation delay, and the total/output/short-circuit charge split.
 
 use crate::inverter::{Edge, InverterSpec, Topology};
-use crate::Result;
-use sfet_sim::{transient, transient_batch, BatchSpec, SimOptions, TranResult};
+use crate::{Result, SoftFetError};
+use sfet_numeric::exec::ExecConfig;
+use sfet_sim::{transient, transient_batch, BatchSpec, SimError, SimOptions, TranResult};
 use sfet_waveform::measure::{charge_split, max_abs_didt, propagation_delay};
 use sfet_waveform::Waveform;
 
@@ -76,7 +77,7 @@ pub fn run_inverter_with(spec: &InverterSpec, opts: &SimOptions) -> Result<TranR
 ///
 /// Propagates simulation failures; measurement failures (e.g. an output
 /// that never switches) surface as
-/// [`SoftFetError::Waveform`](crate::SoftFetError::Waveform).
+/// [`SoftFetError::Waveform`].
 ///
 /// # Example
 ///
@@ -144,6 +145,51 @@ pub fn measure_inverter_batch(
     }
     out.into_iter()
         .map(|o| o.expect("every lane is either built or failed"))
+        .collect()
+}
+
+/// The fault-aware inverter-lane tile task that the Monte-Carlo and
+/// optimizer sweeps share (a [`sfet_numeric::exec::Task::Tiled`] body):
+/// measures attempt `attempt` of the `(index, spec)` lanes as one batch,
+/// on the [`SimOptions::escalated`] rung of that attempt (attempt 0 runs
+/// the nominal [`inverter_sim_options`]). A lane whose index the
+/// [`ExecConfig::fault_plan`] fails at this attempt (`task@IxN`) reports an
+/// injected non-convergence without simulating; its siblings are
+/// unaffected. Callers project and validate the metrics themselves.
+pub fn measure_inverter_lanes(
+    cfg: &ExecConfig,
+    attempt: usize,
+    lanes: &[(usize, &InverterSpec)],
+) -> Vec<Result<InverterMetrics>> {
+    let faulted = |index| {
+        cfg.fault_plan()
+            .is_some_and(|p| p.fail_task(index, attempt))
+    };
+    let opts: Vec<SimOptions> = lanes
+        .iter()
+        .map(|(_, spec)| inverter_sim_options(spec).escalated(attempt))
+        .collect();
+    let live: Vec<(&InverterSpec, &SimOptions)> = lanes
+        .iter()
+        .zip(&opts)
+        .filter(|((index, _), _)| !faulted(*index))
+        .map(|(&(_, spec), o)| (spec, o))
+        .collect();
+    let mut measured = measure_inverter_batch(&live).into_iter();
+    lanes
+        .iter()
+        .map(|&(index, _)| {
+            if faulted(index) {
+                Err(SoftFetError::Sim(SimError::NonConvergence {
+                    time: 0.0,
+                    dt: 0.0,
+                    residual: f64::INFINITY,
+                    unknown: Some("<injected task fault>".into()),
+                }))
+            } else {
+                measured.next().expect("one measurement per live lane")
+            }
+        })
         .collect()
 }
 

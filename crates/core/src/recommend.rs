@@ -5,11 +5,12 @@
 //! module sweeps that ratio (by varying T_PTM under a fixed input edge)
 //! and reports where the benefit actually peaks.
 
-use crate::design_space::tptm_sweep;
+use crate::design_space::tptm_sweep_with;
 use crate::inverter::{InverterSpec, Topology};
 use crate::metrics::measure_inverter;
 use crate::Result;
 use sfet_devices::ptm::PtmParams;
+use sfet_numeric::exec::ExecConfig;
 
 /// The paper's recommended slew-time : T_PTM ratio band.
 pub const RECOMMENDED_RATIO: (f64, f64) = (1.5, 3.0);
@@ -55,7 +56,7 @@ pub fn ratio_sweep(
         measure_inverter(&InverterSpec::minimum(vdd, Topology::Baseline).with_t_rise(t_rise))?
             .i_max;
     let t_ptms: Vec<f64> = ratios.iter().map(|r| t_rise / r).collect();
-    let sweep = tptm_sweep(vdd, base, &t_ptms)?;
+    let sweep = tptm_sweep_with(&ExecConfig::from_env(), vdd, base, &t_ptms)?;
     Ok(sweep
         .iter()
         .zip(ratios)

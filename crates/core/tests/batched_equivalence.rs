@@ -1,7 +1,7 @@
 //! Differential-testing harness gating scalar/batched equivalence.
 //!
 //! The batched structure-of-arrays engine ([`sfet_sim::transient_batch`]
-//! and the `par_map_batched*` sweep entry points it plugs into) promises
+//! and the tiled sweeps of `sfet_numeric::exec` it plugs into) promises
 //! **bitwise identity** with the scalar path: every lane executes the same
 //! sequence of floating-point operations as its scalar twin, for any lane
 //! width, worker count, tiling, or co-resident lane behaviour — including
@@ -33,7 +33,7 @@ use sfet_pdn::PdnGrid;
 use sfet_sim::{transient, transient_batch, BatchSpec, SimOptions, SolverPolicy, TranResult};
 use sfet_telemetry::{names, SharedAggregator, Telemetry};
 use sfet_verify::analytic::catalog;
-use softfet::design_space::{vimt_vmit_grid_stats, vimt_vmit_grid_with};
+use softfet::design_space::vimt_vmit_grid_with;
 use softfet::inverter::{InverterSpec, Topology};
 use softfet::metrics::measure_inverter;
 use softfet::variation::{
@@ -326,10 +326,11 @@ fn grid_sweep_invariant_across_widths() {
         &v_imts,
         &v_mits,
     )
-    .unwrap();
+    .unwrap()
+    .0;
     for (workers, batch) in [(2, 2), (2, 8), (1, 3)] {
         let cfg = ExecConfig::with_workers(workers).with_batch(batch);
-        let pts = vimt_vmit_grid_with(&cfg, 1.0, base, &v_imts, &v_mits).unwrap();
+        let (pts, _) = vimt_vmit_grid_with(&cfg, 1.0, base, &v_imts, &v_mits).unwrap();
         assert_eq!(
             pts, reference,
             "grid points must be invariant at workers={workers}, batch={batch}"
@@ -357,7 +358,7 @@ fn batched_outcomes_fail_lanes_alone_with_scalar_attempt_counts() {
         .with_retries(1)
         .with_fault_plan(plan)
         .with_telemetry(Telemetry::new(agg.clone()));
-    let outcomes = monte_carlo_imax_outcomes(&cfg, 1.0, base, &var, 8, 123);
+    let outcomes = monte_carlo_imax_outcomes(&cfg, 1.0, base, &var, 8, 123, None).unwrap();
     assert_eq!(outcomes.len(), 8);
     assert!(outcomes[1].is_ok() && outcomes[1].attempts() == 2);
     assert!(outcomes[5].is_ok() && outcomes[5].attempts() == 2);
@@ -370,8 +371,16 @@ fn batched_outcomes_fail_lanes_alone_with_scalar_attempt_counts() {
     }
     // Lanes untouched by the plan are bitwise identical to a fault-free
     // serial (and batch-free) sweep.
-    let clean =
-        monte_carlo_imax_outcomes(&ExecConfig::serial().with_batch(1), 1.0, base, &var, 8, 123);
+    let clean = monte_carlo_imax_outcomes(
+        &ExecConfig::serial().with_batch(1),
+        1.0,
+        base,
+        &var,
+        8,
+        123,
+        None,
+    )
+    .unwrap();
     for i in [0usize, 2, 4, 6, 7] {
         assert_eq!(
             outcomes[i].value().unwrap().to_bits(),
@@ -396,7 +405,7 @@ fn grid_stats_and_telemetry_count_tasks_not_tiles() {
     let run = |cfg: &ExecConfig| {
         let agg = SharedAggregator::new();
         let cfg = cfg.clone().with_telemetry(Telemetry::new(agg.clone()));
-        let (pts, stats) = vimt_vmit_grid_stats(&cfg, 1.0, base, &v_imts, &v_mits).unwrap();
+        let (pts, stats) = vimt_vmit_grid_with(&cfg, 1.0, base, &v_imts, &v_mits).unwrap();
         assert_eq!(pts.len(), 3);
         (agg.snapshot(), stats)
     };

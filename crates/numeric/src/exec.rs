@@ -3,23 +3,36 @@
 //! Every headline figure of the paper is a parameter sweep or Monte-Carlo
 //! population: embarrassingly parallel, but only useful for regression work
 //! if the parallel run is **bitwise identical** to the serial one. This
-//! module is the single execution substrate all sweeps route through:
+//! module is the single execution substrate all sweeps route through: one
+//! private tile scheduler behind two entry points, one per failure
+//! contract.
 //!
-//! * [`par_map`] — order-preserving map over scoped threads. Workers claim
-//!   chunks of the index space from a shared atomic cursor (chunked
-//!   self-scheduling), and each task writes its result into its own
-//!   pre-allocated slot — no lock around the results, no allocation in the
-//!   hot loop, and the output order never depends on thread scheduling.
-//! * **Cancel-on-first-error** — the first task failure flips a shared flag;
-//!   workers stop claiming work, and the error is reported as a
+//! * [`par_map`] — one attempt per task, and the first failure cancels the
+//!   rest: workers stop claiming work, and the error is reported as a
 //!   [`TaskError`] carrying the offending task index.
-//! * **Determinism** — a task's result depends only on `(index, item)`.
-//!   Randomised tasks derive their RNG stream from
-//!   [`task_seed`]`(base_seed, index)` (SplitMix64), never from shared
-//!   mutable state, so any worker count produces identical bits.
-//! * **Instrumentation** — [`par_map_with_stats`] reports tasks completed,
-//!   wall time, and worker utilization ([`ExecStats`]); [`ExecConfig`] takes
-//!   an optional progress callback.
+//! * [`par_map_outcomes`] — every task runs to a verdict
+//!   ([`SweepOutcome`]) under the [`ExecConfig::with_retries`] budget,
+//!   optionally journalled to a manifest ([`crate::manifest::Journal`]) so
+//!   a killed sweep resumes where it stopped.
+//!
+//! Each takes a [`Task`]: per item ([`Task::Each`], a tile of width 1) or
+//! tiled ([`Task::Tiled`]), whose first attempts run
+//! [`ExecConfig::resolved_batch`] lanes at a time and whose retries run
+//! one item at a time. Each reports [`ExecStats`] with its values.
+//!
+//! * **Scheduling** — tasks are cut into tiles in input order; workers
+//!   claim tiles from a shared atomic cursor (per-item sweeps claim runs of
+//!   tiles, see [`ExecConfig::with_chunk`]), and each lane writes its
+//!   result into its own pre-allocated slot — no lock around the results,
+//!   and the output order never depends on thread scheduling.
+//! * **Determinism** — a task's result depends only on
+//!   `(index, attempt, item)`. Randomised tasks derive their RNG stream
+//!   from [`task_seed`]`(base_seed, index)` (SplitMix64), never from shared
+//!   mutable state, so any worker count produces identical bits; tiling is
+//!   a fixed function of the task count and lane width.
+//! * **Instrumentation** — [`ExecStats`] reports tasks completed, wall
+//!   time, and worker utilization; [`ExecConfig`] takes an optional
+//!   progress callback and a telemetry handle.
 //!
 //! The worker count defaults to the machine's parallelism and can be pinned
 //! with the `SFET_THREADS` environment variable (or per-call with
@@ -28,22 +41,26 @@
 //! # Example
 //!
 //! ```
-//! use sfet_numeric::exec::{par_map, ExecConfig};
+//! use sfet_numeric::exec::{par_map, ExecConfig, Task};
 //!
-//! let squares = par_map(&ExecConfig::from_env(), &[1u64, 2, 3, 4], |_, &x| {
-//!     Ok::<_, std::convert::Infallible>(x * x)
-//! })
+//! let (squares, stats) = par_map(
+//!     &ExecConfig::from_env(),
+//!     &[1u64, 2, 3, 4],
+//!     Task::Each(&|_, _, &x| Ok::<_, std::convert::Infallible>(x * x)),
+//! )
 //! .unwrap();
 //! assert_eq!(squares, vec![1, 4, 9, 16]);
+//! assert_eq!(stats.tasks_completed, 4);
 //! ```
 
 use std::cell::UnsafeCell;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Once};
+use std::sync::{Arc, Once, OnceLock};
 use std::time::{Duration, Instant};
 
 use crate::fault::FaultPlan;
+use crate::manifest::{Journal, ManifestError};
 use sfet_telemetry::{names, Level, Telemetry};
 
 /// Environment variable overriding the worker count for all sweeps.
@@ -58,28 +75,36 @@ pub const BATCH_ENV: &str = "SFET_BATCH";
 /// working set cache-resident for cell-level circuits.
 const DEFAULT_BATCH: usize = 8;
 
-/// Progress callback: `(tasks_completed, tasks_total)`. Called after every
-/// completed task, possibly from several worker threads at once.
+/// Progress callback: `(tasks_completed, tasks_total)`. Called once per
+/// task after its verdict, possibly from several worker threads at once.
 pub type ProgressFn = dyn Fn(usize, usize) + Send + Sync;
 
-/// Execution policy for [`par_map`]: worker count, chunking, and optional
-/// progress reporting. Cheap to clone.
+/// The body of a [`Task::Each`]: `(index, attempt, &item)`.
+pub type EachFn<'a, T, U, E> = dyn Fn(usize, usize, &T) -> Result<U, E> + Sync + 'a;
+
+/// The body of a [`Task::Tiled`]: `(attempt, lanes)` over
+/// `(input index, &item)` lanes, one result per lane in lane order.
+pub type TileFn<'a, T, U, E> = dyn Fn(usize, &[(usize, &T)]) -> Vec<Result<U, E>> + Sync + 'a;
+
+/// Execution policy for [`par_map`] and [`par_map_outcomes`]: worker
+/// count, chunking, lane width, retries, and optional progress reporting.
+/// Cheap to clone.
 #[derive(Clone, Default)]
 pub struct ExecConfig {
     workers: Option<usize>,
     chunk: Option<usize>,
     progress: Option<Arc<ProgressFn>>,
     telemetry: Telemetry,
-    /// Extra attempts granted to each task of an outcome-collecting sweep
-    /// (total attempts = `retries + 1`). Ignored by the cancel-on-first-error
+    /// Extra attempts granted to each task of a verdict sweep (total
+    /// attempts = `retries + 1`). Ignored by the cancel-on-first-error
     /// [`par_map`] entry point.
     retries: usize,
     /// Optional fault-injection plan, consulted by sweep *callers* to
     /// synthesise per-task failures (the engine itself stays generic over
     /// the error type).
     fault: Option<FaultPlan>,
-    /// Lane width for the batched entry points ([`par_map_batched`]);
-    /// `None` resolves to the default. Ignored by the scalar entry points.
+    /// Lane width of [`Task::Tiled`] sweeps; `None` resolves to the
+    /// default. Ignored by per-item sweeps.
     batch: Option<usize>,
 }
 
@@ -123,9 +148,11 @@ impl ExecConfig {
         Self::with_workers(1)
     }
 
-    /// Overrides the number of consecutive tasks a worker claims at once.
-    /// Larger chunks amortise scheduling for very cheap tasks; the default
-    /// balances load for simulation-sized tasks.
+    /// Overrides the number of consecutive tasks a worker of a per-item
+    /// ([`Task::Each`]) sweep claims at once. Larger chunks amortise
+    /// scheduling for very cheap tasks; the default balances load for
+    /// simulation-sized tasks. Tiled sweeps always claim one tile at a
+    /// time.
     pub fn with_chunk(mut self, chunk: usize) -> Self {
         self.chunk = Some(chunk.max(1));
         self
@@ -153,16 +180,16 @@ impl ExecConfig {
         &self.telemetry
     }
 
-    /// Grants each task of an outcome-collecting sweep up to `retries`
-    /// re-runs after a failure (so every task gets `retries + 1` attempts).
-    /// Only [`par_map_outcomes`] and the manifest-backed runner honour
-    /// this; [`par_map`] keeps its cancel-on-first-error contract.
+    /// Grants each task of a verdict sweep up to `retries` re-runs after a
+    /// failure (so every task gets `retries + 1` attempts). Only
+    /// [`par_map_outcomes`] honours this; [`par_map`] keeps its
+    /// cancel-on-first-error contract.
     pub fn with_retries(mut self, retries: usize) -> Self {
         self.retries = retries;
         self
     }
 
-    /// Total attempts each task of an outcome-collecting sweep receives.
+    /// Total attempts each task of a verdict sweep receives.
     pub fn max_attempts(&self) -> usize {
         self.retries + 1
     }
@@ -179,18 +206,18 @@ impl ExecConfig {
         self.fault.as_ref()
     }
 
-    /// Pins the lane width for the batched entry points (clamped to at
-    /// least 1). The result of a batched sweep never depends on the lane
-    /// width — only its throughput does — so this is a tuning knob, not a
-    /// semantic one.
+    /// Pins the lane width of [`Task::Tiled`] sweeps (clamped to at least
+    /// 1). The result of a tiled sweep never depends on the lane width —
+    /// only its throughput does — so this is a tuning knob, not a semantic
+    /// one.
     pub fn with_batch(mut self, batch: usize) -> Self {
         self.batch = Some(batch.max(1));
         self
     }
 
-    /// The lane width the batched entry points resolve to for `n_items`
-    /// tasks: the pinned/`SFET_BATCH` width if any, else the default,
-    /// clamped so a tile never exceeds the task count.
+    /// The lane width a tiled sweep of `n_items` tasks resolves to: the
+    /// pinned/`SFET_BATCH` width if any, else the default, clamped so a
+    /// tile never exceeds the task count.
     pub fn resolved_batch(&self, n_items: usize) -> usize {
         self.batch
             .unwrap_or(DEFAULT_BATCH)
@@ -316,7 +343,10 @@ impl<E: std::error::Error + 'static> std::error::Error for TaskError<E> {
     }
 }
 
-/// Instrumentation from one [`par_map_with_stats`] run.
+/// Instrumentation from one sweep. Counts are per *task*, never per tile:
+/// `tasks_total` is the number of tasks the sweep ran (a journalled sweep
+/// leaves out the ones it resumed), and `workers` resolves against that
+/// task count.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ExecStats {
     /// Tasks that ran to completion (success or failure).
@@ -366,76 +396,9 @@ fn splitmix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Order-preserving parallel map with cancel-on-first-error.
+/// Outcome of one task in a verdict sweep ([`par_map_outcomes`]).
 ///
-/// Applies `f(index, &item)` to every item and returns the results in input
-/// order. On the first task failure, remaining work is cancelled and the
-/// lowest-indexed error observed is returned. See the module docs for the
-/// determinism contract.
-///
-/// # Errors
-///
-/// The first (lowest-index) task error, wrapped in [`TaskError`].
-pub fn par_map<T, U, E, F>(config: &ExecConfig, items: &[T], f: F) -> Result<Vec<U>, TaskError<E>>
-where
-    T: Sync,
-    U: Send,
-    E: Send,
-    F: Fn(usize, &T) -> Result<U, E> + Sync,
-{
-    par_map_with_stats(config, items, f).0
-}
-
-/// [`par_map`] variant that also reports execution statistics, for the
-/// figure binaries and benchmarks.
-pub fn par_map_with_stats<T, U, E, F>(
-    config: &ExecConfig,
-    items: &[T],
-    f: F,
-) -> (Result<Vec<U>, TaskError<E>>, ExecStats)
-where
-    T: Sync,
-    U: Send,
-    E: Send,
-    F: Fn(usize, &T) -> Result<U, E> + Sync,
-{
-    let n = items.len();
-    let workers = config.resolved_workers(n);
-    let start = Instant::now();
-    let mut stats = ExecStats {
-        tasks_total: n,
-        workers,
-        ..Default::default()
-    };
-    if n == 0 {
-        stats.wall = start.elapsed();
-        return (Ok(Vec::new()), stats);
-    }
-
-    let span = config.telemetry.span(Level::Analysis, names::SPAN_PAR_MAP);
-    let (result, completed, busy) = if workers == 1 {
-        run_serial(config, items, &f)
-    } else {
-        run_parallel(config, items, &f, workers)
-    };
-    stats.tasks_completed = completed;
-    stats.busy = busy;
-    stats.wall = start.elapsed();
-    // Emitted post-join from this (the coordinator) thread only: the event
-    // sequence is identical for any worker count.
-    config
-        .telemetry
-        .counter(names::EXEC_TASKS_TOTAL, stats.tasks_total as u64);
-    config
-        .telemetry
-        .counter(names::EXEC_TASKS_COMPLETED, stats.tasks_completed as u64);
-    drop(span);
-    (result, stats)
-}
-
-/// Outcome of one task in a fault-tolerant (outcome-collecting) sweep.
-///
-/// Unlike [`par_map`]'s cancel-on-first-error contract, an outcome sweep
+/// Unlike [`par_map`]'s cancel-on-first-error contract, a verdict sweep
 /// always runs every task to a verdict: the result vector has one entry per
 /// input item, in input order, and failed tasks report how many attempts
 /// were spent and the error of the *last* attempt.
@@ -495,370 +458,310 @@ impl<U, E> SweepOutcome<U, E> {
     }
 }
 
-/// Fault-tolerant, order-preserving parallel map: every task runs to a
-/// verdict (no cancellation), failures are retried up to the configured
-/// budget ([`ExecConfig::with_retries`]), and partial results are collected
-/// as [`SweepOutcome`]s instead of aborting the sweep.
+/// The work of one sweep, in one of two shapes. Both see the attempt
+/// number (counting from 0), so a retry can escalate its solver options;
+/// [`par_map`] only ever runs attempt 0.
 ///
-/// The task closure receives `(index, attempt, &item)` with `attempt`
-/// counting from 0, so callers can escalate their solver options on each
-/// retry. Determinism contract: a task's result must depend only on
-/// `(index, attempt, item)` — retries re-run on whichever worker claimed
-/// the task, and the outcome vector is identical for any worker count.
-///
-/// Telemetry: in addition to the `exec.par_map` span and task counters,
-/// one `exec.task.retried` counter is emitted (coordinator thread, post
-/// join) with the total number of retry attempts spent across the sweep.
-pub fn par_map_outcomes<T, U, E, F>(
-    config: &ExecConfig,
-    items: &[T],
-    f: F,
-) -> Vec<SweepOutcome<U, E>>
-where
-    T: Sync,
-    U: Send,
-    E: Send,
-    F: Fn(usize, usize, &T) -> Result<U, E> + Sync,
-{
-    let retried = AtomicU64::new(0);
-    let max_attempts = config.max_attempts();
-    let result = par_map(config, items, |index, item| {
-        let mut attempt = 0;
-        loop {
-            match f(index, attempt, item) {
-                Ok(value) => {
-                    return Ok::<_, std::convert::Infallible>(SweepOutcome::Ok {
-                        value,
-                        attempts: attempt + 1,
-                    })
-                }
-                Err(error) if attempt + 1 >= max_attempts => {
-                    return Ok(SweepOutcome::Failed {
-                        attempts: attempt + 1,
-                        error,
-                    })
-                }
-                Err(_) => {
-                    retried.fetch_add(1, Ordering::Relaxed);
-                    attempt += 1;
-                }
+/// Determinism contract: a task's result must depend only on
+/// `(index, attempt, item)` — never on which lanes share its tile — so a
+/// sweep's values are identical for any worker count and lane width.
+pub enum Task<'a, T, U, E> {
+    /// `f(index, attempt, &item)`, one item at a time: a tile of width 1.
+    Each(&'a EachFn<'a, T, U, E>),
+    /// `f(attempt, lanes)` over `(input index, &item)` lanes, returning one
+    /// result per lane in lane order. First attempts get up to
+    /// [`ExecConfig::resolved_batch`] lanes; retries get one. The indices
+    /// of a tile need not be contiguous (a resumed journal runs only its
+    /// pending tasks).
+    Tiled(&'a TileFn<'a, T, U, E>),
+}
+
+impl<T, U, E> Task<'_, T, U, E> {
+    fn is_tiled(&self) -> bool {
+        matches!(self, Task::Tiled(_))
+    }
+
+    /// Runs attempt `attempt` of the tasks at input indices `lanes`.
+    fn run(&self, attempt: usize, items: &[T], lanes: &[usize]) -> Vec<Result<U, E>> {
+        match self {
+            Task::Each(f) => lanes.iter().map(|&i| f(i, attempt, &items[i])).collect(),
+            Task::Tiled(f) => {
+                let tile: Vec<(usize, &T)> = lanes.iter().map(|&i| (i, &items[i])).collect();
+                let results = f(attempt, &tile);
+                assert_eq!(
+                    results.len(),
+                    lanes.len(),
+                    "a tiled task must return one result per lane"
+                );
+                results
             }
         }
-    });
-    config
-        .telemetry
-        .counter(names::EXEC_TASKS_RETRIED, retried.load(Ordering::Relaxed));
-    match result {
-        Ok(outcomes) => outcomes,
-        Err(e) => match e.source {},
     }
 }
 
-/// Splits `items` into `width`-sized tiles tagged with the input index of
-/// their first task. Tiling is a fixed function of `(len, width)` — never
-/// of the worker count — which is what keeps batched sweeps deterministic.
-fn tiles_of<T>(items: &[T], width: usize) -> Vec<(usize, &[T])> {
-    items
-        .chunks(width)
-        .enumerate()
-        .map(|(t, chunk)| (t * width, chunk))
-        .collect()
-}
-
-/// Strips an [`ExecConfig`] down to a silent inner scheduler for tile
-/// dispatch: the batched coordinator owns all telemetry and progress so
-/// counters stay per-*task* (not per-tile) and the event stream matches a
-/// scalar sweep's.
-fn tile_scheduler(workers: usize) -> ExecConfig {
-    ExecConfig {
-        workers: Some(workers),
-        chunk: Some(1),
-        ..Default::default()
-    }
-}
-
-/// Order-preserving **batched** parallel map with cancel-on-first-error.
+/// Order-preserving parallel map with cancel-on-first-error: runs attempt
+/// 0 of `task` on every item and returns the values in input order, with
+/// the run's [`ExecStats`]. The first failure stops workers from claiming
+/// more work. See the module docs for the determinism contract.
 ///
-/// Tasks are tiled into lanes of [`ExecConfig::resolved_batch`] width and
-/// each tile is handed to `f(start_index, lanes)`, which must return one
-/// `Result` per lane, in lane order. Results come back flattened in input
-/// order; on a lane failure the sweep cancels and reports the lowest
-/// failing *task* (not tile) index. The tiling is a fixed function of the
-/// item count and lane width, so per-task seeding via [`task_seed`] and
-/// the serial/parallel determinism contract carry over unchanged.
-///
-/// Telemetry matches [`par_map`] (`exec.par_map` span, per-task
-/// `exec.tasks_total` / `exec.tasks_completed`), plus the batch-shape
-/// counters `exec.batch.tiles` and `exec.batch.width`.
+/// Telemetry: one `exec.par_map` span holding the `exec.tasks_total` and
+/// `exec.tasks_completed` counters (plus `exec.batch.tiles` and
+/// `exec.batch.width` for a tiled task), all emitted from the calling
+/// thread after the join.
 ///
 /// # Errors
 ///
-/// The lowest-indexed lane error observed, wrapped in [`TaskError`] with
+/// The lowest-indexed task error observed, wrapped in [`TaskError`] with
 /// the task's input index.
-pub fn par_map_batched<T, U, E, F>(
+pub fn par_map<T, U, E>(
     config: &ExecConfig,
     items: &[T],
-    f: F,
-) -> Result<Vec<U>, TaskError<E>>
+    task: Task<'_, T, U, E>,
+) -> Result<(Vec<U>, ExecStats), TaskError<E>>
 where
     T: Sync,
     U: Send,
     E: Send,
-    F: Fn(usize, &[T]) -> Vec<Result<U, E>> + Sync,
 {
-    par_map_batched_with_stats(config, items, f).0
+    let pending: Vec<usize> = (0..items.len()).collect();
+    let (slots, stats) = schedule(config, items.len(), &pending, task.is_tiled(), |lanes| {
+        let results = task.run(0, items, lanes);
+        let failed = results.iter().any(Result::is_err);
+        (results, failed)
+    });
+    let mut values = Vec::with_capacity(items.len());
+    for (index, slot) in slots.into_iter().enumerate() {
+        match slot {
+            Some(Ok(value)) => values.push(value),
+            // The lowest-indexed error: with ascending claims it is always
+            // one a serial run could also have hit.
+            Some(Err(source)) => return Err(TaskError { index, source }),
+            // A task the cancellation skipped; an error follows it.
+            None => {}
+        }
+    }
+    Ok((values, stats))
 }
 
-/// [`par_map_batched`] variant that also reports execution statistics.
-/// All [`ExecStats`] counts are per-*task*, exactly like the scalar
-/// [`par_map_with_stats`]: `tasks_total` is the item count (not the tile
-/// count) and `tasks_completed` counts lanes that ran to a verdict.
-pub fn par_map_batched_with_stats<T, U, E, F>(
+/// Fault-tolerant, order-preserving parallel map: every task runs to a
+/// verdict (no cancellation), failures are retried one item at a time up
+/// to the [`ExecConfig::with_retries`] budget, and partial results come
+/// back as [`SweepOutcome`]s with the run's [`ExecStats`].
+///
+/// With a `journal`, every tile's verdicts are appended to its manifest
+/// when the tile finishes (a crash loses at most one tile per worker), and
+/// a re-run skips every task whose success the manifest already holds: its
+/// value is decoded instead of recomputed. Failed or undecodable records
+/// re-run. Values stay bitwise identical to an uninterrupted run, by the
+/// determinism contract of [`Task`].
+///
+/// Telemetry: the [`par_map`] span and counters, then `exec.task.retried`
+/// (retry attempts spent), `exec.batch.lane_failures` for a tiled task
+/// (lanes that exhausted the budget), and `exec.tasks_resumed` for a
+/// journalled sweep (records decoded instead of run).
+///
+/// # Errors
+///
+/// [`ManifestError`] when the journal cannot be read, belongs to another
+/// sweep, or cannot be appended to. Task failures are *not* errors — they
+/// surface as [`SweepOutcome::Failed`] entries.
+pub fn par_map_outcomes<T, U, E>(
     config: &ExecConfig,
     items: &[T],
-    f: F,
-) -> (Result<Vec<U>, TaskError<E>>, ExecStats)
+    journal: Option<&Journal<'_, U>>,
+    task: Task<'_, T, U, E>,
+) -> Result<(Vec<SweepOutcome<U, E>>, ExecStats), ManifestError>
 where
     T: Sync,
     U: Send,
-    E: Send,
-    F: Fn(usize, &[T]) -> Vec<Result<U, E>> + Sync,
+    E: Send + fmt::Display,
 {
     let n = items.len();
-    let width = config.resolved_batch(n);
-    let tiles = tiles_of(items, width);
-    // Stats report the *task*-based worker resolution (scalar semantics) so
-    // a batched sweep's `ExecStats` is comparable with its scalar twin; the
-    // inner tile scheduler clamps to the tile count on its own.
-    let workers = config.resolved_workers(n);
-    let start = Instant::now();
-    let mut stats = ExecStats {
-        tasks_total: n,
-        workers,
-        ..Default::default()
+    let (manifest, mut outcomes) = match journal {
+        Some(journal) => {
+            let (manifest, resumed) = journal.open(n)?;
+            (Some((journal, manifest)), resumed)
+        }
+        None => (None, (0..n).map(|_| None).collect()),
     };
-    if n == 0 {
-        stats.wall = start.elapsed();
-        return (Ok(Vec::new()), stats);
-    }
-
-    let span = config.telemetry.span(Level::Analysis, names::SPAN_PAR_MAP);
-    let done = AtomicUsize::new(0);
-    let progress = config.progress.clone();
-    let (tile_result, inner_stats) = par_map_with_stats(
-        &tile_scheduler(workers),
-        &tiles,
-        |_tile, &(tile_start, lanes)| {
-            let results = f(tile_start, lanes);
-            assert_eq!(
-                results.len(),
-                lanes.len(),
-                "batch closure must return one result per lane"
-            );
-            let mut out = Vec::with_capacity(results.len());
-            let mut first_err: Option<(usize, E)> = None;
-            for (off, result) in results.into_iter().enumerate() {
-                let d = done.fetch_add(1, Ordering::Relaxed) + 1;
-                if let Some(p) = &progress {
-                    p(d, n);
-                }
-                match result {
-                    Ok(value) => out.push(value),
-                    Err(e) => {
-                        if first_err.is_none() {
-                            first_err = Some((tile_start + off, e));
-                        }
-                    }
-                }
-            }
-            match first_err {
-                None => Ok(out),
-                Some(err) => Err(err),
-            }
-        },
-    );
-    stats.tasks_completed = done.load(Ordering::Relaxed);
-    stats.busy = inner_stats.busy;
-    stats.wall = start.elapsed();
-    // Per-task counters from the coordinator thread, identical to a scalar
-    // sweep's, plus the batch-shape extras.
-    config
-        .telemetry
-        .counter(names::EXEC_TASKS_TOTAL, stats.tasks_total as u64);
-    config
-        .telemetry
-        .counter(names::EXEC_TASKS_COMPLETED, stats.tasks_completed as u64);
-    config
-        .telemetry
-        .counter(names::EXEC_BATCH_TILES, tiles.len() as u64);
-    config
-        .telemetry
-        .counter(names::EXEC_BATCH_WIDTH, width as u64);
-    drop(span);
-    let result = match tile_result {
-        Ok(chunks) => Ok(chunks.into_iter().flatten().collect()),
-        Err(TaskError {
-            source: (index, source),
-            ..
-        }) => Err(TaskError { index, source }),
-    };
-    (result, stats)
-}
-
-/// Fault-tolerant **batched** parallel map: the batched counterpart of
-/// [`par_map_outcomes`].
-///
-/// Each tile's first attempt runs through `batch(start_index, lanes)` (one
-/// `Result` per lane, attempt 0). Lanes that fail are retried *scalar* via
-/// `retry(index, attempt, &item)` with `attempt` counting from 1, up to the
-/// configured budget — so one stiff lane re-runs alone (typically with
-/// escalated solver options) without holding its tile's siblings hostage.
-/// Attempt accounting matches the scalar path exactly: a lane that
-/// succeeds first try reports `attempts == 1`; a lane that exhausts the
-/// budget reports `SweepOutcome::Failed` with
-/// `attempts == ExecConfig::max_attempts()`.
-///
-/// Telemetry adds `exec.batch.lane_failures` (lanes that exhausted their
-/// budget) to the [`par_map_batched`] counter set, and emits
-/// `exec.task.retried` exactly like the scalar outcome sweep.
-pub fn par_map_batched_outcomes<T, U, E, FB, FR>(
-    config: &ExecConfig,
-    items: &[T],
-    batch: FB,
-    retry: FR,
-) -> Vec<SweepOutcome<U, E>>
-where
-    T: Sync,
-    U: Send,
-    E: Send,
-    FB: Fn(usize, &[T]) -> Vec<Result<U, E>> + Sync,
-    FR: Fn(usize, usize, &T) -> Result<U, E> + Sync,
-{
-    let n = items.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let width = config.resolved_batch(n);
-    let tiles = tiles_of(items, width);
-    let workers = config.resolved_workers(tiles.len());
+    let pending: Vec<usize> = (0..n).filter(|&i| outcomes[i].is_none()).collect();
+    let resumed = n - pending.len();
     let max_attempts = config.max_attempts();
     let retried = AtomicU64::new(0);
     let lane_failures = AtomicU64::new(0);
-    let done = AtomicUsize::new(0);
-    let progress = config.progress.clone();
+    let journal_error = OnceLock::new();
 
-    let span = config.telemetry.span(Level::Analysis, names::SPAN_PAR_MAP);
-    let result = par_map(
-        &tile_scheduler(workers),
-        &tiles,
-        |_tile, &(tile_start, lanes)| {
-            let first = batch(tile_start, lanes);
-            assert_eq!(
-                first.len(),
-                lanes.len(),
-                "batch closure must return one result per lane"
-            );
-            let mut out = Vec::with_capacity(lanes.len());
-            for (off, result) in first.into_iter().enumerate() {
-                let index = tile_start + off;
-                let outcome = match result {
-                    Ok(value) => SweepOutcome::Ok { value, attempts: 1 },
-                    Err(mut error) => {
-                        let mut attempt = 1;
-                        loop {
-                            if attempt >= max_attempts {
-                                lane_failures.fetch_add(1, Ordering::Relaxed);
-                                break SweepOutcome::Failed {
-                                    attempts: attempt,
-                                    error,
-                                };
-                            }
-                            retried.fetch_add(1, Ordering::Relaxed);
-                            match retry(index, attempt, &lanes[off]) {
-                                Ok(value) => {
-                                    break SweepOutcome::Ok {
-                                        value,
-                                        attempts: attempt + 1,
-                                    }
-                                }
-                                Err(e) => {
-                                    error = e;
-                                    attempt += 1;
-                                }
-                            }
-                        }
-                    }
-                };
-                let d = done.fetch_add(1, Ordering::Relaxed) + 1;
-                if let Some(p) = &progress {
-                    p(d, n);
+    let (slots, stats) = schedule(config, n, &pending, task.is_tiled(), |lanes| {
+        let first = task.run(0, items, lanes);
+        let verdicts: Vec<SweepOutcome<U, E>> = first
+            .into_iter()
+            .zip(lanes)
+            .map(|(mut result, &index)| {
+                let mut attempts = 1;
+                while result.is_err() && attempts < max_attempts {
+                    retried.fetch_add(1, Ordering::Relaxed);
+                    result = task.run(attempts, items, &[index]).remove(0);
+                    attempts += 1;
                 }
-                out.push(outcome);
+                match result {
+                    Ok(value) => SweepOutcome::Ok { value, attempts },
+                    Err(error) => {
+                        lane_failures.fetch_add(1, Ordering::Relaxed);
+                        SweepOutcome::Failed { attempts, error }
+                    }
+                }
+            })
+            .collect();
+        let recorded = match &manifest {
+            Some((journal, manifest)) => journal.record(manifest, lanes, &verdicts),
+            None => Ok(()),
+        };
+        // A journal that cannot be appended to stops the sweep: verdicts
+        // it cannot keep would not survive a crash.
+        let halt = match recorded {
+            Ok(()) => false,
+            Err(error) => {
+                let _ = journal_error.set(error);
+                true
             }
-            Ok::<_, std::convert::Infallible>(out)
-        },
-    );
-    let outcomes: Vec<SweepOutcome<U, E>> = match result {
-        Ok(chunks) => chunks.into_iter().flatten().collect(),
-        Err(e) => match e.source {},
-    };
-    config.telemetry.counter(names::EXEC_TASKS_TOTAL, n as u64);
-    config.telemetry.counter(
-        names::EXEC_TASKS_COMPLETED,
-        done.load(Ordering::Relaxed) as u64,
-    );
-    config
-        .telemetry
-        .counter(names::EXEC_BATCH_TILES, tiles.len() as u64);
-    config
-        .telemetry
-        .counter(names::EXEC_BATCH_WIDTH, width as u64);
-    drop(span);
-    config
-        .telemetry
-        .counter(names::EXEC_TASKS_RETRIED, retried.load(Ordering::Relaxed));
-    config.telemetry.counter(
-        names::EXEC_BATCH_LANE_FAILURES,
-        lane_failures.load(Ordering::Relaxed),
-    );
-    outcomes
+        };
+        (verdicts, halt)
+    });
+    if let Some(error) = journal_error.into_inner() {
+        return Err(error);
+    }
+
+    let telemetry = &config.telemetry;
+    telemetry.counter(names::EXEC_TASKS_RETRIED, retried.into_inner());
+    if task.is_tiled() {
+        telemetry.counter(names::EXEC_BATCH_LANE_FAILURES, lane_failures.into_inner());
+    }
+    if journal.is_some() {
+        telemetry.counter(names::EXEC_TASKS_RESUMED, resumed as u64);
+    }
+    for (outcome, fresh) in outcomes.iter_mut().zip(slots) {
+        *outcome = outcome.take().or(fresh);
+    }
+    let outcomes = outcomes
+        .into_iter()
+        .map(|o| o.expect("every task has a verdict"))
+        .collect();
+    Ok((outcomes, stats))
 }
 
-fn run_serial<T, U, E, F>(
+/// The one scheduler under both entry points. Cuts `pending` (ascending
+/// input indices) into tiles — of [`ExecConfig::resolved_batch`] lanes when
+/// `tiled`, else of one lane — lets workers claim tiles from a shared
+/// cursor, and hands each tile to `run_tile`, which returns one result per
+/// lane plus whether the sweep must stop. Each result lands in the slot of
+/// its input index (`slots` of them); slots of tasks that never ran stay
+/// `None`.
+///
+/// Emits the `exec.par_map` span and the per-task counters, from this
+/// thread after the join, so the event sequence is identical for any
+/// worker count. A sweep with no pending task emits nothing.
+fn schedule<R, F>(
     config: &ExecConfig,
-    items: &[T],
-    f: &F,
-) -> (Result<Vec<U>, TaskError<E>>, usize, Duration)
+    slots: usize,
+    pending: &[usize],
+    tiled: bool,
+    run_tile: F,
+) -> (Vec<Option<R>>, ExecStats)
 where
-    F: Fn(usize, &T) -> Result<U, E>,
+    R: Send,
+    F: Fn(&[usize]) -> (Vec<R>, bool) + Sync,
 {
-    let mut out = Vec::with_capacity(items.len());
-    let mut busy = Duration::ZERO;
-    for (index, item) in items.iter().enumerate() {
-        let t0 = Instant::now();
-        let result = f(index, item);
-        busy += t0.elapsed();
-        if let Some(progress) = &config.progress {
-            progress(index + 1, items.len());
+    let start = Instant::now();
+    let tasks = pending.len();
+    let workers = config.resolved_workers(tasks);
+    let results = Slots::new(slots);
+    let mut stats = ExecStats {
+        tasks_total: tasks,
+        workers,
+        ..Default::default()
+    };
+    if tasks > 0 {
+        let span = config.telemetry.span(Level::Analysis, names::SPAN_PAR_MAP);
+        let (width, claim) = if tiled {
+            (config.resolved_batch(tasks), 1)
+        } else {
+            (1, config.resolved_chunk(tasks, workers))
+        };
+        let tiles = tasks.div_ceil(width);
+        let cursor = AtomicUsize::new(0);
+        let stop = AtomicBool::new(false);
+        let completed = AtomicUsize::new(0);
+        let busy_nanos = AtomicU64::new(0);
+        let work = || {
+            'claim: loop {
+                if stop.load(Ordering::Acquire) {
+                    break;
+                }
+                let first = cursor.fetch_add(claim, Ordering::Relaxed);
+                if first >= tiles {
+                    break;
+                }
+                for tile in first..(first + claim).min(tiles) {
+                    if stop.load(Ordering::Acquire) {
+                        break 'claim;
+                    }
+                    let lanes = &pending[tile * width..((tile + 1) * width).min(tasks)];
+                    let t0 = Instant::now();
+                    let (lane_results, halt) = run_tile(lanes);
+                    busy_nanos.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                    for (&index, result) in lanes.iter().zip(lane_results) {
+                        // SAFETY: `index` belongs to the tile this worker
+                        // claimed from `cursor`, and pending indices are
+                        // distinct; reads happen after the join.
+                        unsafe { results.write(index, result) };
+                        let done = completed.fetch_add(1, Ordering::Relaxed) + 1;
+                        if let Some(progress) = &config.progress {
+                            progress(done, tasks);
+                        }
+                    }
+                    if halt {
+                        stop.store(true, Ordering::Release);
+                        break 'claim;
+                    }
+                }
+            }
+        };
+        // One worker runs inline on the calling thread.
+        match workers.min(tiles) {
+            1 => work(),
+            threads => std::thread::scope(|scope| {
+                for _ in 0..threads {
+                    scope.spawn(work);
+                }
+            }),
         }
-        match result {
-            Ok(value) => out.push(value),
-            Err(source) => return (Err(TaskError { index, source }), index + 1, busy),
+        stats.tasks_completed = completed.into_inner();
+        stats.busy = Duration::from_nanos(busy_nanos.into_inner());
+        let telemetry = &config.telemetry;
+        telemetry.counter(names::EXEC_TASKS_TOTAL, tasks as u64);
+        telemetry.counter(names::EXEC_TASKS_COMPLETED, stats.tasks_completed as u64);
+        if tiled {
+            telemetry.counter(names::EXEC_BATCH_TILES, tiles as u64);
+            telemetry.counter(names::EXEC_BATCH_WIDTH, width as u64);
         }
+        drop(span);
     }
-    let n = out.len();
-    (Ok(out), n, busy)
+    stats.wall = start.elapsed();
+    (results.into_results().collect(), stats)
 }
 
 /// One result slot per task, written lock-free.
 ///
-/// Safety protocol: the atomic cursor hands each index to exactly one
-/// worker, which performs the only write to that slot; the main thread only
-/// reads after `thread::scope` has joined every worker (join gives the
-/// necessary happens-before edge). Hence no slot is ever accessed
-/// concurrently.
+/// Safety protocol: the atomic cursor hands each tile — and so each of its
+/// distinct indices — to exactly one worker, which performs the only write
+/// to those slots; the coordinator only reads after every worker is joined
+/// (join gives the necessary happens-before edge). Hence no slot is ever
+/// accessed concurrently.
 struct Slots<T>(Vec<UnsafeCell<Option<T>>>);
 
+// SAFETY: the one field is the slot vector. Workers only move `T` values
+// into distinct slots (hence `T: Send`), never read or share them; the
+// protocol above keeps every slot to one writer and no concurrent reader.
 unsafe impl<T: Send> Sync for Slots<T> {}
 
 impl<T> Slots<T> {
@@ -868,98 +771,15 @@ impl<T> Slots<T> {
 
     /// # Safety
     ///
-    /// `index` must have been claimed from the shared cursor by the calling
-    /// worker (making it the unique writer), and no reads may happen before
-    /// all workers are joined.
+    /// `index` must belong to a tile the calling worker claimed from the
+    /// shared cursor (making it the unique writer), and no reads may happen
+    /// before all workers are joined.
     unsafe fn write(&self, index: usize, value: T) {
         *self.0[index].get() = Some(value);
     }
 
     fn into_results(self) -> impl Iterator<Item = Option<T>> {
         self.0.into_iter().map(UnsafeCell::into_inner)
-    }
-}
-
-fn run_parallel<T, U, E, F>(
-    config: &ExecConfig,
-    items: &[T],
-    f: &F,
-    workers: usize,
-) -> (Result<Vec<U>, TaskError<E>>, usize, Duration)
-where
-    T: Sync,
-    U: Send,
-    E: Send,
-    F: Fn(usize, &T) -> Result<U, E> + Sync,
-{
-    let n = items.len();
-    let chunk = config.resolved_chunk(n, workers);
-    let slots: Slots<Result<U, E>> = Slots::new(n);
-    let cursor = AtomicUsize::new(0);
-    let cancelled = AtomicBool::new(false);
-    let completed = AtomicUsize::new(0);
-    let busy_nanos = AtomicU64::new(0);
-
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                'claim: loop {
-                    if cancelled.load(Ordering::Acquire) {
-                        break;
-                    }
-                    let lo = cursor.fetch_add(chunk, Ordering::Relaxed);
-                    if lo >= n {
-                        break;
-                    }
-                    let hi = (lo + chunk).min(n);
-                    for (index, item) in items.iter().enumerate().take(hi).skip(lo) {
-                        if cancelled.load(Ordering::Acquire) {
-                            break 'claim;
-                        }
-                        let t0 = Instant::now();
-                        let result = f(index, item);
-                        busy_nanos.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                        let failed = result.is_err();
-                        // SAFETY: `index` was claimed from `cursor` by this
-                        // worker only; reads happen after scope join.
-                        unsafe { slots.write(index, result) };
-                        let done = completed.fetch_add(1, Ordering::Relaxed) + 1;
-                        if let Some(progress) = &config.progress {
-                            progress(done, n);
-                        }
-                        if failed {
-                            cancelled.store(true, Ordering::Release);
-                            break 'claim;
-                        }
-                    }
-                }
-            });
-        }
-    });
-
-    let completed = completed.load(Ordering::Relaxed);
-    let busy = Duration::from_nanos(busy_nanos.load(Ordering::Relaxed));
-    let mut out = Vec::with_capacity(n);
-    let mut first_error: Option<TaskError<E>> = None;
-    for (index, slot) in slots.into_results().enumerate() {
-        match slot {
-            Some(Ok(value)) => out.push(value),
-            // Keep the lowest-indexed error: it is the one a serial run
-            // could also have hit.
-            Some(Err(source)) if first_error.is_none() => {
-                first_error = Some(TaskError { index, source });
-            }
-            // Later errors, or slots that never ran (possible only after
-            // cancellation).
-            Some(Err(_)) | None => {}
-        }
-    }
-    match first_error {
-        Some(err) => (Err(err), completed, busy),
-        None => {
-            debug_assert_eq!(out.len(), n, "every slot filled on success");
-            (Ok(out), completed, busy)
-        }
     }
 }
 
@@ -983,13 +803,17 @@ mod tests {
         // Regression for the old Mutex-around-the-results parallel_map:
         // N >> workers, variable task cost, order must still be exact.
         let items: Vec<usize> = (0..997).collect();
-        let out = par_map(&ExecConfig::with_workers(8), &items, |i, &x| {
-            if x % 13 == 0 {
-                std::thread::yield_now();
-            }
-            assert_eq!(i, x);
-            Ok::<_, Boom>(x * 3 + 1)
-        })
+        let (out, _) = par_map(
+            &ExecConfig::with_workers(8),
+            &items,
+            Task::Each(&|i, _, &x| {
+                if x % 13 == 0 {
+                    std::thread::yield_now();
+                }
+                assert_eq!(i, x);
+                Ok::<_, Boom>(x * 3 + 1)
+            }),
+        )
         .unwrap();
         assert_eq!(out.len(), items.len());
         for (i, v) in out.iter().enumerate() {
@@ -1001,10 +825,13 @@ mod tests {
     fn identical_results_at_any_worker_count() {
         let items: Vec<u64> = (0..200).collect();
         let run = |workers| {
-            par_map(&ExecConfig::with_workers(workers), &items, |i, &x| {
-                Ok::<_, Boom>(task_seed(x, i as u64))
-            })
+            par_map(
+                &ExecConfig::with_workers(workers),
+                &items,
+                Task::Each(&|i, _, &x| Ok::<_, Boom>(task_seed(x, i as u64))),
+            )
             .unwrap()
+            .0
         };
         let reference = run(1);
         for workers in [2, 3, 8, 32] {
@@ -1015,13 +842,17 @@ mod tests {
     #[test]
     fn propagates_lowest_indexed_error_observed() {
         let items: Vec<usize> = (0..64).collect();
-        let err = par_map(&ExecConfig::with_workers(4), &items, |_, &x| {
-            if x == 20 || x == 40 {
-                Err(Boom(x))
-            } else {
-                Ok(x)
-            }
-        })
+        let err = par_map(
+            &ExecConfig::with_workers(4),
+            &items,
+            Task::Each(&|_, _, &x| {
+                if x == 20 || x == 40 {
+                    Err(Boom(x))
+                } else {
+                    Ok(x)
+                }
+            }),
+        )
         .unwrap_err();
         // Cancellation may skip index 40, but whichever errors were
         // observed, the reported one has the lowest index — and with chunked
@@ -1034,13 +865,11 @@ mod tests {
     #[test]
     fn serial_error_is_first_in_input_order() {
         let items: Vec<usize> = (0..16).collect();
-        let err = par_map(&ExecConfig::serial(), &items, |_, &x| {
-            if x >= 5 {
-                Err(Boom(x))
-            } else {
-                Ok(x)
-            }
-        })
+        let err = par_map(
+            &ExecConfig::serial(),
+            &items,
+            Task::Each(&|_, _, &x| if x >= 5 { Err(Boom(x)) } else { Ok(x) }),
+        )
         .unwrap_err();
         assert_eq!(err.index, 5);
     }
@@ -1052,7 +881,7 @@ mod tests {
         let result = par_map(
             &ExecConfig::with_workers(4).with_chunk(1),
             &items,
-            |_, &x| {
+            Task::Each(&|_, _, &x| {
                 ran.fetch_add(1, Ordering::Relaxed);
                 // Make tasks slow enough that cancellation beats completion.
                 std::thread::sleep(Duration::from_micros(200));
@@ -1061,7 +890,7 @@ mod tests {
                 } else {
                     Ok(x)
                 }
-            },
+            }),
         );
         assert!(result.is_err());
         let ran = ran.load(Ordering::Relaxed);
@@ -1074,9 +903,11 @@ mod tests {
 
     #[test]
     fn empty_input_is_ok() {
-        let out: Vec<u8> = par_map(&ExecConfig::from_env(), &[] as &[u8], |_, &x| {
-            Ok::<_, Boom>(x)
-        })
+        let (out, _) = par_map(
+            &ExecConfig::from_env(),
+            &[] as &[u8],
+            Task::Each(&|_, _, &x| Ok::<_, Boom>(x)),
+        )
         .unwrap();
         assert!(out.is_empty());
     }
@@ -1084,11 +915,15 @@ mod tests {
     #[test]
     fn stats_account_for_all_tasks() {
         let items: Vec<usize> = (0..50).collect();
-        let (result, stats) = par_map_with_stats(&ExecConfig::with_workers(4), &items, |_, &x| {
-            std::thread::sleep(Duration::from_micros(50));
-            Ok::<_, Boom>(x)
-        });
-        assert!(result.is_ok());
+        let (_, stats) = par_map(
+            &ExecConfig::with_workers(4),
+            &items,
+            Task::Each(&|_, _, &x| {
+                std::thread::sleep(Duration::from_micros(50));
+                Ok::<_, Boom>(x)
+            }),
+        )
+        .unwrap();
         assert_eq!(stats.tasks_completed, 50);
         assert_eq!(stats.tasks_total, 50);
         assert_eq!(stats.workers, 4);
@@ -1106,7 +941,7 @@ mod tests {
             seen.fetch_max(done, Ordering::Relaxed);
         }));
         let items: Vec<usize> = (0..40).collect();
-        par_map(&cfg, &items, |_, &x| Ok::<_, Boom>(x)).unwrap();
+        par_map(&cfg, &items, Task::Each(&|_, _, &x| Ok::<_, Boom>(x))).unwrap();
         assert_eq!(seen_total.load(Ordering::Relaxed), 40);
     }
 
@@ -1158,17 +993,19 @@ mod tests {
         let plan = FaultPlan::new()
             .with_task_failure(2, 2)
             .with_task_failure(5, 2);
-        let outcomes = par_map_outcomes(
+        let (outcomes, _) = par_map_outcomes(
             &ExecConfig::with_workers(4).with_retries(2),
             &items,
-            |index, attempt, &x| {
+            None,
+            Task::Each(&|index, attempt, &x| {
                 if plan.fail_task(index, attempt) {
                     Err(Boom(x))
                 } else {
                     Ok(x * 10 + attempt)
                 }
-            },
-        );
+            }),
+        )
+        .unwrap();
         assert_eq!(outcomes.len(), 8);
         for (i, o) in outcomes.iter().enumerate() {
             assert!(o.is_ok(), "task {i} should eventually succeed");
@@ -1184,17 +1021,19 @@ mod tests {
         // the full attempt count and final error — the rest of the sweep
         // still completes (no cancel-on-first-error).
         let items: Vec<usize> = (0..16).collect();
-        let outcomes = par_map_outcomes(
+        let (outcomes, _) = par_map_outcomes(
             &ExecConfig::with_workers(4).with_retries(1),
             &items,
-            |_, attempt, &x| {
+            None,
+            Task::Each(&|_, attempt, &x| {
                 if x == 3 {
                     Err(Boom(100 + attempt))
                 } else {
                     Ok(x)
                 }
-            },
-        );
+            }),
+        )
+        .unwrap();
         let failed: Vec<_> = outcomes.iter().filter(|o| !o.is_ok()).collect();
         assert_eq!(failed.len(), 1);
         match &outcomes[3] {
@@ -1219,14 +1058,17 @@ mod tests {
             par_map_outcomes(
                 &ExecConfig::with_workers(workers).with_retries(2),
                 &items,
-                |i, attempt, &x| {
+                None,
+                Task::Each(&|i, attempt, &x| {
                     if x % 7 == 0 && attempt < 1 {
                         Err(Boom(x as usize))
                     } else {
                         Ok(task_seed(x, (i + attempt) as u64))
                     }
-                },
+                }),
             )
+            .unwrap()
+            .0
         };
         let reference = run(1);
         for workers in [2, 8] {
@@ -1237,10 +1079,16 @@ mod tests {
     #[test]
     fn outcomes_respect_zero_retry_budget() {
         let items = [1usize];
-        let outcomes = par_map_outcomes(&ExecConfig::serial(), &items, |_, attempt, _| {
-            assert_eq!(attempt, 0, "no retries granted");
-            Err::<(), _>(Boom(attempt))
-        });
+        let (outcomes, _) = par_map_outcomes(
+            &ExecConfig::serial(),
+            &items,
+            None,
+            Task::Each(&|_, attempt, _| {
+                assert_eq!(attempt, 0, "no retries granted");
+                Err::<(), _>(Boom(attempt))
+            }),
+        )
+        .unwrap();
         assert_eq!(outcomes[0].attempts(), 1);
         assert_eq!(outcomes[0].error(), Some(&Boom(0)));
     }
@@ -1290,14 +1138,13 @@ mod tests {
         assert_eq!(ExecConfig::default().resolved_batch(3), 3);
     }
 
-    /// The batch closure every equality test below uses: per-lane results
+    /// The tile closure every equality test below uses: per-lane results
     /// derived only from `(index, item)` via [`task_seed`], exactly like a
-    /// scalar task would compute them.
-    fn seed_batch(start: usize, lanes: &[u64]) -> Vec<Result<u64, Boom>> {
+    /// per-item task would compute them.
+    fn seed_batch(_attempt: usize, lanes: &[(usize, &u64)]) -> Vec<Result<u64, Boom>> {
         lanes
             .iter()
-            .enumerate()
-            .map(|(off, &x)| Ok(task_seed(x, (start + off) as u64)))
+            .map(|&(index, &x)| Ok(task_seed(x, index as u64)))
             .collect()
     }
 
@@ -1307,23 +1154,30 @@ mod tests {
         // width below, so the tail tile is short. B=1, B > n, and the
         // default must all reproduce the scalar sweep bitwise.
         let items: Vec<u64> = (0..23).map(|i| i * 31 + 7).collect();
-        let scalar = par_map(&ExecConfig::with_workers(4), &items, |i, &x| {
-            Ok::<_, Boom>(task_seed(x, i as u64))
-        })
+        let (scalar, _) = par_map(
+            &ExecConfig::with_workers(4),
+            &items,
+            Task::Each(&|i, _, &x| Ok::<_, Boom>(task_seed(x, i as u64))),
+        )
         .unwrap();
         for width in [1usize, 2, 4, 8, 64] {
             for workers in [1usize, 4] {
-                let batched = par_map_batched(
+                let (batched, _) = par_map(
                     &ExecConfig::with_workers(workers).with_batch(width),
                     &items,
-                    seed_batch,
+                    Task::Tiled(&seed_batch),
                 )
                 .unwrap();
                 assert_eq!(batched, scalar, "width = {width}, workers = {workers}");
             }
         }
         // Unpinned width (the default / env fallback path) as well.
-        let batched = par_map_batched(&ExecConfig::with_workers(4), &items, seed_batch).unwrap();
+        let (batched, _) = par_map(
+            &ExecConfig::with_workers(4),
+            &items,
+            Task::Tiled(&seed_batch),
+        )
+        .unwrap();
         assert_eq!(batched, scalar);
     }
 
@@ -1332,22 +1186,21 @@ mod tests {
         // The failing lane sits mid-tile: the reported index must be the
         // task's input index, not the tile's.
         let items: Vec<u64> = (0..20).collect();
-        let err = par_map_batched(
+        let err = par_map(
             &ExecConfig::serial().with_batch(8),
             &items,
-            |start, lanes: &[u64]| {
+            Task::Tiled(&|_, lanes| {
                 lanes
                     .iter()
-                    .enumerate()
-                    .map(|(off, &x)| {
-                        if start + off == 13 {
+                    .map(|&(index, &x)| {
+                        if index == 13 {
                             Err(Boom(x as usize))
                         } else {
                             Ok(x)
                         }
                     })
                     .collect()
-            },
+            }),
         )
         .unwrap_err();
         assert_eq!(err.index, 13);
@@ -1360,12 +1213,12 @@ mod tests {
         // so a batched sweep reported tile counts. Totals must match a
         // scalar run of the same sweep.
         let items: Vec<u64> = (0..23).collect();
-        let (result, stats) = par_map_batched_with_stats(
+        let (_, stats) = par_map(
             &ExecConfig::with_workers(2).with_batch(8),
             &items,
-            seed_batch,
-        );
-        assert!(result.is_ok());
+            Task::Tiled(&seed_batch),
+        )
+        .unwrap();
         assert_eq!(stats.tasks_total, 23);
         assert_eq!(stats.tasks_completed, 23);
         assert_eq!(stats.workers, 2);
@@ -1385,7 +1238,7 @@ mod tests {
                 count.fetch_add(1, Ordering::Relaxed);
             }));
         let items: Vec<u64> = (0..23).collect();
-        par_map_batched(&cfg, &items, seed_batch).unwrap();
+        par_map(&cfg, &items, Task::Tiled(&seed_batch)).unwrap();
         assert_eq!(seen_total.load(Ordering::Relaxed), 23);
         assert_eq!(
             calls.load(Ordering::Relaxed),
@@ -1412,27 +1265,29 @@ mod tests {
                 Ok(task_seed(x, (index + attempt) as u64))
             }
         };
-        let scalar = par_map_outcomes(
+        let (scalar, _) = par_map_outcomes(
             &ExecConfig::with_workers(4).with_retries(2),
             &items,
-            |i, a, &x| task(i, a, x),
-        );
+            None,
+            Task::Each(&|i, a, &x| task(i, a, x)),
+        )
+        .unwrap();
         for width in [1usize, 4, 8] {
             for workers in [1usize, 2, 8] {
-                let batched = par_map_batched_outcomes(
+                let (batched, _) = par_map_outcomes(
                     &ExecConfig::with_workers(workers)
                         .with_retries(2)
                         .with_batch(width),
                     &items,
-                    |start, lanes: &[u64]| {
+                    None,
+                    Task::Tiled(&|attempt, lanes| {
                         lanes
                             .iter()
-                            .enumerate()
-                            .map(|(off, &x)| task(start + off, 0, x))
+                            .map(|&(index, &x)| task(index, attempt, x))
                             .collect()
-                    },
-                    |index, attempt, &x| task(index, attempt, x),
-                );
+                    }),
+                )
+                .unwrap();
                 assert_eq!(batched, scalar, "width = {width}, workers = {workers}");
             }
         }
@@ -1446,18 +1301,20 @@ mod tests {
 
     #[test]
     fn batched_empty_input_is_ok() {
-        let out: Vec<u8> =
-            par_map_batched(&ExecConfig::from_env(), &[] as &[u8], |_, lanes: &[u8]| {
-                lanes.iter().map(|&x| Ok::<_, Boom>(x)).collect()
-            })
-            .unwrap();
-        assert!(out.is_empty());
-        let outcomes: Vec<SweepOutcome<u8, Boom>> = par_map_batched_outcomes(
+        let (out, _) = par_map(
             &ExecConfig::from_env(),
             &[] as &[u8],
-            |_, lanes: &[u8]| lanes.iter().map(|&x| Ok(x)).collect(),
-            |_, _, &x| Ok(x),
-        );
+            Task::Tiled(&|_, lanes| lanes.iter().map(|&(_, &x)| Ok::<_, Boom>(x)).collect()),
+        )
+        .unwrap();
+        assert!(out.is_empty());
+        let (outcomes, _) = par_map_outcomes(
+            &ExecConfig::from_env(),
+            &[] as &[u8],
+            None,
+            Task::Tiled(&|_, lanes| lanes.iter().map(|&(_, &x)| Ok::<_, Boom>(x)).collect()),
+        )
+        .unwrap();
         assert!(outcomes.is_empty());
     }
 
@@ -1473,9 +1330,11 @@ mod tests {
         let scalar_agg = SharedAggregator::new();
         let scalar_cfg =
             ExecConfig::with_workers(2).with_telemetry(Telemetry::new(scalar_agg.clone()));
-        par_map(&scalar_cfg, &items, |i, &x| {
-            Ok::<_, Boom>(task_seed(x, i as u64))
-        })
+        par_map(
+            &scalar_cfg,
+            &items,
+            Task::Each(&|i, _, &x| Ok::<_, Boom>(task_seed(x, i as u64))),
+        )
         .unwrap();
         let scalar_counts = scalar_agg.snapshot();
 
@@ -1483,8 +1342,7 @@ mod tests {
         let cfg = ExecConfig::with_workers(2)
             .with_batch(8)
             .with_telemetry(Telemetry::new(agg.clone()));
-        let (result, stats) = par_map_batched_with_stats(&cfg, &items, seed_batch);
-        assert!(result.is_ok());
+        let (_, stats) = par_map(&cfg, &items, Task::Tiled(&seed_batch)).unwrap();
         let counts = agg.snapshot();
 
         assert_eq!(counts.counter(names::EXEC_TASKS_TOTAL), 23);
@@ -1510,25 +1368,19 @@ mod tests {
             .with_batch(8)
             .with_retries(2)
             .with_telemetry(Telemetry::new(agg.clone()));
-        let outcomes = par_map_batched_outcomes(
+        // Task 5 keeps failing: 2 retries spent, then Failed.
+        let (outcomes, _) = par_map_outcomes(
             &cfg,
             &items,
-            |start, lanes: &[u64]| {
+            None,
+            Task::Tiled(&|_, lanes| {
                 lanes
                     .iter()
-                    .enumerate()
-                    .map(|(off, &x)| {
-                        if start + off == 5 {
-                            Err(Boom(5))
-                        } else {
-                            Ok(x)
-                        }
-                    })
+                    .map(|&(index, &x)| if index == 5 { Err(Boom(5)) } else { Ok(x) })
                     .collect()
-            },
-            // Task 5 keeps failing: 2 retries spent, then Failed.
-            |_, _, _| Err(Boom(5)),
-        );
+            }),
+        )
+        .unwrap();
         assert_eq!(outcomes.iter().filter(|o| o.is_ok()).count(), 22);
         let counts = agg.snapshot();
         assert_eq!(counts.counter(names::EXEC_TASKS_TOTAL), 23);

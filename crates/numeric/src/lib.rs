@@ -26,26 +26,25 @@
 //! * [`norms`] — error norms and log–log convergence-order fitting used
 //!   by the `sfet-verify` correctness subsystem.
 //! * [`stats`] — descriptive statistics for sweep / Monte-Carlo results.
-//! * [`exec`] — the deterministic parallel sweep engine: order-preserving
-//!   `par_map` over scoped threads with lock-free result slots,
-//!   cancel-on-first-error, `SFET_THREADS` worker override, per-task
-//!   SplitMix64 seed derivation, and optional telemetry
-//!   ([`ExecConfig::with_telemetry`](exec::ExecConfig::with_telemetry));
-//!   plus the fault-tolerant entry point
-//!   [`par_map_outcomes`](exec::par_map_outcomes) that retries failing
-//!   tasks and collects partial results instead of aborting, and the
-//!   batched entry points [`par_map_batched`](exec::par_map_batched) /
-//!   [`par_map_batched_outcomes`](exec::par_map_batched_outcomes) that
-//!   tile tasks into SIMD-friendly lanes (`SFET_BATCH`).
+//! * [`exec`] — the deterministic parallel sweep engine: one tile
+//!   scheduler over scoped threads with lock-free result slots, per-task
+//!   SplitMix64 seed derivation, `SFET_THREADS`/`SFET_BATCH` overrides and
+//!   optional telemetry
+//!   ([`ExecConfig::with_telemetry`](exec::ExecConfig::with_telemetry)),
+//!   behind two entry points, one per failure contract:
+//!   [`par_map`](exec::par_map) cancels on the first error, and
+//!   [`par_map_outcomes`](exec::par_map_outcomes) runs every task to a
+//!   verdict under a retry budget. Each takes a per-item or a tiled
+//!   [`Task`](exec::Task) (lanes for the batched transient engine).
 //! * [`batch`] — batched structure-of-arrays linear-solver backends
 //!   ([`BatchBackend`](batch::BatchBackend)): a lane-minor dense LU and a
 //!   shared-pattern sparse LU whose every lane is bitwise-identical to
 //!   the scalar backends.
 //! * [`fault`] — deterministic fault injection (`SFET_FAULT_PLAN`) for
 //!   exercising the retry and checkpoint/resume paths in CI.
-//! * [`manifest`] — append-only sweep manifests so an interrupted sweep
-//!   resumes skipping already-completed tasks
-//!   ([`par_map_resumable`](manifest::par_map_resumable)).
+//! * [`manifest`] — append-only sweep manifests so an interrupted verdict
+//!   sweep resumes skipping already-completed tasks
+//!   ([`Journal`](manifest::Journal)).
 //!
 //! # Example
 //!

@@ -1,21 +1,23 @@
 //! Sweep manifests: durable progress records for resumable sweeps.
 //!
-//! A long sweep (Monte Carlo population, design-space grid) that dies at
+//! A long sweep (Monte Carlo population, optimizer generation) that dies at
 //! task 9 000 of 10 000 should not repeat the first 9 000 tasks. A
-//! [`SweepManifest`] is an append-only text file that records one line per
-//! finished task; on restart, [`par_map_resumable`] reads it back, skips
-//! every task with a recorded success, and re-runs only the pending (or
-//! previously failed) ones.
+//! [`Journal`] names an append-only text file and the identity of the sweep
+//! it records; handed to [`crate::exec::par_map_outcomes`], it makes the
+//! sweep resumable: every finished tile's verdicts are appended when the
+//! tile finishes, and a re-run decodes every recorded success instead of
+//! re-computing it, running only the pending (or previously failed) tasks.
 //!
 //! # File format
 //!
 //! Line-oriented UTF-8, append-only, flushed after every record so a crash
-//! loses at most the in-flight line (a torn trailing line is ignored on
-//! load):
+//! loses at most the tiles in flight (a torn trailing line is ignored on
+//! load). Both header lines are written in one write, and an empty file —
+//! a crash before that write — counts as no manifest:
 //!
 //! ```text
 //! sfet-manifest v1
-//! sweep <name> total <n>
+//! sweep <identity> total <n>
 //! ok <index> <attempts> <payload>
 //! failed <index> <attempts> <message>
 //! ```
@@ -23,23 +25,28 @@
 //! `<payload>` is a caller-encoded single-line representation of the task's
 //! result; [`encode_f64`]/[`decode_f64`] (and the slice variants) give an
 //! exact, bitwise round-trip for floating-point results. Tasks whose stored
-//! payload fails to decode are conservatively re-run rather than trusted.
+//! payload fails to decode — or fails the validity check the live path
+//! applies, such as finiteness — are re-run rather than trusted.
 //!
-//! Determinism contract: resuming is only sound when each task's result
-//! depends solely on `(index, item)` — which is exactly the contract
-//! [`crate::exec::par_map`] already imposes — so a resumed sweep assembles
-//! the same result vector, bitwise, as an uninterrupted one.
+//! # The identity rule
+//!
+//! Resuming is only sound when each task's result depends solely on
+//! `(index, item)` — the contract [`crate::exec::Task`] already imposes —
+//! *and* the file was written by the same sweep. So the identity must cover
+//! every input a task's value depends on, spelled exactly (`{:?}` for
+//! floats, or a fingerprint of them); a file whose identity or task count
+//! differs is a [`ManifestError::Mismatch`], never a silent reuse. A
+//! resumed sweep then assembles the same result vector, bitwise, as an
+//! uninterrupted one.
 
 use std::collections::HashMap;
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use crate::exec::{par_map, ExecConfig, SweepOutcome};
-use sfet_telemetry::names;
+use crate::exec::SweepOutcome;
 
 /// Manifest format version written to (and required in) the header.
 pub const MANIFEST_VERSION: u32 = 1;
@@ -53,8 +60,8 @@ pub enum ManifestError {
     Io(String),
     /// The file exists but is not a readable manifest.
     Format(String),
-    /// The file is a valid manifest for a *different* sweep (name or task
-    /// count differs) — resuming it would silently mix results.
+    /// The file is a valid manifest for a *different* sweep (identity or
+    /// task count differs) — resuming it would silently mix results.
     Mismatch(String),
 }
 
@@ -72,9 +79,65 @@ impl std::error::Error for ManifestError {}
 
 type Result<T> = std::result::Result<T, ManifestError>;
 
+/// One slot per task of a sweep: the outcome a journal resumed, if any.
+type Resumed<U, E> = Vec<Option<SweepOutcome<U, E>>>;
+
+/// Where a verdict sweep journals its tasks, which sweep the journal
+/// belongs to, and how a task's value is spelled on one line. Passed to
+/// [`crate::exec::par_map_outcomes`].
+pub struct Journal<'a, U> {
+    /// The manifest file: created if missing (or empty), resumed if it
+    /// holds this sweep.
+    pub path: &'a Path,
+    /// Every input a task's value depends on (see the module docs' identity
+    /// rule). Whitespace is collapsed before it is written.
+    pub identity: String,
+    /// Exact one-line spelling of a value (see [`encode_f64s`]).
+    pub encode: fn(&U) -> String,
+    /// Inverse of `encode` for task `index`, applying the live path's
+    /// validity checks; `None` re-runs the task.
+    pub decode: fn(usize, &str) -> Option<U>,
+}
+
+impl<U> Journal<'_, U> {
+    /// Opens (or starts) the journal of a sweep of `total` tasks and decodes
+    /// the successes it already holds, one slot per task.
+    pub(crate) fn open<E>(&self, total: usize) -> Result<(SweepManifest, Resumed<U, E>)> {
+        let (manifest, records) = SweepManifest::open_or_create(self.path, &self.identity, total)?;
+        let mut resumed: Resumed<U, E> = (0..total).map(|_| None).collect();
+        for (index, record) in records {
+            if let ManifestRecord::Ok { attempts, payload } = record {
+                resumed[index] = (self.decode)(index, &payload)
+                    .map(|value| SweepOutcome::Ok { value, attempts });
+            }
+        }
+        Ok((manifest, resumed))
+    }
+
+    /// Appends the verdicts of one finished tile (tasks `lanes`).
+    pub(crate) fn record<E: fmt::Display>(
+        &self,
+        manifest: &SweepManifest,
+        lanes: &[usize],
+        verdicts: &[SweepOutcome<U, E>],
+    ) -> Result<()> {
+        for (&index, verdict) in lanes.iter().zip(verdicts) {
+            match verdict {
+                SweepOutcome::Ok { value, attempts } => {
+                    manifest.record_ok(index, *attempts, &(self.encode)(value))?
+                }
+                SweepOutcome::Failed { attempts, error } => {
+                    manifest.record_failed(index, *attempts, &error.to_string())?
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
 /// One finished-task record read back from a manifest.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ManifestRecord {
+pub(crate) enum ManifestRecord {
     /// The task succeeded; `payload` is the caller-encoded result.
     Ok {
         /// Attempts the task consumed.
@@ -94,21 +157,11 @@ pub enum ManifestRecord {
 /// An append-only progress file for one sweep. All writes are serialized
 /// through an internal mutex and flushed immediately, so records survive a
 /// crash of the very next task.
-pub struct SweepManifest {
+pub(crate) struct SweepManifest {
     path: PathBuf,
     file: Mutex<File>,
     name: String,
     total: usize,
-}
-
-impl fmt::Debug for SweepManifest {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SweepManifest")
-            .field("path", &self.path)
-            .field("name", &self.name)
-            .field("total", &self.total)
-            .finish()
-    }
 }
 
 fn io_err(path: &Path, err: std::io::Error) -> ManifestError {
@@ -132,16 +185,15 @@ fn sanitize_line(s: &str) -> String {
 
 impl SweepManifest {
     /// Creates (or truncates) a manifest for a sweep of `total` tasks.
-    ///
-    /// # Errors
-    ///
-    /// [`ManifestError::Io`] if the file cannot be created or written.
-    pub fn create(path: &Path, name: &str, total: usize) -> Result<Self> {
+    /// Both header lines go out in one write, so a crash leaves either a
+    /// whole header or an empty file.
+    fn create(path: &Path, name: &str, total: usize) -> Result<Self> {
         let mut file = File::create(path).map_err(|e| io_err(path, e))?;
         let name = sanitize_token(name);
-        writeln!(file, "{MAGIC} v{MANIFEST_VERSION}").map_err(|e| io_err(path, e))?;
-        writeln!(file, "sweep {name} total {total}").map_err(|e| io_err(path, e))?;
-        file.flush().map_err(|e| io_err(path, e))?;
+        let header = format!("{MAGIC} v{MANIFEST_VERSION}\nsweep {name} total {total}\n");
+        file.write_all(header.as_bytes())
+            .and_then(|()| file.flush())
+            .map_err(|e| io_err(path, e))?;
         Ok(SweepManifest {
             path: path.to_path_buf(),
             file: Mutex::new(file),
@@ -155,11 +207,10 @@ impl SweepManifest {
     /// verdict supersedes an older one). A torn trailing line — the
     /// signature of a crash mid-write — is ignored.
     ///
-    /// # Errors
-    ///
-    /// [`ManifestError::Io`] on filesystem failure, [`ManifestError::Format`]
-    /// if the header or an interior line is malformed.
-    pub fn resume(path: &Path) -> Result<(Self, HashMap<usize, ManifestRecord>)> {
+    /// Errors: [`ManifestError::Io`] on filesystem failure,
+    /// [`ManifestError::Format`] if the header or an interior line is
+    /// malformed.
+    fn resume(path: &Path) -> Result<(Self, HashMap<usize, ManifestRecord>)> {
         let reader = BufReader::new(File::open(path).map_err(|e| io_err(path, e))?);
         let mut lines = Vec::new();
         for line in reader.lines() {
@@ -211,19 +262,19 @@ impl SweepManifest {
     }
 
     /// Resumes `path` if it already holds a manifest for this exact sweep,
-    /// otherwise creates a fresh one. A manifest for a *different* sweep
-    /// (name or total mismatch) is an error rather than silently clobbered.
+    /// otherwise creates a fresh one. A missing or empty file (a crash
+    /// before the header write) holds no records and starts afresh. A
+    /// manifest for a *different* sweep (name or total mismatch) is an error
+    /// rather than silently clobbered.
     ///
-    /// # Errors
-    ///
-    /// Propagates [`SweepManifest::create`]/[`SweepManifest::resume`]
+    /// Errors: [`SweepManifest::create`]/[`SweepManifest::resume`]
     /// failures, plus [`ManifestError::Mismatch`] on a header conflict.
-    pub fn open_or_create(
+    fn open_or_create(
         path: &Path,
         name: &str,
         total: usize,
     ) -> Result<(Self, HashMap<usize, ManifestRecord>)> {
-        if !path.exists() {
+        if std::fs::metadata(path).map_or(true, |m| m.len() == 0) {
             return Ok((Self::create(path, name, total)?, HashMap::new()));
         }
         let (manifest, records) = Self::resume(path)?;
@@ -241,31 +292,13 @@ impl SweepManifest {
         Ok((manifest, records))
     }
 
-    /// The sweep name recorded in the header.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// The task count recorded in the header.
-    pub fn total(&self) -> usize {
-        self.total
-    }
-
     /// Appends a success record. Thread-safe; flushed before returning.
-    ///
-    /// # Errors
-    ///
-    /// [`ManifestError::Io`] if the append or flush fails.
-    pub fn record_ok(&self, index: usize, attempts: usize, payload: &str) -> Result<()> {
+    fn record_ok(&self, index: usize, attempts: usize, payload: &str) -> Result<()> {
         self.append(&format!("ok {index} {attempts} {}", sanitize_line(payload)))
     }
 
     /// Appends a failure record. Thread-safe; flushed before returning.
-    ///
-    /// # Errors
-    ///
-    /// [`ManifestError::Io`] if the append or flush fails.
-    pub fn record_failed(&self, index: usize, attempts: usize, message: &str) -> Result<()> {
+    fn record_failed(&self, index: usize, attempts: usize, message: &str) -> Result<()> {
         self.append(&format!(
             "failed {index} {attempts} {}",
             sanitize_line(message)
@@ -362,121 +395,12 @@ pub fn decode_f64s(s: &str) -> Option<Vec<f64>> {
     s.split_whitespace().map(decode_f64).collect()
 }
 
-/// Fault-tolerant, *resumable* parallel map: like
-/// [`crate::exec::par_map_outcomes`], but every finished task is recorded
-/// in `manifest`, and tasks whose success is already recorded are skipped —
-/// their stored payloads are decoded instead of re-computed. Previously
-/// *failed* tasks (and records whose payload fails to `decode`) are re-run.
-///
-/// The task closure receives `(index, attempt, &item)`; `encode`/`decode`
-/// must round-trip a result exactly (use [`encode_f64s`]/[`decode_f64s`]
-/// for float payloads) or the bitwise-resume guarantee is lost.
-///
-/// # Errors
-///
-/// [`ManifestError::Io`] if a record cannot be appended; task failures are
-/// *not* errors — they surface as [`SweepOutcome::Failed`] entries.
-pub fn par_map_resumable<T, U, E, F, Enc, Dec>(
-    config: &ExecConfig,
-    manifest: &SweepManifest,
-    completed: &HashMap<usize, ManifestRecord>,
-    items: &[T],
-    encode: Enc,
-    decode: Dec,
-    f: F,
-) -> Result<Vec<SweepOutcome<U, E>>>
-where
-    T: Sync,
-    U: Send,
-    E: Send + fmt::Display,
-    F: Fn(usize, usize, &T) -> std::result::Result<U, E> + Sync,
-    Enc: Fn(&U) -> String + Sync,
-    Dec: Fn(&str) -> Option<U> + Sync,
-{
-    assert_eq!(
-        manifest.total(),
-        items.len(),
-        "manifest task count must match the item count"
-    );
-    let mut slots: Vec<Option<SweepOutcome<U, E>>> = Vec::with_capacity(items.len());
-    slots.resize_with(items.len(), || None);
-    let mut resumed = 0u64;
-    for (&index, record) in completed {
-        if let ManifestRecord::Ok { attempts, payload } = record {
-            if let Some(value) = decode(payload) {
-                slots[index] = Some(SweepOutcome::Ok {
-                    value,
-                    attempts: *attempts,
-                });
-                resumed += 1;
-            }
-        }
-    }
-    let pending: Vec<(usize, &T)> = slots
-        .iter()
-        .enumerate()
-        .filter(|(_, slot)| slot.is_none())
-        .map(|(i, _)| (i, &items[i]))
-        .collect();
-
-    let retried = AtomicU64::new(0);
-    let max_attempts = config.max_attempts();
-    let fresh = par_map(config, &pending, |_, &(index, item)| {
-        let mut attempt = 0;
-        let outcome = loop {
-            match f(index, attempt, item) {
-                Ok(value) => {
-                    break SweepOutcome::Ok {
-                        value,
-                        attempts: attempt + 1,
-                    }
-                }
-                Err(error) if attempt + 1 >= max_attempts => {
-                    break SweepOutcome::Failed {
-                        attempts: attempt + 1,
-                        error,
-                    }
-                }
-                Err(_) => {
-                    retried.fetch_add(1, Ordering::Relaxed);
-                    attempt += 1;
-                }
-            }
-        };
-        // Record before returning so a crash right after this task still
-        // finds its verdict on disk.
-        match &outcome {
-            SweepOutcome::Ok { value, attempts } => {
-                manifest.record_ok(index, *attempts, &encode(value))?
-            }
-            SweepOutcome::Failed { attempts, error } => {
-                manifest.record_failed(index, *attempts, &error.to_string())?
-            }
-        }
-        Ok::<_, ManifestError>(outcome)
-    })
-    .map_err(|e| e.source)?;
-
-    config
-        .telemetry()
-        .counter(names::EXEC_TASKS_RETRIED, retried.load(Ordering::Relaxed));
-    config
-        .telemetry()
-        .counter(names::CHECKPOINT_RESUMED, resumed);
-
-    for ((index, _), outcome) in pending.into_iter().zip(fresh) {
-        slots[index] = Some(outcome);
-    }
-    Ok(slots
-        .into_iter()
-        .map(|slot| slot.expect("every slot filled"))
-        .collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use crate::exec::{par_map_outcomes, ExecConfig, Task};
+    use sfet_telemetry::{names, SharedAggregator, Telemetry};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn temp_path(tag: &str) -> PathBuf {
         static COUNTER: AtomicUsize = AtomicUsize::new(0);
@@ -505,8 +429,8 @@ mod tests {
             .unwrap();
         drop(m);
         let (m, records) = SweepManifest::resume(&path).unwrap();
-        assert_eq!(m.name(), "mc-imax", "whitespace sanitized");
-        assert_eq!(m.total(), 10);
+        assert_eq!(m.name, "mc-imax", "whitespace sanitized");
+        assert_eq!(m.total, 10);
         assert_eq!(
             records.get(&3),
             Some(&ManifestRecord::Ok {
@@ -592,42 +516,66 @@ mod tests {
     }
 
     #[test]
+    fn empty_file_starts_a_fresh_journal() {
+        // A kill between `File::create` and the header write leaves an
+        // empty file; it holds no records, so the next run starts afresh
+        // instead of failing on it forever.
+        let path = temp_path("empty");
+        std::fs::write(&path, "").unwrap();
+        let (m, records) = SweepManifest::open_or_create(&path, "s", 4).unwrap();
+        assert!(records.is_empty());
+        m.record_ok(1, 1, "aa").unwrap();
+        drop(m);
+        let (_, records) = SweepManifest::open_or_create(&path, "s", 4).unwrap();
+        assert_eq!(records.len(), 1, "the fresh header was written");
+        // Any other malformed header stays a named error.
+        std::fs::write(&path, "sfet-manifest v1\n").unwrap();
+        assert!(matches!(
+            SweepManifest::open_or_create(&path, "s", 4),
+            Err(ManifestError::Format(_))
+        ));
+        std::fs::remove_file(&path).ok();
+    }
+
+    fn f64_journal<'a>(path: &'a Path, identity: &str) -> Journal<'a, f64> {
+        Journal {
+            path,
+            identity: identity.into(),
+            encode: |v| encode_f64(*v),
+            decode: |_, s| decode_f64(s),
+        }
+    }
+
+    #[test]
     fn resumable_sweep_skips_recorded_successes() {
         let path = temp_path("resume");
         let items: Vec<f64> = (0..12).map(|i| i as f64).collect();
+        let journal = f64_journal(&path, "resume");
         let task = |_index: usize, _attempt: usize, x: &f64| Ok::<_, Boom>(x * 2.0);
 
         // First pass: run only via a fresh manifest.
-        let (m, done) = SweepManifest::open_or_create(&path, "resume", items.len()).unwrap();
-        assert!(done.is_empty());
-        let first = par_map_resumable(
+        assert!(!path.exists());
+        let (first, _) = par_map_outcomes(
             &ExecConfig::with_workers(2),
-            &m,
-            &done,
             &items,
-            |v| encode_f64(*v),
-            decode_f64,
-            task,
+            Some(&journal),
+            Task::Each(&task),
         )
         .unwrap();
-        drop(m);
+        let (_, done) = SweepManifest::resume(&path).unwrap();
+        assert_eq!(done.len(), items.len());
 
         // Second pass: every task must come from the manifest, not the
         // closure.
         let ran = AtomicUsize::new(0);
-        let (m, done) = SweepManifest::open_or_create(&path, "resume", items.len()).unwrap();
-        assert_eq!(done.len(), items.len());
-        let second = par_map_resumable(
+        let (second, _) = par_map_outcomes(
             &ExecConfig::with_workers(2),
-            &m,
-            &done,
             &items,
-            |v| encode_f64(*v),
-            decode_f64,
-            |i, a, x| {
+            Some(&journal),
+            Task::Each(&|i, a, x| {
                 ran.fetch_add(1, Ordering::Relaxed);
                 task(i, a, x)
-            },
+            }),
         )
         .unwrap();
         assert_eq!(ran.load(Ordering::Relaxed), 0, "nothing re-runs");
@@ -639,41 +587,95 @@ mod tests {
     fn resumable_sweep_retries_and_records_failures() {
         let path = temp_path("failures");
         let items: Vec<usize> = (0..6).collect();
-        let (m, done) = SweepManifest::open_or_create(&path, "f", items.len()).unwrap();
-        let outcomes = par_map_resumable(
+        let journal = Journal {
+            path: &path,
+            identity: "f".into(),
+            encode: |v: &usize| v.to_string(),
+            decode: |_, s| s.parse().ok(),
+        };
+        let (outcomes, _) = par_map_outcomes(
             &ExecConfig::serial().with_retries(2),
-            &m,
-            &done,
             &items,
-            |v: &usize| v.to_string(),
-            |s| s.parse().ok(),
-            |_, attempt, &x| {
-                if x == 4 {
-                    Err(Boom(attempt))
-                } else {
-                    Ok(x)
-                }
-            },
+            Some(&journal),
+            Task::Each(&|_, attempt, &x| if x == 4 { Err(Boom(attempt)) } else { Ok(x) }),
         )
         .unwrap();
         assert_eq!(outcomes[4].attempts(), 3);
         assert!(!outcomes[4].is_ok());
-        drop(m);
 
         // On resume the failed task re-runs (and this time succeeds).
-        let (m, done) = SweepManifest::open_or_create(&path, "f", items.len()).unwrap();
-        let retried = par_map_resumable(
+        let (retried, _) = par_map_outcomes(
             &ExecConfig::serial().with_retries(2),
-            &m,
-            &done,
             &items,
-            |v: &usize| v.to_string(),
-            |s| s.parse().ok(),
-            |_, _, &x| Ok::<_, Boom>(x),
+            Some(&journal),
+            Task::Each(&|_, _, &x| Ok::<_, Boom>(x)),
         )
         .unwrap();
         assert!(retried.iter().all(|o| o.is_ok()));
         assert_eq!(retried[4].value(), Some(&4));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn batched_journal_resumes_pending_lanes_in_index_order() {
+        // Journalled sweeps run tiled: the pending set of a resumed journal
+        // is not contiguous, so each lane carries its input index, and the
+        // pending lanes are tiled in index order.
+        let path = temp_path("tiled");
+        let items: Vec<f64> = (0..10).map(|i| i as f64 + 0.5).collect();
+        let journal = f64_journal(&path, "tiled");
+        let value = |index: usize, x: f64| x * 3.0 + index as f64;
+        let down = [1usize, 4, 5, 8];
+        let cfg = ExecConfig::with_workers(2).with_batch(3);
+        let (first, _) = par_map_outcomes(
+            &cfg,
+            &items,
+            Some(&journal),
+            Task::Tiled(&|_, lanes| {
+                lanes
+                    .iter()
+                    .map(|&(i, &x)| {
+                        if down.contains(&i) {
+                            Err(Boom(i))
+                        } else {
+                            Ok(value(i, x))
+                        }
+                    })
+                    .collect()
+            }),
+        )
+        .unwrap();
+        assert_eq!(first.iter().filter(|o| !o.is_ok()).count(), 4);
+
+        let tiles = std::sync::Mutex::new(Vec::new());
+        let agg = SharedAggregator::new();
+        let (resumed, stats) = par_map_outcomes(
+            &cfg.clone().with_telemetry(Telemetry::new(agg.clone())),
+            &items,
+            Some(&journal),
+            Task::Tiled(&|_, lanes| {
+                tiles
+                    .lock()
+                    .unwrap()
+                    .push(lanes.iter().map(|&(i, _)| i).collect::<Vec<_>>());
+                lanes
+                    .iter()
+                    .map(|&(i, &x)| Ok::<_, Boom>(value(i, x)))
+                    .collect()
+            }),
+        )
+        .unwrap();
+        let mut tiles = tiles.into_inner().unwrap();
+        tiles.sort();
+        assert_eq!(tiles, vec![vec![1, 4, 5], vec![8]]);
+        for (i, o) in resumed.iter().enumerate() {
+            assert_eq!(o.value(), Some(&value(i, items[i])), "task {i}");
+        }
+        assert_eq!(stats.tasks_total, 4);
+        let counts = agg.snapshot();
+        assert_eq!(counts.counter(names::EXEC_TASKS_TOTAL), 4);
+        assert_eq!(counts.counter(names::EXEC_TASKS_RESUMED), 6);
+        assert_eq!(counts.counter(names::EXEC_BATCH_TILES), 2);
         std::fs::remove_file(&path).ok();
     }
 }

@@ -3,17 +3,17 @@
 //!
 //! One [`optimize`] call runs: baseline + reference measurement, then up
 //! to `max_generations` ask → evaluate → tell rounds. Every generation's
-//! candidate lanes run through **one** fault-tolerant batched sweep
-//! (`par_map_batched_outcomes`), or — when a manifest directory is
-//! configured — through the journalled scalar engine
-//! (`par_map_resumable`, one manifest file per generation), whose values
-//! are bitwise identical to the batched path by the engine's determinism
-//! contract. Killed runs resume: completed lanes decode bit-exactly from
+//! candidate lanes run through **one** tiled verdict sweep
+//! (`par_map_outcomes` over the shared inverter-lane task), journalled to
+//! one manifest file per generation when a manifest directory is
+//! configured. Killed runs resume: completed lanes decode bit-exactly from
 //! the manifests and, because optimizer state is a deterministic replay
 //! of those same values, the continuation is indistinguishable from a
-//! straight-through run.
+//! straight-through run. A generation's journal identity includes a
+//! fingerprint of its lane specs, so a journal written for another design
+//! space or objective is refused instead of resumed.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use crate::objective::{
@@ -22,14 +22,11 @@ use crate::objective::{
 use crate::optimizer::{Optimizer, Scored};
 use crate::space::DesignSpace;
 use crate::{frontier, OptimizeError, Result};
-use sfet_numeric::exec::{par_map_batched_outcomes, task_seed, ExecConfig, SweepOutcome};
-use sfet_numeric::manifest::{self, SweepManifest};
-use sfet_sim::{SimError, SimOptions};
+use sfet_numeric::exec::{par_map_outcomes, task_seed, ExecConfig, SweepOutcome, Task};
+use sfet_numeric::manifest::{decode_f64s, encode_f64s, Journal};
 use sfet_telemetry::names;
 use softfet::inverter::InverterSpec;
-use softfet::metrics::{
-    inverter_sim_options, measure_inverter, measure_inverter_batch, measure_inverter_with,
-};
+use softfet::metrics::{measure_inverter, measure_inverter_lanes};
 use softfet::variation::VariationRng;
 use softfet::SoftFetError;
 
@@ -145,38 +142,6 @@ pub struct OptimizeOutcome {
     pub history: Vec<GenerationSummary>,
 }
 
-/// The synthetic error a fault-plan `task@IxN` entry injects in place of
-/// a lane simulation (mirrors the Monte-Carlo sweeps').
-fn injected_fault() -> SoftFetError {
-    SoftFetError::Sim(SimError::NonConvergence {
-        time: 0.0,
-        dt: 0.0,
-        residual: f64::INFINITY,
-        unknown: Some("<injected task fault>".into()),
-    })
-}
-
-/// Scalar lane task: simulate `spec` at escalation rung `attempt`,
-/// honouring the fault plan. This is both the batched path's retry arm
-/// and the resumable path's task body — identical math, identical
-/// results.
-fn lane_task(
-    exec: &ExecConfig,
-    index: usize,
-    attempt: usize,
-    spec: &InverterSpec,
-) -> std::result::Result<LaneMeasure, SoftFetError> {
-    if exec
-        .fault_plan()
-        .is_some_and(|p| p.fail_task(index, attempt))
-    {
-        return Err(injected_fault());
-    }
-    let opts = inverter_sim_options(spec).escalated(attempt);
-    let m = measure_inverter_with(spec, &opts)?;
-    lane_measure(index, m.i_max, m.delay)
-}
-
 /// Validates a lane measurement into a [`LaneMeasure`].
 fn lane_measure(
     index: usize,
@@ -191,69 +156,55 @@ fn lane_measure(
     Ok(LaneMeasure { i_max, delay })
 }
 
-/// Evaluates one generation's lanes: batched sweeps by default, the
-/// journalled scalar engine when `manifest` names a file.
+/// FNV-1a over a byte string.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The journal of one generation's lanes at `path`. Its identity
+/// fingerprints the lane specs — everything a lane's value depends on —
+/// so a journal of any other generation, space or objective is refused.
+fn generation_journal<'a>(
+    path: &'a Path,
+    algorithm: &str,
+    seed: u64,
+    generation: usize,
+    lanes: &[InverterSpec],
+) -> Journal<'a, LaneMeasure> {
+    Journal {
+        path,
+        identity: format!(
+            "optimize {algorithm} seed={seed} gen={generation} lanes={} specs={:016x}",
+            lanes.len(),
+            fnv1a(format!("{lanes:?}").as_bytes())
+        ),
+        encode: |m| encode_f64s(&[m.i_max, m.delay]),
+        decode: |index, payload| match decode_f64s(payload)?[..] {
+            [i_max, delay] => lane_measure(index, i_max, delay).ok(),
+            _ => None,
+        },
+    }
+}
+
+/// Evaluates one generation's lanes as one tiled verdict sweep, journalled
+/// when `journal` is given.
 fn evaluate_lanes(
     exec: &ExecConfig,
     lanes: &[InverterSpec],
-    manifest: Option<(&PathBuf, String)>,
+    journal: Option<&Journal<'_, LaneMeasure>>,
 ) -> Result<Vec<SweepOutcome<LaneMeasure, SoftFetError>>> {
-    if let Some((path, name)) = manifest {
-        let (journal, completed) = SweepManifest::open_or_create(path, &name, lanes.len())
-            .map_err(|e| OptimizeError::Manifest(e.to_string()))?;
-        return manifest::par_map_resumable(
-            exec,
-            &journal,
-            &completed,
-            lanes,
-            |m: &LaneMeasure| manifest::encode_f64s(&[m.i_max, m.delay]),
-            |s| {
-                manifest::decode_f64s(s).and_then(|v| match v[..] {
-                    [i_max, delay] => Some(LaneMeasure { i_max, delay }),
-                    _ => None,
-                })
-            },
-            |index, attempt, spec| lane_task(exec, index, attempt, spec),
-        )
-        .map_err(|e| OptimizeError::Manifest(e.to_string()));
-    }
-    Ok(par_map_batched_outcomes(
-        exec,
-        lanes,
-        |tile_start, tile| {
-            // Attempt 0 for a whole tile: `escalated(0)` is the identity,
-            // so a first-try lane is bitwise identical to the scalar task.
-            let prepared: Vec<Option<(&InverterSpec, SimOptions)>> = tile
-                .iter()
-                .enumerate()
-                .map(|(off, spec)| {
-                    let index = tile_start + off;
-                    if exec.fault_plan().is_some_and(|p| p.fail_task(index, 0)) {
-                        None
-                    } else {
-                        Some((spec, inverter_sim_options(spec).escalated(0)))
-                    }
-                })
-                .collect();
-            let refs: Vec<(&InverterSpec, &SimOptions)> = prepared
-                .iter()
-                .filter_map(|l| l.as_ref().map(|(s, o)| (*s, o)))
-                .collect();
-            let mut measured = measure_inverter_batch(&refs).into_iter();
-            prepared
-                .iter()
-                .enumerate()
-                .map(|(off, lane)| match lane {
-                    None => Err(injected_fault()),
-                    Some(_) => measured
-                        .next()
-                        .expect("one measurement per live lane")
-                        .and_then(|m| lane_measure(tile_start + off, m.i_max, m.delay)),
-                })
-                .collect()
-        },
-        |index, attempt, spec| lane_task(exec, index, attempt, spec),
-    ))
+    let task = |attempt, tile: &[(usize, &InverterSpec)]| {
+        measure_inverter_lanes(exec, attempt, tile)
+            .into_iter()
+            .zip(tile)
+            .map(|(m, &(index, _))| m.and_then(|m| lane_measure(index, m.i_max, m.delay)))
+            .collect()
+    };
+    par_map_outcomes(exec, lanes, journal, Task::Tiled(&task))
+        .map(|(outcomes, _)| outcomes)
+        .map_err(|e| OptimizeError::Manifest(e.to_string()))
 }
 
 /// Measures the plain-CMOS corner baselines and the reference operating
@@ -364,19 +315,10 @@ pub fn optimize(
             .manifest_dir
             .as_ref()
             .map(|d| d.join(format!("gen{generation:04}.manifest")));
-        let manifest = manifest_path.as_ref().map(|p| {
-            (
-                p,
-                format!(
-                    "optimize {} seed={} gen={} lanes={}",
-                    optimizer.name(),
-                    cfg.seed,
-                    generation,
-                    lanes.len()
-                ),
-            )
-        });
-        let outcomes = evaluate_lanes(&cfg.exec, &lanes, manifest)?;
+        let journal = manifest_path
+            .as_deref()
+            .map(|path| generation_journal(path, optimizer.name(), cfg.seed, generation, &lanes));
+        let outcomes = evaluate_lanes(&cfg.exec, &lanes, journal.as_ref())?;
 
         let mut scored = Vec::with_capacity(proposals.len());
         let mut summary = GenerationSummary {

@@ -4,8 +4,8 @@
 //! supply droop at iso-delay*, the question the paper answers by hand.
 //! Every candidate is scored from one batch of inverter transients —
 //! one lane per PVT corner plus (optionally) per Monte-Carlo process
-//! sample — so a whole optimizer generation maps onto a single
-//! `par_map_batched` sweep.
+//! sample — so a whole optimizer generation maps onto a single tiled
+//! `par_map_outcomes` sweep.
 //!
 //! ## Score semantics
 //!
@@ -19,7 +19,7 @@
 //!   iso-comparison discipline as [`softfet::iso_imax`]);
 //! * **yield** — at least `min_yield` of the Monte-Carlo samples must
 //!   keep `I_MAX` under an absolute budget derived from the reference
-//!   point (via the same outcome machinery as
+//!   point (via the same lane task and outcome machinery as
 //!   [`softfet::variation::monte_carlo_imax_outcomes`]).
 
 use crate::space::DesignSpace;

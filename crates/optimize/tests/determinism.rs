@@ -7,13 +7,14 @@
 //!    surviving lanes — every untouched candidate scores bitwise
 //!    identically to the fault-free run;
 //! 3. a killed-and-resumed manifest run equals a straight-through run
-//!    bitwise, and the journalled scalar path equals the batched path.
+//!    bitwise, the journalled path equals the unjournalled one, and a
+//!    journal written over another design space is refused.
 
 use sfet_numeric::exec::ExecConfig;
 use sfet_numeric::fault::FaultPlan;
 use sfet_optimize::{
-    optimize, DesignSpace, DroopObjective, EvaluatedPoint, EvolutionStrategy, OptimizeConfig,
-    OptimizeOutcome, YieldConstraint,
+    optimize, Axis, DesignSpace, DroopObjective, EvaluatedPoint, EvolutionStrategy, OptimizeConfig,
+    OptimizeError, OptimizeOutcome, YieldConstraint,
 };
 
 const SEED: u64 = 0xD0E5_0F17;
@@ -169,14 +170,49 @@ fn manifest_resume_equals_straight_through() {
     );
     assert_eq!(straight.history, resumed.history);
 
-    // The journalled scalar path must also match the batched path bitwise
-    // (the engine's batched/scalar equivalence, observed end to end).
+    // The journalled path must also match the unjournalled one bitwise.
     let batched = run_with(config(ExecConfig::with_workers(4).with_batch(4)));
     assert_eq!(
         fingerprints(&straight),
         fingerprints(&batched),
-        "manifest (scalar) and batched paths diverged"
+        "journalled and unjournalled paths diverged"
     );
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn resuming_over_another_design_space_is_a_mismatch() {
+    // A generation journal's identity fingerprints its lane specs, so a run
+    // over a different space (here V_IMT's upper bound cut from 0.6 to
+    // 0.375 V) must refuse the journal instead of scoring the first space's
+    // lanes as its own.
+    let dir = std::env::temp_dir().join(format!("sfet-opt-identity-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let objective = trimmed_objective();
+    let run = |space: &DesignSpace| {
+        let mut cfg = config(ExecConfig::with_workers(2).with_batch(4));
+        cfg.manifest_dir = Some(dir.clone());
+        cfg.max_generations = 1;
+        let mut opt = EvolutionStrategy::new(vec![0.5; space.dim()], 0.15, 4);
+        optimize(space, &objective, &mut opt, &cfg)
+    };
+    let standard = DesignSpace::soft_fet_standard();
+    run(&standard).expect("the first journalled generation runs");
+    let narrower: Vec<Axis> = standard
+        .axes()
+        .iter()
+        .map(|a| match a.name {
+            "v_imt" => Axis {
+                hi: 0.375,
+                ..a.clone()
+            },
+            _ => a.clone(),
+        })
+        .collect();
+    match run(&DesignSpace::new(narrower).unwrap()) {
+        Err(OptimizeError::Manifest(msg)) => assert!(msg.contains("mismatch"), "{msg}"),
+        other => panic!("expected a manifest mismatch, got {other:?}"),
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -49,9 +49,12 @@ where
     F: Fn(usize, &T) -> Result<U> + Sync,
     D: Fn(&T) -> String,
 {
-    sfet_numeric::exec::par_map(cfg, items, task).map_err(|e| PdnError::Sweep {
-        index: e.index,
-        context: describe(&items[e.index]),
-        source: Box::new(e.source),
-    })
+    let task = sfet_numeric::exec::Task::Each(&|i, _, item| task(i, item));
+    sfet_numeric::exec::par_map(cfg, items, task)
+        .map(|(values, _)| values)
+        .map_err(|e| PdnError::Sweep {
+            index: e.index,
+            context: describe(&items[e.index]),
+            source: Box::new(e.source),
+        })
 }

@@ -115,19 +115,9 @@ impl PdnParams {
     /// Returns `(frequency, |Z|)` pairs. The profile shows the classic
     /// package anti-resonance peak near `1 / (2π√(L_pkg·C_decap))` — the
     /// frequency band where di/dt excitation hurts most, which is exactly
-    /// what the Soft-FET's current-spreading attacks.
-    ///
-    /// # Errors
-    ///
-    /// Propagates circuit and AC-analysis failures.
-    pub fn impedance_profile(&self, freqs: &[f64]) -> Result<Vec<(f64, f64)>> {
-        self.impedance_profile_with(&ExecConfig::from_env(), freqs)
-    }
-
-    /// [`PdnParams::impedance_profile`] with an explicit execution policy.
-    /// Each frequency point is an independent complex solve against the
-    /// same stamped matrices, so the parallel profile is bitwise identical
-    /// to a serial one.
+    /// what the Soft-FET's current-spreading attacks. Each frequency point
+    /// is an independent complex solve against the same stamped matrices,
+    /// so the parallel profile is bitwise identical to a serial one.
     ///
     /// # Errors
     ///
@@ -267,7 +257,9 @@ mod impedance_tests {
         let freqs: Vec<f64> = (0..121)
             .map(|k| f0 / 100.0 * 10f64.powf(k as f64 / 30.0))
             .collect();
-        let profile = pdn.impedance_profile(&freqs).unwrap();
+        let profile = pdn
+            .impedance_profile_with(&ExecConfig::from_env(), &freqs)
+            .unwrap();
         let (f_peak, z_peak) = profile
             .iter()
             .copied()

@@ -295,19 +295,6 @@ pub struct WakeRampPoint {
 /// # Errors
 ///
 /// Propagates the first scenario failure as [`PdnError::Sweep`].
-pub fn wake_ramp_sweep(
-    scenario: &PowerGateScenario,
-    logic_ptm: PtmParams,
-    wake_ramps: &[f64],
-) -> Result<Vec<WakeRampPoint>> {
-    wake_ramp_sweep_with(&ExecConfig::from_env(), scenario, logic_ptm, wake_ramps)
-}
-
-/// [`wake_ramp_sweep`] with an explicit execution policy.
-///
-/// # Errors
-///
-/// Propagates the first scenario failure as [`PdnError::Sweep`].
 pub fn wake_ramp_sweep_with(
     cfg: &ExecConfig,
     scenario: &PowerGateScenario,
@@ -410,7 +397,8 @@ mod tests {
 
     #[test]
     fn wake_ramp_sweep_reports_soft_benefit_per_point() {
-        let pts = wake_ramp_sweep(
+        let pts = wake_ramp_sweep_with(
+            &ExecConfig::from_env(),
             &PowerGateScenario::default(),
             PtmParams::vo2_default(),
             &[2e-9, 4e-9],
@@ -431,7 +419,8 @@ mod tests {
 
     #[test]
     fn wake_ramp_sweep_error_names_the_point() {
-        let err = wake_ramp_sweep(
+        let err = wake_ramp_sweep_with(
+            &ExecConfig::from_env(),
             &PowerGateScenario::default(),
             PtmParams::vo2_default(),
             &[2e-9, -1.0],

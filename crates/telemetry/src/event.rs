@@ -163,19 +163,22 @@ pub mod names {
     pub const EXEC_TASKS_COMPLETED: &str = "exec.tasks_completed";
     /// Tasks submitted to a sweep.
     pub const EXEC_TASKS_TOTAL: &str = "exec.tasks_total";
-    /// Retry attempts consumed across a fault-tolerant sweep
+    /// Retry attempts consumed across a verdict sweep
     /// (`par_map_outcomes`); zero when every task succeeded first try.
     pub const EXEC_TASKS_RETRIED: &str = "exec.task.retried";
+    /// Tasks a journalled verdict sweep decoded from its manifest instead
+    /// of running (not counted in `exec.tasks_total`).
+    pub const EXEC_TASKS_RESUMED: &str = "exec.tasks_resumed";
 
-    // --- Batched-sweep counters (`par_map_batched*`): emitted once per
-    // --- sweep from the coordinator, alongside the per-*task* counters
-    // --- above (which keep their scalar meaning — totals match a scalar
-    // --- run of the same sweep). ---
-    /// Tiles a batched sweep was split into (`ceil(tasks / width)`).
+    // --- Tiled-sweep counters: emitted once per sweep from the
+    // --- coordinator, alongside the per-*task* counters above (which keep
+    // --- their per-item meaning — totals match a per-item run of the same
+    // --- sweep). ---
+    /// Tiles a tiled sweep was split into (`ceil(tasks / width)`).
     pub const EXEC_BATCH_TILES: &str = "exec.batch.tiles";
-    /// Resolved lane width of a batched sweep.
+    /// Resolved lane width of a tiled sweep.
     pub const EXEC_BATCH_WIDTH: &str = "exec.batch.width";
-    /// Lanes that exhausted their retry budget in a batched outcome sweep
+    /// Lanes that exhausted their retry budget in a tiled verdict sweep
     /// and were reported as `SweepOutcome::Failed`.
     pub const EXEC_BATCH_LANE_FAILURES: &str = "exec.batch.lane_failures";
 

@@ -12,8 +12,10 @@
 
 use std::process::ExitCode;
 
+use sfet_numeric::exec::ExecConfig;
 use sfet_verify::golden::{
-    check_scenario, compact, diff_summary, golden_path, load, run_scenario, save, scenario_names,
+    check_scenario, compact, diff_summary, golden_path, load, run_scenario_with, save,
+    scenario_names,
 };
 
 fn usage() -> ExitCode {
@@ -104,7 +106,7 @@ fn main() -> ExitCode {
 }
 
 fn update_one(name: &str) -> sfet_verify::Result<()> {
-    let fresh = run_scenario(name)?;
+    let fresh = run_scenario_with(name, &ExecConfig::from_env())?;
     match load(name) {
         Ok(old) => {
             println!("{name}: refreshing {}", golden_path(name).display());

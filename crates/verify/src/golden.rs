@@ -13,7 +13,7 @@
 //! which prints a human-readable diff of what moved before rewriting.
 //!
 //! The tolerance used for checking always comes from the *code-side*
-//! scenario definition ([`run_scenario`]), not from the stored file — so
+//! scenario definition ([`run_scenario_with`]), not from the stored file — so
 //! tightening an envelope takes effect without regenerating goldens. The
 //! `tol` line in the file records what was in force at update time, for
 //! humans reading the diff.
@@ -230,23 +230,13 @@ fn run_wake_ramp(cfg: &ExecConfig) -> Result<ScenarioRun> {
     })
 }
 
-/// Runs one golden scenario with the execution policy from the environment
-/// (`SFET_THREADS`).
+/// Runs one golden scenario under the execution policy `cfg` (only the
+/// sweep-based scenarios are parallel; the rest ignore it).
 ///
 /// # Errors
 ///
 /// [`VerifyError::Format`] for an unknown scenario name; otherwise the
 /// underlying run failure.
-pub fn run_scenario(name: &str) -> Result<ScenarioRun> {
-    run_scenario_with(name, &ExecConfig::from_env())
-}
-
-/// [`run_scenario`] with an explicit execution policy (only the sweep-based
-/// scenarios are parallel; the rest ignore `cfg`).
-///
-/// # Errors
-///
-/// As [`run_scenario`].
 pub fn run_scenario_with(name: &str, cfg: &ExecConfig) -> Result<ScenarioRun> {
     match name {
         "ptm_staircase" => run_staircase(),
@@ -445,13 +435,14 @@ pub fn compare_runs(golden: &ScenarioRun, fresh: &ScenarioRun) -> Result<Vec<Sig
     Ok(reports)
 }
 
-/// Runs a scenario and checks it against its stored golden.
+/// Runs a scenario under the environment's execution policy
+/// (`SFET_THREADS`) and checks it against its stored golden.
 ///
 /// # Errors
 ///
 /// Propagates run, load and comparison failures.
 pub fn check_scenario(name: &str) -> Result<Vec<SignalReport>> {
-    let fresh = run_scenario(name)?;
+    let fresh = run_scenario_with(name, &ExecConfig::from_env())?;
     let golden = load(name)?;
     compare_runs(&golden, &fresh)
 }
@@ -564,7 +555,10 @@ mod tests {
 
     #[test]
     fn unknown_scenario_is_a_format_error() {
-        assert!(matches!(run_scenario("nope"), Err(VerifyError::Format(_))));
+        assert!(matches!(
+            run_scenario_with("nope", &ExecConfig::from_env()),
+            Err(VerifyError::Format(_))
+        ));
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! ```
 
 use sfet_devices::ptm::PtmParams;
-use softfet::design_space::vimt_vmit_grid;
+use sfet_numeric::exec::ExecConfig;
+use softfet::design_space::vimt_vmit_grid_with;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let v_imts: Vec<f64> = (4..=12).map(|k| k as f64 * 0.05).collect();
@@ -17,7 +18,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         v_imts.len(),
         v_mits.len()
     );
-    let points = vimt_vmit_grid(1.0, PtmParams::vo2_default(), &v_imts, &v_mits)?;
+    let (points, _) = vimt_vmit_grid_with(
+        &ExecConfig::from_env(),
+        1.0,
+        PtmParams::vo2_default(),
+        &v_imts,
+        &v_mits,
+    )?;
 
     let max_imax = points
         .iter()

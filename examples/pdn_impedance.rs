@@ -9,6 +9,7 @@
 //! cargo run --release --example pdn_impedance
 //! ```
 
+use sfet_numeric::exec::ExecConfig;
 use sfet_pdn::PdnParams;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -25,7 +26,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let freqs: Vec<f64> = (0..=60)
         .map(|k| 1e5 * 10f64.powf(k as f64 / 15.0)) // 100 kHz .. 1 GHz
         .collect();
-    let profile = pdn.impedance_profile(&freqs)?;
+    let profile = pdn.impedance_profile_with(&ExecConfig::from_env(), &freqs)?;
 
     let z_max = profile.iter().map(|&(_, z)| z).fold(0.0f64, f64::max);
     const COLS: usize = 50;

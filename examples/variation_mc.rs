@@ -7,8 +7,9 @@
 //! ```
 
 use sfet_devices::ptm::PtmParams;
+use sfet_numeric::exec::ExecConfig;
 use softfet::report::{fmt_si, Table};
-use softfet::variation::{imax_sensitivities, monte_carlo_imax, PtmVariation};
+use softfet::variation::{imax_sensitivities_with, monte_carlo_imax_with, PtmVariation};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let base = PtmParams::vo2_default();
@@ -17,7 +18,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("sampling 32 PTM parameter draws (seed 2024) ...");
     // Yield limit: 1.5x the nominal Soft-FET I_MAX.
     let nominal = 45.5e-6;
-    let mc = monte_carlo_imax(1.0, base, &variation, 32, 2024, 1.5 * nominal)?;
+    let cfg = ExecConfig::from_env();
+    let mc = monte_carlo_imax_with(&cfg, 1.0, base, &variation, 32, 2024, 1.5 * nominal)?;
 
     let mut t = Table::new(&["statistic", "I_MAX"]);
     t.add_row(vec!["mean".into(), fmt_si(mc.mean_i_max, "A")]);
@@ -32,7 +34,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("\nnormalised sensitivities (dI_MAX/I_MAX per dp/p):");
     let mut s = Table::new(&["parameter", "sensitivity"]);
-    for (name, sens) in imax_sensitivities(1.0, base, 0.05)? {
+    for (name, sens) in imax_sensitivities_with(&cfg, 1.0, base, 0.05)? {
         s.add_row(vec![name.into(), format!("{sens:+.2}")]);
     }
     println!("{s}");

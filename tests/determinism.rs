@@ -12,7 +12,7 @@
 
 use proptest::prelude::*;
 use sfet_devices::ptm::PtmParams;
-use sfet_numeric::exec::{self, task_seed, ExecConfig};
+use sfet_numeric::exec::{self, task_seed, ExecConfig, Task};
 use softfet::design_space::{temperature_sweep_with, tptm_sweep_with, vimt_vmit_grid_with};
 use softfet::variation::{monte_carlo_imax_with, PtmVariation};
 use softfet::SoftFetError;
@@ -73,6 +73,7 @@ fn vimt_vmit_grid_bitwise_identical_across_worker_counts() {
             &[0.1, 0.2],
         )
         .expect("grid runs")
+        .0
     };
     let reference = run(1);
     for &workers in &WORKER_COUNTS[1..] {
@@ -125,7 +126,7 @@ fn failing_task_cancels_sweep_and_names_the_point() {
     let err = exec::par_map(
         &ExecConfig::with_workers(4).with_chunk(1),
         &items,
-        |_, &x| {
+        Task::Each(&|_, _, &x| {
             ran.fetch_add(1, Ordering::Relaxed);
             std::thread::sleep(std::time::Duration::from_micros(100));
             if x == 3 {
@@ -133,7 +134,7 @@ fn failing_task_cancels_sweep_and_names_the_point() {
             } else {
                 Ok(x)
             }
-        },
+        }),
     )
     .expect_err("task 3 fails");
     assert_eq!(err.index, 3);

@@ -5,11 +5,12 @@
 use sfet_circuit::{Circuit, SourceWaveform};
 use sfet_devices::mosfet::MosfetModel;
 use sfet_devices::ptm::PtmParams;
+use sfet_numeric::exec::ExecConfig;
 use sfet_pdn::PdnParams;
 use sfet_sim::{dc_sweep, SimOptions};
 use sfet_waveform::measure::noise_margins;
 use softfet::cells::{measure_gate, ChainSpec, GateKind, GateSpec};
-use softfet::variation::{imax_sensitivities, monte_carlo_imax, PtmVariation};
+use softfet::variation::{imax_sensitivities_with, monte_carlo_imax_with, PtmVariation};
 
 fn inverter_circuit(with_ptm: bool) -> Circuit {
     let mut ckt = Circuit::new();
@@ -122,7 +123,9 @@ fn pdn_impedance_shape() {
     let pdn = PdnParams::default();
     let f0 = pdn.resonance_frequency();
     let freqs = [f0 / 30.0, f0, f0 * 30.0];
-    let profile = pdn.impedance_profile(&freqs).unwrap();
+    let profile = pdn
+        .impedance_profile_with(&ExecConfig::from_env(), &freqs)
+        .unwrap();
     assert!(profile[1].1 > 3.0 * profile[0].1, "peak above low side");
     assert!(profile[1].1 > 3.0 * profile[2].1, "peak above high side");
 }
@@ -132,7 +135,9 @@ fn pdn_impedance_shape() {
 #[test]
 fn variation_study_consistent() {
     let base = PtmParams::vo2_default();
-    let mc = monte_carlo_imax(1.0, base, &PtmVariation::default(), 12, 7, 120e-6).unwrap();
+    let cfg = ExecConfig::from_env();
+    let mc =
+        monte_carlo_imax_with(&cfg, 1.0, base, &PtmVariation::default(), 12, 7, 120e-6).unwrap();
     assert_eq!(mc.samples, 12);
     assert!(mc.min_i_max > 0.0);
     assert!(mc.std_i_max < mc.mean_i_max, "spread below mean scale");
@@ -141,7 +146,7 @@ fn variation_study_consistent() {
         "most samples within a 120 uA budget"
     );
 
-    let sens = imax_sensitivities(1.0, base, 0.05).unwrap();
+    let sens = imax_sensitivities_with(&cfg, 1.0, base, 0.05).unwrap();
     let mag = |name: &str| {
         sens.iter()
             .find(|(n, _)| *n == name)

@@ -3,9 +3,10 @@
 //! absolute 40 nm numbers).
 
 use sfet_devices::ptm::PtmParams;
+use sfet_numeric::exec::ExecConfig;
 use sfet_pdn::io_buffer::IoBufferScenario;
 use sfet_pdn::power_gate::PowerGateScenario;
-use softfet::design_space::{tptm_sweep, vimt_vmit_grid};
+use softfet::design_space::{tptm_sweep_with, vimt_vmit_grid_with};
 use softfet::inverter::{InverterSpec, Topology};
 use softfet::io_buffer::compare_io_buffer;
 use softfet::metrics::measure_inverter;
@@ -67,7 +68,14 @@ fn claim_iso_imax_low_voltage_delay() {
 /// V_IMT.
 #[test]
 fn claim_design_space_shapes() {
-    let pts = vimt_vmit_grid(1.0, PtmParams::vo2_default(), &[0.3, 0.4, 0.5], &[0.1]).unwrap();
+    let (pts, _) = vimt_vmit_grid_with(
+        &ExecConfig::from_env(),
+        1.0,
+        PtmParams::vo2_default(),
+        &[0.3, 0.4, 0.5],
+        &[0.1],
+    )
+    .unwrap();
     let by_vimt = |v: f64| pts.iter().find(|p| (p.v_imt - v).abs() < 1e-9).unwrap();
     let (p3, p4, p5) = (by_vimt(0.3), by_vimt(0.4), by_vimt(0.5));
     assert!(p4.i_max < p3.i_max && p4.i_max < p5.i_max, "dip at 0.4 V");
@@ -87,7 +95,13 @@ fn claim_design_space_shapes() {
 /// at a moderate T_PTM.
 #[test]
 fn claim_tptm_shapes() {
-    let pts = tptm_sweep(1.0, PtmParams::vo2_default(), &[1e-12, 8e-12, 40e-12]).unwrap();
+    let pts = tptm_sweep_with(
+        &ExecConfig::from_env(),
+        1.0,
+        PtmParams::vo2_default(),
+        &[1e-12, 8e-12, 40e-12],
+    )
+    .unwrap();
     assert!(
         pts[0].transitions >= pts[2].transitions,
         "transition count falls with T_PTM"

@@ -12,7 +12,7 @@ use std::io::Write;
 use std::sync::{Arc, Mutex};
 
 use sfet_circuit::{Circuit, SourceWaveform};
-use sfet_numeric::exec::{par_map, ExecConfig};
+use sfet_numeric::exec::{par_map, ExecConfig, Task};
 use sfet_sim::{transient, SimOptions};
 use sfet_telemetry::{Aggregator, HistogramSummary, JsonlSink, SharedAggregator, Telemetry};
 
@@ -55,12 +55,16 @@ fn traced_sweep_bytes(workers: usize) -> Vec<u8> {
     let sink = JsonlSink::new(buf.clone()).with_timings(false);
     let cfg = ExecConfig::with_workers(workers).with_telemetry(Telemetry::new(sink));
     let items: Vec<f64> = (1..=24).map(|k| 500.0 + 100.0 * k as f64).collect();
-    let out = par_map(&cfg, &items, |_, &r| {
-        // The tasks themselves stay silent: the coordinator-only emission
-        // rule is what makes the stream worker-count-independent.
-        let result = transient(&rc_circuit(r), 5e-12, &SimOptions::for_duration(5e-12, 100))?;
-        Ok::<_, sfet_sim::SimError>(result.stats().steps_accepted)
-    })
+    let (out, _) = par_map(
+        &cfg,
+        &items,
+        Task::Each(&|_, _, &r| {
+            // The tasks themselves stay silent: the coordinator-only
+            // emission rule is what makes the stream worker-count-independent.
+            let result = transient(&rc_circuit(r), 5e-12, &SimOptions::for_duration(5e-12, 100))?;
+            Ok::<_, sfet_sim::SimError>(result.stats().steps_accepted)
+        }),
+    )
     .unwrap();
     assert_eq!(out.len(), items.len());
     cfg.telemetry().flush();
@@ -101,12 +105,17 @@ fn totals(agg: &Aggregator) -> Totals {
 /// caller merges the per-task results in task-index order.
 fn per_task_rollup(workers: usize) -> Totals {
     let items: Vec<f64> = (1..=12).map(|k| 400.0 + 250.0 * k as f64).collect();
-    let per_task = par_map(&ExecConfig::with_workers(workers), &items, |_, &r| {
-        let agg = SharedAggregator::new();
-        let opts = SimOptions::for_duration(5e-12, 100).with_telemetry(Telemetry::new(agg.clone()));
-        transient(&rc_circuit(r), 5e-12, &opts)?;
-        Ok::<_, sfet_sim::SimError>(agg.snapshot())
-    })
+    let (per_task, _) = par_map(
+        &ExecConfig::with_workers(workers),
+        &items,
+        Task::Each(&|_, _, &r| {
+            let agg = SharedAggregator::new();
+            let opts =
+                SimOptions::for_duration(5e-12, 100).with_telemetry(Telemetry::new(agg.clone()));
+            transient(&rc_circuit(r), 5e-12, &opts)?;
+            Ok::<_, sfet_sim::SimError>(agg.snapshot())
+        }),
+    )
     .unwrap();
     let mut rollup = Aggregator::new();
     for task in &per_task {
