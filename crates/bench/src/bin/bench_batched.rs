@@ -19,7 +19,7 @@
 
 use std::time::Instant;
 
-use sfet_bench::figure_dir;
+use sfet_bench::save_json;
 use sfet_circuit::{Circuit, SourceWaveform};
 use sfet_devices::ptm::PtmParams;
 use sfet_numeric::exec::{self, task_seed, ExecConfig};
@@ -192,7 +192,6 @@ fn main() {
         "{:<18} {:>6} {:>14} {:>14} {:>9}",
         "case", "tasks", "scalar/ms", "batched/ms", "speedup"
     );
-    let mut entries = Vec::new();
     for m in &results {
         println!(
             "{:<18} {:>6} {:>14.2} {:>14.2} {:>8.2}x",
@@ -202,29 +201,24 @@ fn main() {
             m.batched_ns / 1e6,
             m.speedup()
         );
-        entries.push(format!(
-            "    {{\"case\": \"{}\", \"tasks\": {}, \"workers\": {}, \"scalar_ns\": {:.1}, \"batched_ns\": {:.1}, \"speedup\": {:.3}, \"bitwise\": \"ok\"}}",
-            m.case,
-            m.tasks,
-            workers,
-            m.scalar_ns,
-            m.batched_ns,
-            m.speedup()
-        ));
     }
 
-    let json = format!(
-        "{{\n  \"bench\": \"batched_soa_sweep\",\n  \"mode\": \"{}\",\n  \"iters\": {},\n  \"results\": [\n{}\n  ]\n}}\n",
-        if smoke { "smoke" } else { "full" },
-        iters,
-        entries.join(",\n")
-    );
-    let path = figure_dir().join("BENCH_batched.json");
-    match std::fs::write(&path, &json) {
-        Ok(()) => println!("\n[json] {}", path.display()),
-        Err(e) => {
-            eprintln!("failed to write {}: {e}", path.display());
-            std::process::exit(1);
+    println!();
+    save_json("BENCH_batched.json", |doc| {
+        doc.str("bench", "batched_soa_sweep")
+            .str("mode", if smoke { "smoke" } else { "full" })
+            .u64("iters", iters.into());
+        let mut entries = doc.array("results");
+        for m in &results {
+            entries
+                .object()
+                .str("case", m.case)
+                .u64("tasks", m.tasks as u64)
+                .u64("workers", workers as u64)
+                .f64("scalar_ns", m.scalar_ns)
+                .f64("batched_ns", m.batched_ns)
+                .f64("speedup", m.speedup())
+                .str("bitwise", "ok");
         }
-    }
+    });
 }

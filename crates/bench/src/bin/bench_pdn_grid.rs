@@ -19,9 +19,10 @@
 
 use std::time::Instant;
 
-use sfet_bench::{banner, figure_dir};
+use sfet_bench::{banner, save_json};
 use sfet_pdn::{DroopMap, PdnGrid};
 use sfet_sim::{LinearSolver, SimOptions, SolverPolicy};
+use sfet_telemetry::json::Object;
 
 struct MapRun {
     grid: String,
@@ -51,30 +52,23 @@ fn run_map(grid: &PdnGrid, policy: SolverPolicy, points: usize, name: &'static s
     }
 }
 
-fn json_entry(r: &MapRun, rel_diff: Option<f64>) -> String {
+fn write_entry(o: &mut Object<'_>, r: &MapRun, rel_diff: Option<f64>) {
     let s = &r.map.stats.solver;
     let (wx, wy, wv) = r.map.worst();
-    let gate = rel_diff
-        .map(|d| format!(", \"rel_diff_vs_direct\": {d:.3e}"))
-        .unwrap_or_default();
-    format!(
-        "    {{\"grid\": \"{}\", \"tiles\": {}, \"unknowns\": {}, \"solver\": \"{}\", \
-         \"wall_ms\": {:.2}, \"steps\": {}, \"gmres_iters\": {}, \"gmres_restarts\": {}, \
-         \"gmres_fallbacks\": {}, \"worst_tile\": [{}, {}], \"worst_vmin\": {:.6}{}}}",
-        r.grid,
-        r.tiles,
-        r.unknowns,
-        r.solver,
-        r.wall_ms,
-        r.map.stats.steps_accepted,
-        s.gmres_iterations,
-        s.gmres_restarts,
-        s.gmres_fallbacks,
-        wx,
-        wy,
-        wv,
-        gate
-    )
+    o.str("grid", &r.grid)
+        .u64("tiles", r.tiles as u64)
+        .u64("unknowns", r.unknowns as u64)
+        .str("solver", r.solver)
+        .f64("wall_ms", r.wall_ms)
+        .u64("steps", r.map.stats.steps_accepted as u64)
+        .u64("gmres_iters", s.gmres_iterations)
+        .u64("gmres_restarts", s.gmres_restarts)
+        .u64("gmres_fallbacks", s.gmres_fallbacks);
+    o.array("worst_tile").u64(wx as u64).u64(wy as u64);
+    o.f64("worst_vmin", wv);
+    if let Some(d) = rel_diff {
+        o.f64("rel_diff_vs_direct", d);
+    }
 }
 
 fn main() {
@@ -112,7 +106,7 @@ fn main() {
         iterative.map.stats.solver.gmres_iterations
     );
 
-    let mut entries = vec![json_entry(&direct, None), json_entry(&iterative, Some(rel))];
+    let mut runs = vec![(direct, None), (iterative, Some(rel))];
 
     // Stage 2 — scale. 72×72 is 10 374 unknowns: the 10⁴-node class the
     // roadmap targets. Iterative-only: the gate above already pins the
@@ -135,21 +129,18 @@ fn main() {
                 s.gmres_fallbacks,
                 1e3 * it.map.worst_droop()
             );
-            entries.push(json_entry(&it, None));
+            runs.push((it, None));
         }
     }
 
-    let json = format!(
-        "{{\n  \"bench\": \"pdn_grid_droop_map\",\n  \"mode\": \"{}\",\n  \"gate_rel_tol\": 1e-6,\n  \"results\": [\n{}\n  ]\n}}\n",
-        if smoke { "smoke" } else { "full" },
-        entries.join(",\n")
-    );
-    let path = figure_dir().join("BENCH_pdn_grid.json");
-    match std::fs::write(&path, &json) {
-        Ok(()) => println!("\n[json] {}", path.display()),
-        Err(e) => {
-            eprintln!("failed to write {}: {e}", path.display());
-            std::process::exit(1);
+    println!();
+    save_json("BENCH_pdn_grid.json", |doc| {
+        doc.str("bench", "pdn_grid_droop_map")
+            .str("mode", if smoke { "smoke" } else { "full" })
+            .f64("gate_rel_tol", 1e-6);
+        let mut entries = doc.array("results");
+        for (run, rel_diff) in &runs {
+            write_entry(&mut entries.object(), run, *rel_diff);
         }
-    }
+    });
 }

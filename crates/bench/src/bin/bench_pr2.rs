@@ -9,7 +9,7 @@
 
 use std::time::Instant;
 
-use sfet_bench::{figure_dir, legacy};
+use sfet_bench::{legacy, save_json};
 use sfet_numeric::dense::{DenseMatrix, LuFactors};
 use sfet_numeric::sparse::TripletMatrix;
 
@@ -135,7 +135,6 @@ fn main() {
         "{:<8} {:>6} {:>16} {:>16} {:>9}",
         "backend", "n", "clone+factor/ns", "refactor/ns", "speedup"
     );
-    let mut entries = Vec::new();
     for m in &results {
         println!(
             "{:<8} {:>6} {:>16.0} {:>16.0} {:>8.2}x",
@@ -145,28 +144,22 @@ fn main() {
             m.reuse_ns,
             m.speedup()
         );
-        entries.push(format!(
-            "    {{\"backend\": \"{}\", \"n\": {}, \"clone_factor_ns\": {:.1}, \"refactor_ns\": {:.1}, \"speedup\": {:.3}}}",
-            m.name,
-            m.n,
-            m.baseline_ns,
-            m.reuse_ns,
-            m.speedup()
-        ));
     }
 
-    let json = format!(
-        "{{\n  \"bench\": \"pr2_factor_reuse\",\n  \"mode\": \"{}\",\n  \"iters\": {},\n  \"results\": [\n{}\n  ]\n}}\n",
-        if smoke { "smoke" } else { "full" },
-        iters,
-        entries.join(",\n")
-    );
-    let path = figure_dir().join("BENCH_pr2.json");
-    match std::fs::write(&path, &json) {
-        Ok(()) => println!("\n[json] {}", path.display()),
-        Err(e) => {
-            eprintln!("failed to write {}: {e}", path.display());
-            std::process::exit(1);
+    println!();
+    save_json("BENCH_pr2.json", |doc| {
+        doc.str("bench", "pr2_factor_reuse")
+            .str("mode", if smoke { "smoke" } else { "full" })
+            .u64("iters", iters.into());
+        let mut entries = doc.array("results");
+        for m in &results {
+            entries
+                .object()
+                .str("backend", m.name)
+                .u64("n", m.n as u64)
+                .f64("clone_factor_ns", m.baseline_ns)
+                .f64("refactor_ns", m.reuse_ns)
+                .f64("speedup", m.speedup());
         }
-    }
+    });
 }

@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use sfet_bench::{banner, figure_dir};
+use sfet_bench::{banner, save_json};
 use sfet_serve::{Client, ServeConfig, Server};
 
 struct Load {
@@ -185,32 +185,27 @@ fn main() {
     let _ = client.shutdown();
     accept.join().expect("accept loop");
 
-    submit_us.sort_by(|x, y| x.partial_cmp(y).expect("finite latencies"));
-    let json = format!(
-        "{{\n  \"bench\": \"serve\",\n  \"smoke\": {smoke},\n  \"clients\": {},\n  \
-         \"workers\": {},\n  \"queue_capacity\": {},\n  \"submissions\": {},\n  \
-         \"distinct_jobs\": {},\n  \"wall_s\": {wall_s:.3},\n  \
-         \"jobs_per_s\": {:.1},\n  \"submit_p50_us\": {:.1},\n  \
-         \"submit_p90_us\": {:.1},\n  \"submit_p99_us\": {:.1},\n  \
-         \"sim_attempts\": {sim_attempts},\n  \"cache_hits\": {cache_hits},\n  \
-         \"coalesced\": {},\n  \"rejected_429\": {},\n  \"client_429_retries\": {}\n}}\n",
-        load.clients,
-        load.workers,
-        load.queue_capacity,
-        total,
-        load.distinct_jobs,
-        total as f64 / wall_s,
-        percentile(&submit_us, 0.50),
-        percentile(&submit_us, 0.90),
-        percentile(&submit_us, 0.99),
-        stat("coalesced"),
-        stat("queue_rejected"),
-        retries_429.load(Ordering::Relaxed),
-    );
-    let path = figure_dir().join("BENCH_serve.json");
-    std::fs::write(&path, &json).expect("write BENCH_serve.json");
-    println!("{json}");
-    println!("wrote {}", path.display());
+    submit_us.sort_by(f64::total_cmp);
+    let summary = save_json("BENCH_serve.json", |doc| {
+        doc.str("bench", "serve")
+            .bool("smoke", smoke)
+            .u64("clients", load.clients as u64)
+            .u64("workers", load.workers as u64)
+            .u64("queue_capacity", load.queue_capacity as u64)
+            .u64("submissions", total as u64)
+            .u64("distinct_jobs", load.distinct_jobs as u64)
+            .f64("wall_s", wall_s)
+            .f64("jobs_per_s", total as f64 / wall_s)
+            .f64("submit_p50_us", percentile(&submit_us, 0.50))
+            .f64("submit_p90_us", percentile(&submit_us, 0.90))
+            .f64("submit_p99_us", percentile(&submit_us, 0.99))
+            .u64("sim_attempts", sim_attempts)
+            .u64("cache_hits", cache_hits)
+            .u64("coalesced", stat("coalesced"))
+            .u64("rejected_429", stat("queue_rejected"))
+            .u64("client_429_retries", retries_429.load(Ordering::Relaxed));
+    });
+    print!("{summary}");
 
     let _ = std::fs::remove_dir_all(&store_dir);
 }

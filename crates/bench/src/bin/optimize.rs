@@ -21,7 +21,7 @@
 
 use std::sync::Arc;
 
-use sfet_bench::{banner, figure_dir, save_rows, telemetry_from_args};
+use sfet_bench::{banner, figure_dir, save_json, save_rows, telemetry_from_args};
 use sfet_optimize::{frontier, Algorithm, StandardRun};
 
 fn main() {
@@ -113,43 +113,25 @@ fn main() {
         front.len()
     );
 
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"algorithm\": \"{alg}\",\n",
-            "  \"seed\": {seed},\n",
-            "  \"smoke\": {smoke},\n",
-            "  \"generations\": {gens},\n",
-            "  \"candidates\": {cands},\n",
-            "  \"frontier_points\": {front},\n",
-            "  \"baseline_droop_mv\": {base:.6},\n",
-            "  \"paper_reduction_pct\": {paper_red:.6},\n",
-            "  \"paper_delay_ps\": {paper_delay:.6},\n",
-            "  \"best_reduction_pct\": {best_red:.6},\n",
-            "  \"best_delay_ps\": {best_delay:.6},\n",
-            "  \"best_area_ratio\": {best_area:.6},\n",
-            "  \"best_feasible\": {feasible},\n",
-            "  \"beats_paper\": {beats}\n",
-            "}}\n"
-        ),
-        alg = outcome.algorithm,
-        seed = seed,
-        smoke = smoke,
-        gens = outcome.history.len(),
-        cands = outcome.evaluated.len(),
-        front = front.len(),
-        base = outcome.baseline.droop_mv,
-        paper_red = ref_eval.droop_reduction_pct,
-        paper_delay = ref_eval.delay * 1e12,
-        best_red = best.eval.droop_reduction_pct,
-        best_delay = best.eval.delay * 1e12,
-        best_area = best.eval.area_ratio,
-        feasible = best.eval.feasible,
-        beats = best.eval.droop_reduction_pct >= ref_eval.droop_reduction_pct,
-    );
-    let json_path = figure_dir().join("BENCH_optimize.json");
-    std::fs::write(&json_path, &json).expect("write BENCH_optimize.json");
-    println!("wrote {}", json_path.display());
+    save_json("BENCH_optimize.json", |doc| {
+        doc.str("algorithm", outcome.algorithm)
+            .u64("seed", seed)
+            .bool("smoke", smoke)
+            .u64("generations", outcome.history.len() as u64)
+            .u64("candidates", outcome.evaluated.len() as u64)
+            .u64("frontier_points", front.len() as u64)
+            .f64("baseline_droop_mv", outcome.baseline.droop_mv)
+            .f64("paper_reduction_pct", ref_eval.droop_reduction_pct)
+            .f64("paper_delay_ps", ref_eval.delay * 1e12)
+            .f64("best_reduction_pct", best.eval.droop_reduction_pct)
+            .f64("best_delay_ps", best.eval.delay * 1e12)
+            .f64("best_area_ratio", best.eval.area_ratio)
+            .bool("best_feasible", best.eval.feasible)
+            .bool(
+                "beats_paper",
+                best.eval.droop_reduction_pct >= ref_eval.droop_reduction_pct,
+            );
+    });
 
     // Reproduce-then-beat gate.
     if !best.eval.feasible {

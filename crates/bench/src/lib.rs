@@ -47,6 +47,25 @@ pub fn save_rows(name: &str, header: &str, rows: &[String]) {
     }
 }
 
+/// Writes a benchmark summary — the JSON object `fields` writes, through
+/// the workspace's one writer — to `name` under the figure directory,
+/// reports the path, and returns the text. Exits with status 1 when the
+/// file cannot be written: CI archives these files.
+pub fn save_json(name: &str, fields: impl FnOnce(&mut sfet_telemetry::json::Object<'_>)) -> String {
+    let mut text = String::new();
+    fields(&mut sfet_telemetry::json::Object::new(&mut text));
+    text.push('\n');
+    let path = figure_dir().join(name);
+    match std::fs::write(&path, &text) {
+        Ok(()) => println!("  [json] {}", path.display()),
+        Err(e) => {
+            eprintln!("failed to write {}: {e}", path.display());
+            std::process::exit(1);
+        }
+    }
+    text
+}
+
 /// Reference implementations of solver paths that the engine no longer
 /// uses, preserved so the `factor_reuse` benchmarks compare the current
 /// hot loop against what it replaced rather than against itself.

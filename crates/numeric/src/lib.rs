@@ -104,6 +104,21 @@ pub fn approx_eq(a: f64, b: f64, reltol: f64, abstol: f64) -> bool {
     (a - b).abs() <= reltol * a.abs().max(b.abs()) + abstol
 }
 
+/// 64-bit FNV-1a of `bytes`: the workspace's one content hash, behind
+/// SFCK checkpoint fingerprints, job-server cache keys and optimizer
+/// journal identities.
+///
+/// # Example
+///
+/// ```
+/// assert_eq!(sfet_numeric::fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+/// ```
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -124,6 +139,13 @@ mod tests {
     fn approx_eq_absolute_window() {
         assert!(approx_eq(0.0, 1e-13, 0.0, 1e-12));
         assert!(!approx_eq(0.0, 1e-11, 0.0, 1e-12));
+    }
+
+    #[test]
+    fn fnv1a_matches_the_published_vectors() {
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
     }
 
     #[test]

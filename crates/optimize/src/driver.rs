@@ -156,13 +156,6 @@ fn lane_measure(
     Ok(LaneMeasure { i_max, delay })
 }
 
-/// FNV-1a over a byte string.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
-
 /// The journal of one generation's lanes at `path`. Its identity
 /// fingerprints the lane specs — everything a lane's value depends on —
 /// so a journal of any other generation, space or objective is refused.
@@ -178,7 +171,7 @@ fn generation_journal<'a>(
         identity: format!(
             "optimize {algorithm} seed={seed} gen={generation} lanes={} specs={:016x}",
             lanes.len(),
-            fnv1a(format!("{lanes:?}").as_bytes())
+            sfet_numeric::fnv1a(format!("{lanes:?}").as_bytes())
         ),
         encode: |m| encode_f64s(&[m.i_max, m.delay]),
         decode: |index, payload| match decode_f64s(payload)?[..] {

@@ -4,7 +4,8 @@
 
 use std::fmt;
 
-use crate::json::build::{obj, s};
+use sfet_telemetry::json::Object;
+
 use crate::json::Json;
 
 /// A client-visible API error: HTTP status + stable machine-readable
@@ -129,11 +130,12 @@ impl ApiError {
     /// The JSON body for this error:
     /// `{"error":{"code":"...","message":"..."}}`.
     pub fn to_body(&self) -> String {
-        obj(vec![(
-            "error",
-            obj(vec![("code", s(self.code)), ("message", s(&self.message))]),
-        )])
-        .to_json()
+        let mut body = String::new();
+        Object::new(&mut body)
+            .object("error")
+            .str("code", self.code)
+            .str("message", &self.message);
+        body
     }
 
     /// `Retry-After` seconds to advertise, for statuses that carry one.

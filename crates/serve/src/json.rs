@@ -1,13 +1,13 @@
-//! Minimal hand-rolled JSON: the exact subset the wire protocol needs.
+//! The JSON value model and parser the wire protocol reads requests with.
 //!
 //! The workspace is dependency-free by policy (the build environment is
-//! offline), so — like `sfet-telemetry`'s JSONL sink — the server rolls
-//! its own JSON. The model is deliberately small: numbers are `f64`,
-//! objects preserve insertion order (which makes serialisation
-//! deterministic — the result store depends on that), and parsing is a
-//! plain recursive-descent scanner with a depth cap.
+//! offline), so the server parses its own JSON. The model is deliberately
+//! small: numbers are `f64`, objects preserve insertion order, and
+//! parsing is a plain recursive-descent scanner with a depth cap. Every
+//! byte the server writes goes through `sfet_telemetry::json`, the
+//! workspace's one writer; [`Json::to_json`] walks a value through it.
 
-use std::fmt::Write as _;
+use sfet_telemetry::json::{self as writer, Array, Object};
 
 /// Maximum nesting depth the parser accepts; beyond it the input is
 /// rejected rather than risking a stack overflow on hostile payloads.
@@ -102,110 +102,36 @@ impl Json {
         }
     }
 
-    /// Serialises the value to compact JSON. Object order is preserved;
-    /// floats use Rust's shortest round-trippable form (so a value
-    /// serialised and re-parsed is bitwise the same `f64`); non-finite
-    /// floats become `null`.
+    /// Serialises the value to compact JSON through
+    /// `sfet_telemetry::json`. Object order is preserved; floats use the
+    /// shortest round-trippable form (so a value serialised and re-parsed
+    /// is bitwise the same `f64`); non-finite floats become `null`.
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         self.write(&mut out);
         out
     }
 
-    /// Appends the [`Json::to_json`] text of the value to `out`.
-    pub(crate) fn write(&self, out: &mut String) {
+    fn write(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
-            Json::Bool(true) => out.push_str("true"),
-            Json::Bool(false) => out.push_str("false"),
-            Json::Num(n) => write_f64(out, *n),
-            Json::Str(s) => write_escaped(out, s),
+            Json::Bool(b) => writer::write_bool(out, *b),
+            Json::Num(n) => writer::write_f64(out, *n),
+            Json::Str(s) => writer::write_str(out, s),
             Json::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.write(out);
+                let mut array = Array::new(out);
+                for item in items {
+                    item.write(array.item());
                 }
-                out.push(']');
             }
             Json::Obj(pairs) => {
-                out.push('{');
-                for (i, (k, v)) in pairs.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    write_escaped(out, k);
-                    out.push(':');
-                    v.write(out);
+                let mut object = Object::new(out);
+                for (k, v) in pairs {
+                    v.write(object.key(k));
                 }
-                out.push('}');
             }
         }
     }
-}
-
-/// Longest text [`write_f64`] can append: 17 significant digits, a sign,
-/// a point and a three-digit exponent (`-2.2250738585072014e-308`).
-pub(crate) const MAX_F64_LEN: usize = 24;
-
-/// Formats an `f64` as a JSON number; the spelling is [`write_f64`]'s.
-pub fn fmt_f64(value: f64) -> String {
-    let mut text = String::new();
-    write_f64(&mut text, value);
-    text
-}
-
-/// Appends an `f64` to `out` as a JSON number, in place: Rust's shortest
-/// round-trippable `{:?}` form for finite values, with the `.0` that
-/// `{:?}` gives integral values dropped, and `null` for NaN/±inf.
-///
-/// # Example
-///
-/// ```
-/// use sfet_serve::json::write_f64;
-///
-/// let mut out = String::from("[1.0,");
-/// for v in [5.0, -0.0, 1e-7, 0.1, f64::NAN] {
-///     write_f64(&mut out, v);
-///     out.push(',');
-/// }
-/// assert_eq!(out, "[1.0,5,-0,1e-7,0.1,null,");
-/// ```
-pub fn write_f64(out: &mut String, value: f64) {
-    if value.is_finite() {
-        let start = out.len();
-        let _ = write!(out, "{value:?}");
-        // `{:?}` spells integral values `5.0`; the bare integer is one
-        // byte shorter, reads better in counters, and parses back to the
-        // same bits (`-0` included), so trim the suffix — of the appended
-        // text only, never of what `out` already held.
-        if out[start..].ends_with(".0") {
-            out.truncate(out.len() - 2);
-        }
-    } else {
-        out.push_str("null");
-    }
-}
-
-/// Appends `s` as a quoted, escaped JSON string literal.
-pub(crate) fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 struct Parser<'a> {
@@ -432,37 +358,6 @@ impl<'a> Parser<'a> {
     }
 }
 
-/// Builder helpers for assembling response objects without repeating
-/// `Json::` noise at every call site.
-pub mod build {
-    use super::Json;
-
-    /// An object from key/value pairs (insertion order preserved).
-    pub fn obj(pairs: Vec<(&str, Json)>) -> Json {
-        Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
-    }
-
-    /// A string value.
-    pub fn s(v: impl Into<String>) -> Json {
-        Json::Str(v.into())
-    }
-
-    /// A numeric value.
-    pub fn n(v: f64) -> Json {
-        Json::Num(v)
-    }
-
-    /// An unsigned integer as a JSON number (exact up to 2^53).
-    pub fn u(v: u64) -> Json {
-        Json::Num(v as f64)
-    }
-
-    /// A boolean value.
-    pub fn b(v: bool) -> Json {
-        Json::Bool(v)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -499,83 +394,13 @@ mod tests {
             -0.0,
             1e300,
         ] {
-            let v = Json::parse(&fmt_f64(x)).unwrap();
+            let v = Json::parse(&Json::Num(x).to_json()).unwrap();
             assert_eq!(v.as_f64().unwrap().to_bits(), x.to_bits(), "{x}");
         }
-        assert_eq!(fmt_f64(5.0), "5");
-        assert_eq!(fmt_f64(-0.0), "-0");
-        assert_eq!(fmt_f64(1e300), "1e300");
-    }
-
-    /// The served-float spelling `write_f64` must reproduce byte for byte:
-    /// `{:?}` into its own `String`, a trailing `.0` trimmed, `null` for
-    /// non-finite values.
-    fn reference_spelling(value: f64) -> String {
-        if value.is_finite() {
-            let mut text = format!("{value:?}");
-            if text.ends_with(".0") {
-                text.truncate(text.len() - 2);
-            }
-            text
-        } else {
-            "null".to_owned()
-        }
-    }
-
-    fn assert_spelled_as_reference(value: f64) {
-        const PREFIX: &str = "[1.0,";
-        let expected = reference_spelling(value);
-        let mut out = String::from(PREFIX);
-        write_f64(&mut out, value);
-        let bits = value.to_bits();
-        assert_eq!(
-            &out[..PREFIX.len()],
-            PREFIX,
-            "prefix trimmed at {bits:#018x}"
-        );
-        assert_eq!(&out[PREFIX.len()..], expected, "spelling of {bits:#018x}");
-        assert!(
-            expected.len() <= MAX_F64_LEN,
-            "{expected} exceeds MAX_F64_LEN"
-        );
-    }
-
-    #[test]
-    fn write_f64_matches_the_reference_spelling() {
-        let below = |x: f64| f64::from_bits(x.to_bits() - 1);
-        let above = |x: f64| f64::from_bits(x.to_bits() + 1);
-        for x in [
-            0.0,
-            -0.0,
-            f64::from_bits(1),
-            -f64::from_bits(1),
-            f64::MIN_POSITIVE,
-            f64::MAX,
-            f64::MIN,
-            1.0,
-            -3.0,
-            1e15,
-            9007199254740992.0,
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-            f64::NAN,
-            -f64::NAN,
-            // `{:?}` switches between decimal and exponent form at 1e-4
-            // and 1e16.
-            1e-4,
-            below(1e-4),
-            above(1e-4),
-            1e16,
-            below(1e16),
-            above(1e16),
-            -below(1e16),
-        ] {
-            assert_spelled_as_reference(x);
-        }
-        for i in 0..1_000_000 {
-            let bits = sfet_numeric::exec::task_seed(0x5eed, i);
-            assert_spelled_as_reference(f64::from_bits(bits));
-        }
+        assert_eq!(Json::Num(5.0).to_json(), "5");
+        assert_eq!(Json::Num(-0.0).to_json(), "-0");
+        assert_eq!(Json::Num(1e300).to_json(), "1e300");
+        assert_eq!(Json::Num(f64::NAN).to_json(), "null");
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //! A dependency-free (std-only, thread-per-connection) HTTP/1.1 job
 //! server in front of the `sfet-sim` execution engine:
 //!
-//! * **Wire format** ([`protocol`]): versioned hand-written JSON — jobs
-//!   name a built-in scenario or carry a SPICE-like netlist, plus an
-//!   optional `SimOptions` patch and execution policy.
+//! * **Wire format** ([`protocol`]): versioned JSON, parsed by [`json`]
+//!   and written through `sfet_telemetry::json` — jobs name a built-in
+//!   scenario or carry a SPICE-like netlist, plus an optional
+//!   `SimOptions` patch and execution policy.
 //! * **Scheduling** ([`scheduler`]): a bounded queue and a worker pool
 //!   with per-job retries (escalating solver options) and checkpoint
 //!   resume; backpressure is HTTP 429 + `Retry-After`, shutdown drains

@@ -21,9 +21,8 @@
 
 use std::sync::{Arc, Condvar, Mutex};
 
+use sfet_telemetry::json::Object;
 use sfet_telemetry::{names, Event, TelemetrySink};
-
-use crate::json::build::{obj, s, u};
 
 /// Emit one `progress` event per this many accepted steps.
 pub const PROGRESS_EVERY: u64 = 1024;
@@ -52,8 +51,10 @@ impl EventHub {
         Arc::new(EventHub::default())
     }
 
-    /// Appends one SSE block (`event:` name + `data:` JSON payload).
-    pub fn push(&self, event: &str, data: &str) {
+    /// Appends one SSE block: the `event:` name and, as its `data:`
+    /// payload, the JSON object `data` writes.
+    pub fn push(&self, event: &str, data: impl FnOnce(&mut Object<'_>)) {
+        let block = sse_block(event, data);
         let mut st = self.state.lock().expect("hub lock");
         if st.closed {
             return;
@@ -61,24 +62,27 @@ impl EventHub {
         if st.events.len() >= MAX_EVENTS {
             if !st.truncated {
                 st.truncated = true;
-                st.events.push(sse_block("truncated", "{\"dropped\":true}"));
+                st.events.push(sse_block("truncated", |o| {
+                    o.bool("dropped", true);
+                }));
             }
             return;
         }
-        st.events.push(sse_block(event, data));
+        st.events.push(block);
         drop(st);
         self.cv.notify_all();
     }
 
     /// Appends a terminal block and closes the hub: subscribers drain
     /// what remains and disconnect; later pushes are ignored.
-    pub fn finish(&self, event: &str, data: &str) {
+    pub fn finish(&self, event: &str, data: impl FnOnce(&mut Object<'_>)) {
+        let block = sse_block(event, data);
         let mut st = self.state.lock().expect("hub lock");
         if st.closed {
             return;
         }
         // The terminal event always fits, even on a truncated stream.
-        st.events.push(sse_block(event, data));
+        st.events.push(block);
         st.closed = true;
         drop(st);
         self.cv.notify_all();
@@ -108,12 +112,14 @@ impl EventHub {
     }
 }
 
-/// Formats one SSE block: `event: <name>\ndata: <payload>\n\n`.
-pub fn sse_block(event: &str, data: &str) -> String {
-    // SSE data lines must not embed raw newlines; the payloads here are
-    // single-line JSON by construction, but guard anyway.
-    let data = data.replace('\n', " ");
-    format!("event: {event}\ndata: {data}\n\n")
+/// Formats one SSE block, `event: <name>\ndata: <payload>\n\n`, whose
+/// payload is the JSON object `data` writes. The writer escapes every
+/// newline, so the payload is always the single `data:` line SSE needs.
+pub fn sse_block(event: &str, data: impl FnOnce(&mut Object<'_>)) -> String {
+    let mut block = format!("event: {event}\ndata: ");
+    data(&mut Object::new(&mut block));
+    block.push_str("\n\n");
+    block
 }
 
 /// [`TelemetrySink`] that forwards simulation telemetry into an
@@ -134,29 +140,17 @@ impl HubSink {
 impl TelemetrySink for HubSink {
     fn record(&mut self, event: &Event<'_>) {
         match *event {
-            Event::SpanBegin { name, .. } => {
-                self.hub.push(
-                    "telemetry",
-                    &obj(vec![("type", s("span_begin")), ("name", s(name))]).to_json(),
-                );
-            }
-            Event::SpanEnd { name, .. } => {
-                self.hub.push(
-                    "telemetry",
-                    &obj(vec![("type", s("span_end")), ("name", s(name))]).to_json(),
-                );
-            }
-            Event::Counter { name, delta } => {
-                self.hub.push(
-                    "telemetry",
-                    &obj(vec![
-                        ("type", s("counter")),
-                        ("name", s(name)),
-                        ("delta", u(delta)),
-                    ])
-                    .to_json(),
-                );
-            }
+            Event::SpanBegin { name, .. } => self.hub.push("telemetry", |o| {
+                o.str("type", "span_begin").str("name", name);
+            }),
+            Event::SpanEnd { name, .. } => self.hub.push("telemetry", |o| {
+                o.str("type", "span_end").str("name", name);
+            }),
+            Event::Counter { name, delta } => self.hub.push("telemetry", |o| {
+                o.str("type", "counter")
+                    .str("name", name)
+                    .u64("delta", delta);
+            }),
             Event::Histogram { name, .. } => {
                 // Sampled: one progress heartbeat per PROGRESS_EVERY
                 // accepted steps. `tran.dt_seconds` observes once per
@@ -167,10 +161,10 @@ impl TelemetrySink for HubSink {
                 }
                 self.steps += 1;
                 if self.steps.is_multiple_of(PROGRESS_EVERY) {
-                    self.hub.push(
-                        "progress",
-                        &obj(vec![("observations", u(self.steps))]).to_json(),
-                    );
+                    let steps = self.steps;
+                    self.hub.push("progress", |o| {
+                        o.u64("observations", steps);
+                    });
                 }
             }
         }
@@ -184,18 +178,20 @@ mod tests {
     #[test]
     fn replay_then_live_then_close() {
         let hub = EventHub::new();
-        hub.push("status", "{\"state\":\"queued\"}");
+        hub.push("status", |o| {
+            o.str("state", "queued");
+        });
         let (first, closed) = hub.wait_from(0);
         assert_eq!(first.len(), 1);
         assert!(!closed);
         assert!(first[0].starts_with("event: status\ndata: "));
 
-        hub.finish("done", "{}");
+        hub.finish("done", |_| {});
         let (rest, closed) = hub.wait_from(1);
         assert_eq!(rest, vec!["event: done\ndata: {}\n\n"]);
         assert!(closed);
         // Pushes after close are ignored.
-        hub.push("status", "{}");
+        hub.push("status", |_| {});
         assert_eq!(hub.snapshot().len(), 2);
     }
 
@@ -270,11 +266,13 @@ mod tests {
     fn truncation_is_marked_once_and_terminal_event_survives() {
         let hub = EventHub::new();
         for i in 0..(MAX_EVENTS + 10) {
-            hub.push("telemetry", &format!("{{\"i\":{i}}}"));
+            hub.push("telemetry", |o| {
+                o.u64("i", i as u64);
+            });
         }
         let n = hub.snapshot().len();
         assert_eq!(n, MAX_EVENTS + 1, "cap + one truncated marker");
-        hub.finish("done", "{}");
+        hub.finish("done", |_| {});
         assert_eq!(hub.snapshot().len(), n + 1);
     }
 }

@@ -6,13 +6,17 @@
 //! module defines *what the bytes mean*. The full schema narrative lives
 //! in `docs/SERVE.md`.
 
+use std::fmt::{Display, Write as _};
+
 use sfet_numeric::integrate::Method;
-use sfet_optimize::{pareto_frontier, DesignSpace, OptimizeOutcome};
+use sfet_optimize::{
+    pareto_frontier, DesignSpace, EvaluatedPoint, GenerationSummary, OptimizeOutcome,
+};
 use sfet_sim::{SimOptions, TranResult};
+use sfet_telemetry::json::{write_f64, Object, MAX_F64_LEN};
 
 use crate::error::ApiError;
-use crate::json::build::{obj, u};
-use crate::json::{fmt_f64, write_escaped, write_f64, Json, MAX_F64_LEN};
+use crate::json::Json;
 use crate::spec::OptimizeWork;
 
 /// API version; the path prefix of every route (`/v1/...`). Bumped on
@@ -173,6 +177,36 @@ pub fn method_name(method: Method) -> &'static str {
     }
 }
 
+/// A canonical `key=value` string, `;`-separated: the value-level half
+/// of a cache key. Floats take the served spelling, so two canons are
+/// equal iff every float field is bitwise equal.
+#[derive(Debug, Default)]
+pub(crate) struct Canon(pub(crate) String);
+
+impl Canon {
+    /// A float field.
+    pub(crate) fn f64(mut self, key: &str, value: f64) -> Canon {
+        self.field(key);
+        write_f64(&mut self.0, value);
+        self
+    }
+
+    /// Any other field, in its `Display` form.
+    pub(crate) fn text(mut self, key: &str, value: impl Display) -> Canon {
+        self.field(key);
+        let _ = write!(self.0, "{value}");
+        self
+    }
+
+    fn field(&mut self, key: &str) {
+        if !self.0.is_empty() {
+            self.0.push(';');
+        }
+        self.0.push_str(key);
+        self.0.push('=');
+    }
+}
+
 /// Canonical string of *resolved* simulation options — the
 /// cache-key half that captures element values and tolerances the
 /// circuit-shape fingerprint cannot see. Fixed field order, every field
@@ -183,20 +217,19 @@ pub fn method_name(method: Method) -> &'static str {
 /// deliberately *not* covered: it cannot change the result, so it must
 /// not split the cache.
 pub fn canonical_options(opts: &SimOptions, tstop: f64, extra: &str) -> String {
-    format!(
-        "reltol={};vntol={};abstol={};dtmax={};method={};max_steps={};gmin={};\
-         dtmin={};max_newton_iter={};tstop={};extra={extra}",
-        fmt_f64(opts.reltol),
-        fmt_f64(opts.vntol),
-        fmt_f64(opts.abstol),
-        fmt_f64(opts.dtmax),
-        method_name(opts.method),
-        opts.max_steps,
-        fmt_f64(opts.gmin),
-        fmt_f64(opts.dtmin),
-        opts.max_newton_iter,
-        fmt_f64(tstop),
-    )
+    Canon::default()
+        .f64("reltol", opts.reltol)
+        .f64("vntol", opts.vntol)
+        .f64("abstol", opts.abstol)
+        .f64("dtmax", opts.dtmax)
+        .text("method", method_name(opts.method))
+        .text("max_steps", opts.max_steps)
+        .f64("gmin", opts.gmin)
+        .f64("dtmin", opts.dtmin)
+        .text("max_newton_iter", opts.max_newton_iter)
+        .f64("tstop", tstop)
+        .text("extra", extra)
+        .0
 }
 
 /// Encodes a [`TranResult`] as the versioned, **deterministic** result
@@ -210,97 +243,73 @@ pub fn canonical_options(opts: &SimOptions, tstop: f64, extra: &str) -> String {
 /// through this same function.
 pub fn encode_tran_result(result: &TranResult) -> String {
     let mut out = String::with_capacity(tran_document_bound(result));
-    out.push_str("{\"result\":\"");
-    out.push_str(RESULT_VERSION);
-    out.push_str("\",\"times\":");
-    write_f64_array(&mut out, result.times());
-
-    out.push_str(",\"nodes\":{");
-    let mut nodes: Vec<&str> = result.node_names().collect();
-    nodes.sort_unstable();
-    for (i, name) in nodes.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        write_key(&mut out, name);
+    let mut doc = Object::new(&mut out);
+    doc.str("result", RESULT_VERSION)
+        .f64s("times", result.times());
+    let mut nodes = doc.object("nodes");
+    for name in sorted(result.node_names()) {
         let samples = result
             .node_samples(name)
             .expect("name came from node_names");
-        write_f64_array(&mut out, samples);
+        nodes.f64s(name, samples);
     }
-
-    out.push_str("},\"branches\":{");
-    let mut branches: Vec<&str> = result.branch_names().collect();
-    branches.sort_unstable();
-    for (i, name) in branches.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        write_key(&mut out, name);
+    drop(nodes);
+    let mut branches = doc.object("branches");
+    for name in sorted(result.branch_names()) {
         let wave = result
             .branch_current(name)
             .expect("name came from branch_names");
-        write_f64_array(&mut out, wave.values());
+        branches.f64s(name, wave.values());
     }
-
-    out.push_str("},\"ptm\":{");
-    let mut ptms: Vec<&str> = result.ptm_names().collect();
-    ptms.sort_unstable();
-    for (i, name) in ptms.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        write_key(&mut out, name);
-        let events = result.ptm_events(name).expect("name came from ptm_names");
+    drop(branches);
+    let mut ptms = doc.object("ptm");
+    for name in sorted(result.ptm_names()) {
         let resistance = result
             .ptm_resistance(name)
             .expect("name came from ptm_names");
-        out.push_str("{\"resistance\":");
-        write_f64_array(&mut out, resistance.values());
-        out.push_str(",\"events\":[");
-        for (j, ev) in events.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"time\":");
-            write_f64(&mut out, ev.time);
-            out.push_str(",\"to\":\"");
-            out.push_str(if ev.is_imt() {
+        let mut ptm = ptms.object(name);
+        ptm.f64s("resistance", resistance.values());
+        let mut events = ptm.array("events");
+        for ev in result.ptm_events(name).expect("name came from ptm_names") {
+            let to = if ev.is_imt() {
                 "metallic"
             } else {
                 "insulating"
-            });
-            out.push_str("\"}");
+            };
+            events.object().f64("time", ev.time).str("to", to);
         }
-        out.push_str("]}");
     }
+    drop(ptms);
 
     let st = result.stats();
-    out.push_str("},\"stats\":");
-    let stats = obj(vec![
-        ("steps_attempted", u(st.steps_attempted as u64)),
-        ("steps_accepted", u(st.steps_accepted as u64)),
-        ("steps_rejected", u(st.steps_rejected as u64)),
-        ("newton_iterations", u(st.newton_iterations as u64)),
-        ("ptm_transitions", u(st.ptm_transitions as u64)),
-        (
-            "solver",
-            obj(vec![
-                ("full_factorizations", u(st.solver.full_factorizations)),
-                ("refactorizations", u(st.solver.refactorizations)),
-                ("solves", u(st.solver.solves)),
-                ("pattern_rebuilds", u(st.solver.pattern_rebuilds)),
-                ("pivot_fallbacks", u(st.solver.pivot_fallbacks)),
-                ("factor_nnz", u(st.solver.factor_nnz as u64)),
-                ("gmres_iters", u(st.solver.gmres_iterations)),
-                ("gmres_restarts", u(st.solver.gmres_restarts)),
-                ("gmres_fallbacks", u(st.solver.gmres_fallbacks)),
-            ]),
-        ),
-    ]);
-    stats.write(&mut out);
-    out.push('}');
+    let mut stats = doc.object("stats");
+    stats
+        .u64("steps_attempted", st.steps_attempted as u64)
+        .u64("steps_accepted", st.steps_accepted as u64)
+        .u64("steps_rejected", st.steps_rejected as u64)
+        .u64("newton_iterations", st.newton_iterations as u64)
+        .u64("ptm_transitions", st.ptm_transitions as u64);
+    stats
+        .object("solver")
+        .u64("full_factorizations", st.solver.full_factorizations)
+        .u64("refactorizations", st.solver.refactorizations)
+        .u64("solves", st.solver.solves)
+        .u64("pattern_rebuilds", st.solver.pattern_rebuilds)
+        .u64("pivot_fallbacks", st.solver.pivot_fallbacks)
+        .u64("factor_nnz", st.solver.factor_nnz as u64)
+        .u64("gmres_iters", st.solver.gmres_iterations)
+        .u64("gmres_restarts", st.solver.gmres_restarts)
+        .u64("gmres_fallbacks", st.solver.gmres_fallbacks);
+    drop(stats);
+    drop(doc);
     out
+}
+
+/// The names sorted, so documents do not depend on map order.
+fn sorted<'a>(names: impl Iterator<Item = &'a str>) -> Vec<&'a str> {
+    let mut names: Vec<&str> = names.collect();
+    names.sort_unstable();
+    names
 }
 
 /// An upper bound on the length of the [`encode_tran_result`] document,
@@ -341,119 +350,72 @@ fn tran_document_bound(result: &TranResult) -> usize {
 /// documents.
 pub fn encode_optimize_result(work: &OptimizeWork, outcome: &OptimizeOutcome) -> String {
     let space = DesignSpace::soft_fet_standard();
-    let axes: Vec<&str> = space.axes().iter().map(|a| a.name).collect();
     let (_, ref_eval) = &outcome.reference;
     let best = &outcome.best;
-    let frontier = pareto_frontier(&outcome.evaluated);
 
     let mut out = String::with_capacity(4096);
-    out.push_str("{\"result\":\"");
-    out.push_str(OPTIMIZE_RESULT_VERSION);
-    out.push_str("\",\"algorithm\":\"");
-    out.push_str(outcome.algorithm);
-    out.push_str("\",\"seed\":");
-    out.push_str(&work.seed.to_string());
-    out.push_str(",\"generations\":");
-    out.push_str(&outcome.history.len().to_string());
-    out.push_str(",\"population\":");
-    out.push_str(&work.population.to_string());
-    out.push_str(",\"vdd\":");
-    write_f64(&mut out, work.vdd);
-    out.push_str(",\"axes\":[");
-    for (i, name) in axes.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        write_escaped(&mut out, name);
+    let mut doc = Object::new(&mut out);
+    doc.str("result", OPTIMIZE_RESULT_VERSION)
+        .str("algorithm", outcome.algorithm)
+        .u64("seed", work.seed)
+        .u64("generations", outcome.history.len() as u64)
+        .u64("population", work.population as u64)
+        .f64("vdd", work.vdd);
+    let mut axes = doc.array("axes");
+    for axis in space.axes() {
+        axes.str(axis.name);
     }
-    out.push_str("],\"baseline\":{\"droop_mv\":");
-    write_f64(&mut out, outcome.baseline.droop_mv);
-    out.push_str("},\"reference\":{\"droop_reduction_pct\":");
-    write_f64(&mut out, ref_eval.droop_reduction_pct);
-    out.push_str(",\"delay\":");
-    write_f64(&mut out, ref_eval.delay);
-    out.push_str(",\"area_ratio\":");
-    write_f64(&mut out, ref_eval.area_ratio);
-    out.push_str("},\"best\":");
-    write_point(&mut out, best);
-    out.push_str(",\"beats_reference\":");
-    out.push_str(
-        if best.eval.feasible && best.eval.droop_reduction_pct >= ref_eval.droop_reduction_pct {
-            "true"
-        } else {
-            "false"
-        },
+    drop(axes);
+    doc.object("baseline")
+        .f64("droop_mv", outcome.baseline.droop_mv);
+    doc.object("reference")
+        .f64("droop_reduction_pct", ref_eval.droop_reduction_pct)
+        .f64("delay", ref_eval.delay)
+        .f64("area_ratio", ref_eval.area_ratio);
+    write_point(&mut doc.object("best"), best);
+    doc.bool(
+        "beats_reference",
+        best.eval.feasible && best.eval.droop_reduction_pct >= ref_eval.droop_reduction_pct,
     );
-    out.push_str(",\"frontier\":[");
-    for (i, point) in frontier.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        write_point(&mut out, point);
+    let mut frontier = doc.array("frontier");
+    for point in &pareto_frontier(&outcome.evaluated) {
+        write_point(&mut frontier.object(), point);
     }
-    out.push_str("],\"history\":[");
-    for (i, g) in outcome.history.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let row = obj(vec![
-            ("generation", u(g.generation as u64)),
-            ("candidates", u(g.candidates as u64)),
-            ("lanes", u(g.lanes as u64)),
-            ("failed_lanes", u(g.failed_lanes as u64)),
-            ("infeasible", u(g.infeasible as u64)),
-            ("best_objective", Json::Num(g.best_objective)),
-            ("best_reduction_pct", Json::Num(g.best_reduction_pct)),
-            ("improved", Json::Bool(g.improved)),
-        ]);
-        row.write(&mut out);
+    drop(frontier);
+    let mut history = doc.array("history");
+    for g in &outcome.history {
+        write_generation(&mut history.object(), g);
     }
-    out.push_str("]}");
+    drop(history);
+    drop(doc);
     out
 }
 
 /// One evaluated candidate in the optimize result document.
-fn write_point(out: &mut String, point: &sfet_optimize::EvaluatedPoint) {
-    out.push_str("{\"generation\":");
-    out.push_str(&point.generation.to_string());
-    out.push_str(",\"candidate\":");
-    out.push_str(&point.candidate.to_string());
-    out.push_str(",\"values\":");
-    write_f64_array(out, &point.values);
-    out.push_str(",\"objective\":");
-    write_f64(out, point.eval.objective);
-    out.push_str(",\"droop_mv\":");
-    write_f64(out, point.eval.droop_mv);
-    out.push_str(",\"droop_reduction_pct\":");
-    write_f64(out, point.eval.droop_reduction_pct);
-    out.push_str(",\"delay\":");
-    write_f64(out, point.eval.delay);
-    out.push_str(",\"delay_penalty_pct\":");
-    write_f64(out, point.eval.delay_penalty_pct);
-    out.push_str(",\"area_ratio\":");
-    write_f64(out, point.eval.area_ratio);
-    out.push_str(",\"feasible\":");
-    out.push_str(if point.eval.feasible { "true" } else { "false" });
-    out.push('}');
+fn write_point(o: &mut Object<'_>, point: &EvaluatedPoint) {
+    o.u64("generation", point.generation as u64)
+        .u64("candidate", point.candidate as u64)
+        .f64s("values", &point.values)
+        .f64("objective", point.eval.objective)
+        .f64("droop_mv", point.eval.droop_mv)
+        .f64("droop_reduction_pct", point.eval.droop_reduction_pct)
+        .f64("delay", point.eval.delay)
+        .f64("delay_penalty_pct", point.eval.delay_penalty_pct)
+        .f64("area_ratio", point.eval.area_ratio)
+        .bool("feasible", point.eval.feasible);
 }
 
-fn write_key(out: &mut String, name: &str) {
-    // Signal names come from the circuit builder, which rejects exotic
-    // characters, but escape anyway: the encoder must never emit invalid
-    // JSON.
-    write_escaped(out, name);
-    out.push(':');
-}
-
-fn write_f64_array(out: &mut String, values: &[f64]) {
-    out.push('[');
-    for (i, &v) in values.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        write_f64(out, v);
-    }
-    out.push(']');
+/// One generation: a `history` row of the optimize result document and
+/// the payload of its `generation` SSE event.
+pub(crate) fn write_generation(o: &mut Object<'_>, g: &GenerationSummary) {
+    o.u64("generation", g.generation as u64)
+        .u64("candidates", g.candidates as u64)
+        .u64("lanes", g.lanes as u64)
+        .u64("failed_lanes", g.failed_lanes as u64)
+        .u64("infeasible", g.infeasible as u64)
+        .f64("best_objective", g.best_objective)
+        .f64("best_reduction_pct", g.best_reduction_pct)
+        .bool("improved", g.improved);
 }
 
 #[cfg(test)]

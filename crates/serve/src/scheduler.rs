@@ -19,13 +19,13 @@ use std::thread::JoinHandle;
 use sfet_numeric::exec::ExecConfig;
 use sfet_optimize::{GenerationSummary, StandardRun};
 use sfet_sim::{transient_resumable, CheckpointPolicy, SimOptions};
+use sfet_telemetry::json::Object;
 use sfet_telemetry::{names, Telemetry};
 
 use crate::error::ApiError;
-use crate::json::build::{b, n, obj, s, u};
 use crate::json::Json;
 use crate::progress::{EventHub, HubSink};
-use crate::protocol::{encode_optimize_result, encode_tran_result};
+use crate::protocol::{encode_optimize_result, encode_tran_result, write_generation};
 use crate::spec::{JobSpec, JobWork, OptimizeWork, TranWork};
 use crate::store::ResultStore;
 
@@ -135,21 +135,22 @@ impl Job {
     }
 
     /// The status document served by `GET /v1/jobs/{id}`.
-    pub fn status_json(&self) -> Json {
+    pub fn status_json(&self) -> String {
         let state = self.state();
-        let mut pairs = vec![
-            ("job_id", s(format!("j-{}", self.id))),
-            ("state", s(state.name())),
-            ("label", s(&self.spec.label)),
-            ("cache_key", s(&self.key)),
-        ];
+        let mut body = String::new();
+        let mut doc = Object::new(&mut body);
+        doc.str("job_id", &format!("j-{}", self.id))
+            .str("state", state.name())
+            .str("label", &self.spec.label)
+            .str("cache_key", &self.key);
         match &state {
-            JobState::Running { attempt } => pairs.push(("attempt", u(*attempt as u64))),
-            JobState::Done { cached } => pairs.push(("cached", b(*cached))),
-            JobState::Failed { error } => pairs.push(("error", s(error))),
-            JobState::Queued => {}
-        }
-        obj(pairs)
+            JobState::Running { attempt } => doc.u64("attempt", *attempt as u64),
+            JobState::Done { cached } => doc.bool("cached", *cached),
+            JobState::Failed { error } => doc.str("error", error),
+            JobState::Queued => &mut doc,
+        };
+        drop(doc);
+        body
     }
 }
 
@@ -280,10 +281,9 @@ impl Scheduler {
             tel.counter(names::SERVE_CACHE_HIT, 1);
             drop(pending);
             let job = self.register(key, spec, JobState::Done { cached: true });
-            job.hub.finish(
-                "done",
-                &obj(vec![("state", s("done")), ("cached", b(true))]).to_json(),
-            );
+            job.hub.finish("done", |o| {
+                o.str("state", "done").bool("cached", true);
+            });
             return Ok(SubmitReceipt {
                 job_id: job.id,
                 state: "done",
@@ -316,8 +316,9 @@ impl Scheduler {
             return Err(ApiError::queue_full(sh.cfg.queue_capacity));
         }
         let job = self.register(key.clone(), spec, JobState::Queued);
-        job.hub
-            .push("status", &obj(vec![("state", s("queued"))]).to_json());
+        job.hub.push("status", |o| {
+            o.str("state", "queued");
+        });
         pending.insert(key, job.id);
         pool.queue.push_back(job.clone());
         drop(pool);
@@ -381,28 +382,30 @@ impl Scheduler {
     }
 
     /// The health/stats document for `GET /v1/healthz`.
-    pub fn health_json(&self) -> Json {
+    pub fn health_json(&self) -> String {
         let sh = &self.shared;
         let pool = sh.pool.lock().expect("pool lock");
         let st = &sh.stats;
-        obj(vec![
-            ("status", s("ok")),
-            ("api", s(crate::protocol::API_VERSION)),
-            ("draining", b(sh.draining.load(Ordering::SeqCst))),
-            ("workers", u(sh.cfg.workers as u64)),
-            ("queue_depth", u(pool.queue.len() as u64)),
-            ("in_flight", u(pool.in_flight as u64)),
-            ("queue_capacity", u(sh.cfg.queue_capacity as u64)),
-            ("jobs_submitted", u(st.submitted.load(Ordering::Relaxed))),
-            ("cache_hits", u(st.cache_hits.load(Ordering::Relaxed))),
-            ("cache_misses", u(st.cache_misses.load(Ordering::Relaxed))),
-            ("coalesced", u(st.coalesced.load(Ordering::Relaxed))),
-            ("jobs_completed", u(st.completed.load(Ordering::Relaxed))),
-            ("jobs_failed", u(st.failed.load(Ordering::Relaxed))),
-            ("retries", u(st.retried.load(Ordering::Relaxed))),
-            ("queue_rejected", u(st.rejected.load(Ordering::Relaxed))),
-            ("sim_attempts", u(st.sim_attempts.load(Ordering::Relaxed))),
-        ])
+        let count = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        let mut body = String::new();
+        Object::new(&mut body)
+            .str("status", "ok")
+            .str("api", crate::protocol::API_VERSION)
+            .bool("draining", sh.draining.load(Ordering::SeqCst))
+            .u64("workers", sh.cfg.workers as u64)
+            .u64("queue_depth", pool.queue.len() as u64)
+            .u64("in_flight", pool.in_flight as u64)
+            .u64("queue_capacity", sh.cfg.queue_capacity as u64)
+            .u64("jobs_submitted", count(&st.submitted))
+            .u64("cache_hits", count(&st.cache_hits))
+            .u64("cache_misses", count(&st.cache_misses))
+            .u64("coalesced", count(&st.coalesced))
+            .u64("jobs_completed", count(&st.completed))
+            .u64("jobs_failed", count(&st.failed))
+            .u64("retries", count(&st.retried))
+            .u64("queue_rejected", count(&st.rejected))
+            .u64("sim_attempts", count(&st.sim_attempts));
+        body
     }
 
     /// `true` once [`Scheduler::shutdown`] started.
@@ -485,10 +488,9 @@ fn publish_result(shared: &Arc<Shared>, job: &Arc<Job>, document: &str) -> Resul
     shared.stats.completed.fetch_add(1, Ordering::Relaxed);
     shared.cfg.telemetry.counter(names::SERVE_JOBS_COMPLETED, 1);
     job.set_state(JobState::Done { cached: false });
-    job.hub.finish(
-        "done",
-        &obj(vec![("state", s("done")), ("cached", b(false))]).to_json(),
-    );
+    job.hub.finish("done", |o| {
+        o.str("state", "done").bool("cached", false);
+    });
     Ok(())
 }
 
@@ -504,10 +506,9 @@ fn fail_job(shared: &Arc<Shared>, job: &Arc<Job>, error: String) {
     job.set_state(JobState::Failed {
         error: error.clone(),
     });
-    job.hub.finish(
-        "failed",
-        &obj(vec![("state", s("failed")), ("error", s(&error))]).to_json(),
-    );
+    job.hub.finish("failed", |o| {
+        o.str("state", "failed").str("error", &error);
+    });
 }
 
 /// Runs one transient job: the retry ladder over
@@ -520,14 +521,9 @@ fn run_tran_job(shared: &Arc<Shared>, job: &Arc<Job>, work: &TranWork) {
 
     for attempt in 0..=job.spec.retries {
         job.set_state(JobState::Running { attempt });
-        job.hub.push(
-            "status",
-            &obj(vec![
-                ("state", s("running")),
-                ("attempt", u(attempt as u64)),
-            ])
-            .to_json(),
-        );
+        job.hub.push("status", |o| {
+            o.str("state", "running").u64("attempt", attempt as u64);
+        });
         shared.stats.sim_attempts.fetch_add(1, Ordering::Relaxed);
         if attempt > 0 {
             shared.stats.retried.fetch_add(1, Ordering::Relaxed);
@@ -556,15 +552,11 @@ fn run_tran_job(shared: &Arc<Shared>, job: &Arc<Job>, work: &TranWork) {
             }
             Err(e) => last_error = e.to_string(),
         }
-        job.hub.push(
-            "status",
-            &obj(vec![
-                ("state", s("retrying")),
-                ("attempt", u(attempt as u64)),
-                ("error", s(&last_error)),
-            ])
-            .to_json(),
-        );
+        job.hub.push("status", |o| {
+            o.str("state", "retrying")
+                .u64("attempt", attempt as u64)
+                .str("error", &last_error);
+        });
     }
 
     let _ = std::fs::remove_file(&ckpt_path);
@@ -580,10 +572,9 @@ fn run_tran_job(shared: &Arc<Shared>, job: &Arc<Job>, work: &TranWork) {
 /// options lane by lane instead of rerunning whole generations.
 fn run_optimize_job(shared: &Arc<Shared>, job: &Arc<Job>, work: &OptimizeWork) {
     job.set_state(JobState::Running { attempt: 0 });
-    job.hub.push(
-        "status",
-        &obj(vec![("state", s("running")), ("attempt", u(0))]).to_json(),
-    );
+    job.hub.push("status", |o| {
+        o.str("state", "running").u64("attempt", 0);
+    });
     shared.stats.sim_attempts.fetch_add(1, Ordering::Relaxed);
 
     let mut run = StandardRun::new(work.vdd, work.seed);
@@ -597,20 +588,7 @@ fn run_optimize_job(shared: &Arc<Shared>, job: &Arc<Job>, work: &OptimizeWork) {
         .with_telemetry(Telemetry::new(HubSink::new(job.hub.clone())));
     let hub = job.hub.clone();
     run.config.progress = Some(Arc::new(move |g: &GenerationSummary| {
-        hub.push(
-            "generation",
-            &obj(vec![
-                ("generation", u(g.generation as u64)),
-                ("candidates", u(g.candidates as u64)),
-                ("lanes", u(g.lanes as u64)),
-                ("failed_lanes", u(g.failed_lanes as u64)),
-                ("infeasible", u(g.infeasible as u64)),
-                ("best_objective", n(g.best_objective)),
-                ("best_reduction_pct", n(g.best_reduction_pct)),
-                ("improved", b(g.improved)),
-            ])
-            .to_json(),
-        );
+        hub.push("generation", |o| write_generation(o, g));
     }));
 
     match run.run() {

@@ -21,9 +21,10 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
+use sfet_telemetry::json::Object;
+
 use crate::error::ApiError;
 use crate::http::{begin_sse, write_error, write_json, Request};
-use crate::json::build::{b, obj, s};
 use crate::json::Json;
 use crate::scheduler::{Scheduler, ServeConfig};
 
@@ -185,11 +186,13 @@ fn route(
         ("GET", ["v1", "jobs", id, "events"]) => events(scheduler, id, stream),
         ("GET", ["v1", "healthz"]) => Ok(Response::Json {
             status: 200,
-            body: scheduler.health_json().to_json(),
+            body: scheduler.health_json(),
         }),
-        ("POST", ["v1", "shutdown"]) => Ok(Response::Shutdown {
-            body: obj(vec![("status", s("draining"))]).to_json(),
-        }),
+        ("POST", ["v1", "shutdown"]) => {
+            let mut body = String::new();
+            Object::new(&mut body).str("status", "draining");
+            Ok(Response::Shutdown { body })
+        }
         (_, ["v1", "jobs"])
         | (_, ["v1", "jobs", ..])
         | (_, ["v1", "healthz"])
@@ -202,16 +205,16 @@ fn submit(req: &Request, scheduler: &Arc<Scheduler>) -> Result<Response, ApiErro
     let text = req.body_utf8()?;
     let body = Json::parse(text).map_err(ApiError::invalid_json)?;
     let receipt = scheduler.submit(&body)?;
-    let doc = obj(vec![
-        ("api", s(crate::protocol::API_VERSION)),
-        ("job_id", s(format!("j-{}", receipt.job_id))),
-        ("state", s(receipt.state)),
-        ("cached", b(receipt.cached)),
-        ("coalesced", b(receipt.coalesced)),
-    ]);
+    let mut doc = String::new();
+    Object::new(&mut doc)
+        .str("api", crate::protocol::API_VERSION)
+        .str("job_id", &format!("j-{}", receipt.job_id))
+        .str("state", receipt.state)
+        .bool("cached", receipt.cached)
+        .bool("coalesced", receipt.coalesced);
     Ok(Response::Json {
         status: if receipt.cached { 200 } else { 202 },
-        body: doc.to_json(),
+        body: doc,
     })
 }
 
@@ -233,7 +236,7 @@ fn status(scheduler: &Arc<Scheduler>, raw: &str) -> Result<Response, ApiError> {
     let job = lookup(scheduler, raw)?;
     Ok(Response::Json {
         status: 200,
-        body: job.status_json().to_json(),
+        body: job.status_json(),
     })
 }
 

@@ -24,13 +24,14 @@
 use sfet_circuit::parse::{parse_netlist, Analysis};
 use sfet_circuit::Circuit;
 use sfet_devices::ptm::PtmParams;
+use sfet_numeric::fnv1a;
 use sfet_optimize::Algorithm;
 use sfet_pdn::power_gate::PowerGateScenario;
 use sfet_sim::{circuit_fingerprint, SimOptions};
 
 use crate::error::ApiError;
-use crate::json::{fmt_f64, Json};
-use crate::protocol::{canonical_options, OptionsPatch, OPTIMIZE_RESULT_VERSION};
+use crate::json::Json;
+use crate::protocol::{canonical_options, Canon, OptionsPatch, OPTIMIZE_RESULT_VERSION};
 
 /// Names of the built-in scenarios a job may request.
 pub const SCENARIOS: &[&str] = &["rc_step", "power_gate_wake"];
@@ -214,17 +215,6 @@ impl JobSpec {
     }
 }
 
-/// FNV-1a over a byte string (the same construction the SFCK checkpoint
-/// fingerprint uses, applied to the value-level canonical string).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
 fn uint_field(body: &Json, key: &str, default: usize) -> Result<usize, ApiError> {
     match body.get(key) {
         None => Ok(default),
@@ -328,13 +318,12 @@ fn rc_step_spec(params: Option<&Json>, patch: &OptionsPatch) -> Result<JobSpec, 
             checkpoint_every: 0,
         }),
         retries: 0,
-        value_canon: format!(
-            "rc_step;r={};c={};v={};t_ramp={}",
-            fmt_f64(r),
-            fmt_f64(c),
-            fmt_f64(v),
-            fmt_f64(t_ramp)
-        ),
+        value_canon: Canon("rc_step".into())
+            .f64("r", r)
+            .f64("c", c)
+            .f64("v", v)
+            .f64("t_ramp", t_ramp)
+            .0,
     })
 }
 
@@ -374,12 +363,12 @@ fn power_gate_spec(params: Option<&Json>, patch: &OptionsPatch) -> Result<JobSpe
             checkpoint_every: 0,
         }),
         retries: 0,
-        value_canon: format!(
-            "power_gate_wake;wake_ramp={};t_stop={};i_active={};soft={soft}",
-            fmt_f64(wake_ramp),
-            fmt_f64(t_stop),
-            fmt_f64(i_active)
-        ),
+        value_canon: Canon("power_gate_wake".into())
+            .f64("wake_ramp", wake_ramp)
+            .f64("t_stop", t_stop)
+            .f64("i_active", i_active)
+            .text("soft", soft)
+            .0,
     })
 }
 
@@ -483,14 +472,13 @@ fn optimize_spec(params: &Json) -> Result<JobSpec, ApiError> {
         population,
         vdd,
     };
-    let value_canon = format!(
-        "optimize;alg={};seed={};generations={};population={};vdd={}",
-        work.algorithm.name(),
-        work.seed,
-        work.generations,
-        work.population,
-        fmt_f64(work.vdd)
-    );
+    let value_canon = Canon("optimize".into())
+        .text("alg", work.algorithm.name())
+        .text("seed", work.seed)
+        .text("generations", work.generations)
+        .text("population", work.population)
+        .f64("vdd", work.vdd)
+        .0;
     Ok(JobSpec {
         label: "optimize".into(),
         work: JobWork::Optimize(work),

@@ -181,36 +181,13 @@ pub fn circuit_fingerprint(circuit: &sfet_circuit::Circuit, tstop: f64, method: 
 /// FNV-1a fingerprint binding a snapshot to one (circuit, tstop, method)
 /// triple, so a snapshot can never be restored onto the wrong run.
 pub(crate) fn fingerprint(compiled: &CompiledCircuit, tstop: f64, method: Method) -> u64 {
-    let mut h = Fnv::new();
-    h.bytes(b"sfet-ckpt");
-    h.u64(compiled.size as u64);
-    h.u64(compiled.node_names.len() as u64);
-    for device in &compiled.devices {
-        h.bytes(&[device_tag(device)]);
-    }
-    h.u64(tstop.to_bits());
-    h.bytes(&[method_tag(method)]);
-    h.finish()
-}
-
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-    fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-    fn u64(&mut self, v: u64) {
-        self.bytes(&v.to_le_bytes());
-    }
-    fn finish(&self) -> u64 {
-        self.0
-    }
+    let mut bytes = b"sfet-ckpt".to_vec();
+    bytes.extend((compiled.size as u64).to_le_bytes());
+    bytes.extend((compiled.node_names.len() as u64).to_le_bytes());
+    bytes.extend(compiled.devices.iter().map(device_tag));
+    bytes.extend(tstop.to_bits().to_le_bytes());
+    bytes.push(method_tag(method));
+    sfet_numeric::fnv1a(&bytes)
 }
 
 fn device_tag(device: &SimDevice) -> u8 {

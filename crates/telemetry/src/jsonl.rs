@@ -1,13 +1,13 @@
 //! [`JsonlSink`]: streams events as JSON Lines.
 //!
-//! The JSON is hand-rolled (the workspace is dependency-free by policy);
-//! the emitted subset is deliberately tiny: objects with string, integer,
-//! and float fields only. Non-finite floats — which JSON cannot
-//! represent — are written as `null`.
+//! Each line is one object written by [`crate::json`]: string, integer
+//! and float fields only, floats in the writer's round-trip spelling
+//! (`null` for NaN/±inf, which JSON cannot represent).
 
 use std::io::Write;
 
 use crate::event::{Event, TelemetrySink, SCHEMA_VERSION};
+use crate::json::Object;
 
 /// Sink that writes one JSON object per line to a writer.
 ///
@@ -42,6 +42,8 @@ pub struct JsonlSink<W: Write + Send> {
     timings: bool,
     header_written: bool,
     failed: bool,
+    /// The line being written, reused across events.
+    line: String,
 }
 
 impl<W: Write + Send> JsonlSink<W> {
@@ -52,6 +54,7 @@ impl<W: Write + Send> JsonlSink<W> {
             timings: true,
             header_written: false,
             failed: false,
+            line: String::new(),
         }
     }
 
@@ -67,11 +70,15 @@ impl<W: Write + Send> JsonlSink<W> {
         self.out
     }
 
-    fn write_line(&mut self, line: &str) {
+    /// Writes one line holding the object `fields` writes.
+    fn write_line(&mut self, fields: impl FnOnce(&mut Object<'_>)) {
         if self.failed {
             return;
         }
-        if writeln!(self.out, "{line}").is_err() {
+        self.line.clear();
+        fields(&mut Object::new(&mut self.line));
+        self.line.push('\n');
+        if self.out.write_all(self.line.as_bytes()).is_err() {
             self.failed = true;
         }
     }
@@ -79,97 +86,58 @@ impl<W: Write + Send> JsonlSink<W> {
     fn ensure_header(&mut self) {
         if !self.header_written {
             self.header_written = true;
-            let line = format!(
-                r#"{{"type":"header","schema":{},"timings":{}}}"#,
-                SCHEMA_VERSION, self.timings
-            );
-            self.write_line(&line);
+            let timings = self.timings;
+            self.write_line(|line| {
+                line.str("type", "header")
+                    .u64("schema", SCHEMA_VERSION.into())
+                    .bool("timings", timings);
+            });
         }
-    }
-}
-
-/// Escapes `s` for inclusion inside a JSON string literal.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Formats an `f64` as a JSON number (`null` for NaN/±inf).
-fn json_f64(value: f64) -> String {
-    if value.is_finite() {
-        // `{:?}` prints the shortest round-trippable form, which is
-        // valid JSON for finite values.
-        format!("{value:?}")
-    } else {
-        "null".to_owned()
     }
 }
 
 impl<W: Write + Send> TelemetrySink for JsonlSink<W> {
     fn record(&mut self, event: &Event<'_>) {
         self.ensure_header();
-        let line = match *event {
-            Event::SpanBegin { name, id, t_ns } => {
-                if self.timings {
-                    format!(
-                        r#"{{"type":"span_begin","name":"{}","id":{},"t_ns":{}}}"#,
-                        escape(name),
-                        id,
-                        t_ns
-                    )
-                } else {
-                    format!(
-                        r#"{{"type":"span_begin","name":"{}","id":{}}}"#,
-                        escape(name),
-                        id
-                    )
+        let timings = self.timings;
+        self.write_line(|line| {
+            let (t_ns, dur_ns) = match *event {
+                Event::SpanBegin { name, id, t_ns } => {
+                    line.str("type", "span_begin")
+                        .str("name", name)
+                        .u64("id", id);
+                    (Some(t_ns), None)
+                }
+                Event::SpanEnd {
+                    name,
+                    id,
+                    t_ns,
+                    dur_ns,
+                } => {
+                    line.str("type", "span_end").str("name", name).u64("id", id);
+                    (Some(t_ns), Some(dur_ns))
+                }
+                Event::Counter { name, delta } => {
+                    line.str("type", "counter")
+                        .str("name", name)
+                        .u64("delta", delta);
+                    (None, None)
+                }
+                Event::Histogram { name, value } => {
+                    line.str("type", "histogram")
+                        .str("name", name)
+                        .f64("value", value);
+                    (None, None)
+                }
+            };
+            if timings {
+                for (key, ns) in [("t_ns", t_ns), ("dur_ns", dur_ns)] {
+                    if let Some(ns) = ns {
+                        line.u64(key, ns);
+                    }
                 }
             }
-            Event::SpanEnd {
-                name,
-                id,
-                t_ns,
-                dur_ns,
-            } => {
-                if self.timings {
-                    format!(
-                        r#"{{"type":"span_end","name":"{}","id":{},"t_ns":{},"dur_ns":{}}}"#,
-                        escape(name),
-                        id,
-                        t_ns,
-                        dur_ns
-                    )
-                } else {
-                    format!(
-                        r#"{{"type":"span_end","name":"{}","id":{}}}"#,
-                        escape(name),
-                        id
-                    )
-                }
-            }
-            Event::Counter { name, delta } => format!(
-                r#"{{"type":"counter","name":"{}","delta":{}}}"#,
-                escape(name),
-                delta
-            ),
-            Event::Histogram { name, value } => format!(
-                r#"{{"type":"histogram","name":"{}","value":{}}}"#,
-                escape(name),
-                json_f64(value)
-            ),
-        };
-        self.write_line(&line);
+        });
     }
 
     fn flush(&mut self) {
@@ -271,10 +239,17 @@ mod tests {
     }
 
     #[test]
-    fn names_are_escaped() {
-        assert_eq!(escape(r#"a"b\c"#), r#"a\"b\\c"#);
-        assert_eq!(escape("x\ny"), r"x\ny");
-        assert_eq!(escape("\u{1}"), "\\u0001");
+    fn names_are_escaped_and_integral_values_lose_the_point() {
+        let mut sink = JsonlSink::new(Vec::new()).with_timings(false);
+        sink.record(&Event::Histogram {
+            name: "a\"b\\c\n\u{1}",
+            value: 2.0,
+        });
+        let lines = lines_of(sink);
+        assert_eq!(
+            lines[1],
+            r#"{"type":"histogram","name":"a\"b\\c\n\u0001","value":2}"#
+        );
     }
 
     #[test]

@@ -20,6 +20,8 @@
 //!   deterministic [`merge`](Aggregator::merge) for parallel sweeps),
 //!   [`JsonlSink`] (streaming JSON Lines trace), and [`SummarySink`]
 //!   (human-readable end-of-run table). [`Tee`] fans out to several.
+//! - [`json`] is the workspace's one JSON writer: the JSONL sink, the
+//!   job server and the benchmark binaries all append through it.
 //! - Span volume is bounded by [`Level`]: per-step and per-iteration
 //!   spans are only emitted when explicitly requested.
 //! - Determinism: wall-clock time appears **only** in span timing
@@ -60,6 +62,7 @@
 mod aggregate;
 mod event;
 mod handle;
+pub mod json;
 mod jsonl;
 
 pub use aggregate::{

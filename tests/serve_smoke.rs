@@ -107,3 +107,97 @@ fn repeated_job_is_a_cache_hit_serving_the_direct_call_bytes() {
     handle.join().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// 64-bit FNV-1a, local to this file so the pins depend on nothing but
+/// the bytes the server sends.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Asserts `body` has the pinned length and FNV-1a; a mismatch prints
+/// the new pin and the start of the body.
+fn pin(what: &str, body: &str, len: usize, hash: u64) {
+    let got = (body.len(), fnv1a(body.as_bytes()));
+    assert_eq!(
+        got,
+        (len, hash),
+        "{what} bytes changed: now ({}, {:#018x}), starting {:?}",
+        got.0,
+        got.1,
+        &body[..body.len().min(200)]
+    );
+}
+
+/// The SSE stream of one job, re-framed block by block.
+fn sse_text(events: &[(String, String)]) -> String {
+    events
+        .iter()
+        .map(|(name, data)| format!("event: {name}\ndata: {data}\n\n"))
+        .collect()
+}
+
+/// A PTM driven through its transitions, as a netlist job.
+const PTM_JOB: &str = r#"{"netlist":"* PTM rectifier\n.model vo2fast ptm TPTM=5p\nVIN in 0 PULSE(0 1 20p 20p 20p 100p 250p)\nP1 in out vo2fast\nC1 out 0 5f\nR1 out 0 100k\n.tran 0.5p 500p\n.end\n"}"#;
+
+/// A two-generation optimize run.
+const OPTIMIZE_JOB: &str = r#"{"optimize":{"generations":2,"population":4,"seed":7}}"#;
+
+/// Every kind of body the server writes, pinned by length and FNV-1a:
+/// a change to any served byte fails here, whatever wrote it.
+#[test]
+fn served_bytes_are_pinned() {
+    let dir = std::env::temp_dir().join(format!("sfet-serve-pins-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let server = std::sync::Arc::new(
+        Server::bind("127.0.0.1:0", ServeConfig::new(&dir).with_workers(1)).unwrap(),
+    );
+    let handle = server.spawn();
+    let client = Client::new(server.addr());
+
+    let health = client.health().unwrap();
+    pin("idle healthz", &health.body, 253, 0x44f1_0048_bdf3_6a47);
+
+    let error = client.submit_raw(r#"{"scenario":"rc_step","#).unwrap();
+    assert_eq!(error.status, 400);
+    pin("error body", &error.body, 70, 0xe827_5bb3_8b2f_b2a6);
+
+    let receipt = client.submit_raw(JOB).unwrap();
+    assert_eq!(receipt.status, 202);
+    pin("submit receipt", &receipt.body, 77, 0x88be_e648_e5b3_25dc);
+    let id = receipt.json().unwrap();
+    let id = id.get("job_id").and_then(Json::as_str).unwrap();
+    pin(
+        "SSE stream",
+        &sse_text(&client.follow_events(id).unwrap()),
+        2131,
+        0x732e_fa58_8e2c_6146,
+    );
+    pin(
+        "status body",
+        &client.status(id).unwrap().body,
+        112,
+        0x9596_344d_7b4b_4b08,
+    );
+    pin(
+        "rc_step result",
+        &client.result(id).unwrap().body,
+        29173,
+        0xa45d_c6fe_180d_5104,
+    );
+
+    let ptm = client.run_to_result(PTM_JOB).unwrap();
+    let events = Json::parse(&ptm).unwrap();
+    let events = events.get("ptm").and_then(|p| p.get("P1"));
+    let events = events.and_then(|p| p.get("events")).and_then(Json::as_arr);
+    assert!(!events.unwrap().is_empty(), "the PTM transitions");
+    pin("PTM result", &ptm, 81927, 0xa811_9df1_8a53_f618);
+
+    let optimize = client.run_to_result(OPTIMIZE_JOB).unwrap();
+    pin("optimize.v1 result", &optimize, 2789, 0x353b_8662_0fa4_d7b0);
+
+    client.shutdown().unwrap();
+    handle.join().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}

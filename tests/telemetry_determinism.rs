@@ -5,7 +5,8 @@
 //! traced sweep must produce **byte-identical** streams no matter how
 //! many workers ran it. Per-task aggregation (each task folds its own
 //! events, the caller merges in task-index order) must likewise be
-//! worker-count-independent.
+//! worker-count-independent. Every line of such a stream is one JSON
+//! value, whatever the event names hold.
 
 use std::collections::BTreeMap;
 use std::io::Write;
@@ -13,8 +14,12 @@ use std::sync::{Arc, Mutex};
 
 use sfet_circuit::{Circuit, SourceWaveform};
 use sfet_numeric::exec::{par_map, ExecConfig, Task};
+use sfet_serve::json::Json;
 use sfet_sim::{transient, SimOptions};
-use sfet_telemetry::{Aggregator, HistogramSummary, JsonlSink, SharedAggregator, Telemetry};
+use sfet_telemetry::{
+    Aggregator, Event, HistogramSummary, JsonlSink, Level, SharedAggregator, Telemetry,
+    TelemetrySink,
+};
 
 /// A clonable `Write` target so the JSONL bytes survive the sink being
 /// moved into the telemetry handle.
@@ -133,5 +138,86 @@ fn per_task_aggregation_rolls_up_identically_at_any_worker_count() {
     );
     for workers in [2, 8] {
         assert_eq!(per_task_rollup(workers), reference, "workers = {workers}");
+    }
+}
+
+/// Parses every line of a JSONL stream.
+fn parse_lines(bytes: Vec<u8>) -> Vec<Json> {
+    let text = String::from_utf8(bytes).unwrap();
+    text.lines()
+        .map(|line| Json::parse(line).unwrap_or_else(|e| panic!("{e} in {line}")))
+        .collect()
+}
+
+#[test]
+fn every_line_of_an_iteration_trace_is_json() {
+    let buf = SharedBuf::default();
+    let sink = JsonlSink::new(buf.clone()).with_timings(false);
+    let opts = SimOptions::for_duration(5e-12, 100)
+        .with_telemetry(Telemetry::with_level(sink, Level::Iteration));
+    let result = transient(&rc_circuit(1e3), 5e-12, &opts).unwrap();
+    opts.telemetry.flush();
+
+    let lines = parse_lines(buf.contents());
+    let field = |line: &Json, key: &str| line.get(key).cloned();
+    assert_eq!(field(&lines[0], "type"), Some(Json::Str("header".into())));
+    assert_eq!(field(&lines[0], "timings"), Some(Json::Bool(false)));
+    let count = |ty: &str, name: &str| {
+        lines
+            .iter()
+            .filter(|l| l.get("type").and_then(Json::as_str) == Some(ty))
+            .filter(|l| l.get("name").and_then(Json::as_str) == Some(name))
+            .count()
+    };
+    let steps = result.stats().steps_accepted;
+    assert_eq!(count("histogram", "tran.dt_seconds"), steps);
+    assert!(count("span_begin", "newton_iter") >= steps);
+    assert_eq!(
+        count("span_begin", "newton_iter"),
+        count("span_end", "newton_iter")
+    );
+}
+
+#[test]
+fn jsonl_names_and_values_survive_a_parse() {
+    let names = ["quote\"d", "back\\slash", "ctl\u{1}\n\t", "é😀"];
+    let values = [2.0, -0.0, 1.5e-12, f64::MIN_POSITIVE, f64::MAX, f64::NAN];
+    let mut sink = JsonlSink::new(Vec::new()).with_timings(true);
+    for (id, name) in names.into_iter().enumerate() {
+        let id = id as u64;
+        sink.record(&Event::SpanBegin { name, id, t_ns: 7 });
+        sink.record(&Event::Counter {
+            name,
+            delta: u64::MAX,
+        });
+        for value in values {
+            sink.record(&Event::Histogram { name, value });
+        }
+        sink.record(&Event::SpanEnd {
+            name,
+            id,
+            t_ns: 9,
+            dur_ns: 2,
+        });
+    }
+    sink.flush();
+
+    let lines = parse_lines(sink.into_inner());
+    assert_eq!(lines.len(), 1 + names.len() * (3 + values.len()));
+    for (k, name) in names.into_iter().enumerate() {
+        let events = &lines[1 + k * (3 + values.len())..][..3 + values.len()];
+        for event in events {
+            assert_eq!(event.get("name").and_then(Json::as_str), Some(name));
+        }
+        assert_eq!(events[0].get("t_ns").and_then(Json::as_f64), Some(7.0));
+        let last = &events[2 + values.len()];
+        assert_eq!(last.get("dur_ns").and_then(Json::as_f64), Some(2.0));
+        for (event, value) in events[2..].iter().zip(values) {
+            let parsed = event.get("value").unwrap();
+            match parsed.as_f64() {
+                Some(v) => assert_eq!(v.to_bits(), value.to_bits(), "{name}"),
+                None => assert!(value.is_nan() && *parsed == Json::Null),
+            }
+        }
     }
 }
