@@ -686,6 +686,12 @@ mod tests {
             "invalid_options"
         );
         assert_eq!(
+            parse(r#"{"scenario":"power_gate_wake","options":{"gmin":-1e-3}}"#)
+                .unwrap_err()
+                .code,
+            "invalid_options"
+        );
+        assert_eq!(
             parse(r#"{"scenario":"rc_step","retries":99}"#)
                 .unwrap_err()
                 .code,

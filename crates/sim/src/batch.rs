@@ -18,9 +18,11 @@
 //! same sequence of f64 operations as the scalar solver; the round loop
 //! guarantees the rest:
 //!
-//! * lanes advance **round-robin by Newton iteration**, not in time
+//! * lanes advance **round-robin by linear solve**, not in time
 //!   lockstep — a lane whose step was rejected simply starts its retry in
-//!   the next round, so a stiff lane never perturbs or stalls siblings;
+//!   the next round, so a stiff lane never perturbs or stalls siblings
+//!   (a linear lane runs a whole step attempt on one solve, see
+//!   `Lane::advance`);
 //! * the DC operating point is solved scalar per lane (it runs once, off
 //!   the hot path);
 //! * value-dependent decisions (step-size choice, convergence, pivoting,
@@ -266,7 +268,8 @@ impl<B: BatchBackend> LaneSolver for Batched<B> {
 
 /// The round loop: step control for every lane between steps, then one
 /// assembly and one factor+solve across the lanes mid-Newton, then each of
-/// those lanes' Newton update — until no lane wants a solve.
+/// those lanes' Newton update (repeated on a linear lane) — until no lane
+/// wants a solve.
 pub(crate) fn drive_lanes<S: LaneSolver>(solver: &mut S, lanes: &mut [Result<Lane<'_>>], n: usize) {
     let nl = lanes.len();
     let mut rhs = vec![0.0; n * nl];
@@ -537,11 +540,7 @@ impl<'a> Lane<'a> {
     /// and its right-hand side into `rhs`.
     fn stamp(&mut self, solver: &mut impl LaneSolver, l: usize, rhs: &mut [f64]) {
         let opts = self.opts;
-        self.iter += 1;
-        self.iter_span = Some(
-            opts.telemetry
-                .span(Level::Iteration, names::SPAN_NEWTON_ITER),
-        );
+        self.open_iteration();
         rhs.fill(0.0);
         let mode = StampMode::Transient {
             t_next: self.t_next,
@@ -554,8 +553,23 @@ impl<'a> Lane<'a> {
         }
     }
 
+    /// Counts one more Newton iteration and opens its span.
+    fn open_iteration(&mut self) {
+        self.iter += 1;
+        self.iter_span = Some(
+            self.opts
+                .telemetry
+                .span(Level::Iteration, names::SPAN_NEWTON_ITER),
+        );
+    }
+
     /// Takes this round's solve: the Newton update closes the iteration,
     /// then the step is accepted, rejected, or iterated again next round.
+    ///
+    /// A linear circuit's next iteration would assemble the same system
+    /// and every backend would return the same solution bits, so its lane
+    /// repeats the update against this solve instead — one iteration per
+    /// repeat — until the update converges or fails.
     fn advance(
         &mut self,
         solved: sfet_numeric::Result<()>,
@@ -563,8 +577,13 @@ impl<'a> Lane<'a> {
         solver: &impl LaneSolver,
         l: usize,
     ) {
-        let converged = self.newton_update(solved, x_next);
+        let mut converged = self.newton_update(solved, x_next);
         self.iter_span = None;
+        while self.compiled.linear && matches!(converged, Ok(false)) {
+            self.open_iteration();
+            converged = self.newton_update(Ok(()), x_next);
+            self.iter_span = None;
+        }
         match converged {
             Ok(true) => self.accept_step(solver, l),
             Ok(false) => {}

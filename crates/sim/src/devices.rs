@@ -417,6 +417,27 @@ impl SimDevice {
         }
     }
 
+    /// Whether [`stamp`](SimDevice::stamp) reads the iterate `x`. A device
+    /// that does not read it stamps the same values at every Newton
+    /// iteration of a transient step attempt. Every variant answers
+    /// explicitly, so a new one must declare itself.
+    pub(crate) fn reads_iterate(&self) -> bool {
+        match self {
+            SimDevice::Mosfet { .. } => true,
+            SimDevice::Resistor { .. }
+            | SimDevice::Capacitor { .. }
+            | SimDevice::Inductor { .. }
+            | SimDevice::Vsrc { .. }
+            | SimDevice::Isrc { .. }
+            | SimDevice::Vcvs { .. }
+            | SimDevice::Vccs { .. }
+            | SimDevice::Cccs { .. }
+            | SimDevice::Ccvs { .. }
+            | SimDevice::NodeIc { .. }
+            | SimDevice::Ptm { .. } => false,
+        }
+    }
+
     /// Voltage-unknown indices this device touches (for gmin stepping).
     /// Returns a fixed-size array (padded with ground) so the per-stamp
     /// hot path stays allocation-free.
@@ -556,6 +577,10 @@ pub(crate) struct CompiledCircuit {
     /// Current-source names in device order (current sources own no branch
     /// unknown, so they need their own name list).
     pub isrc_names: Vec<String>,
+    /// No device [reads the iterate](SimDevice::reads_iterate): within one
+    /// transient step attempt every Newton iteration assembles the same
+    /// system, so its solve is the same too.
+    pub linear: bool,
 }
 
 impl CompiledCircuit {
@@ -728,6 +753,7 @@ impl CompiledCircuit {
             .collect();
 
         CompiledCircuit {
+            linear: !devices.iter().any(SimDevice::reads_iterate),
             devices,
             size: next_branch,
             node_names,

@@ -206,9 +206,13 @@ pub struct SolverStats {
     /// Numeric-only refactorisations that reused the cached symbolic
     /// analysis and frozen pivot order (sparse backend only).
     pub refactorizations: u64,
-    /// Linear solves (forward/back substitutions). On the sparse backend
-    /// `solves - full_factorizations - refactorizations` counts the solves
-    /// that reused the factors of an unchanged matrix.
+    /// Linear solves (forward/back substitutions) actually performed. On
+    /// the sparse backend `solves - full_factorizations - refactorizations`
+    /// counts the solves that reused the factors of an unchanged matrix.
+    /// A transient of a linear circuit solves once per step attempt and
+    /// repeats its Newton update against that solve, so there `solves`
+    /// counts the step attempts that reached a solve, not Newton
+    /// iterations.
     pub solves: u64,
     /// Sparse stamp-pattern compilations: the initial one plus one per
     /// stamp-sequence change (e.g. DC gmin shunts toggling).

@@ -30,7 +30,8 @@ pub struct SimOptions {
     pub abstol: f64,
     /// Maximum Newton iterations per solve point.
     pub max_newton_iter: usize,
-    /// Largest allowed Newton voltage update per iteration \[V\].
+    /// Largest allowed Newton voltage update per iteration \[V\]; positive
+    /// and finite.
     pub max_newton_step: f64,
     /// Minimum time step \[s\]; a solve that still fails here aborts.
     pub dtmin: f64,
@@ -42,7 +43,8 @@ pub struct SimOptions {
     /// Voltage window for PTM threshold-crossing refinement \[V\]: a step is
     /// rejected and bisected while the crossing overshoot exceeds this.
     pub event_vtol: f64,
-    /// Shunt conductance added across nonlinear devices \[S\] (SPICE `GMIN`).
+    /// Shunt conductance added across nonlinear devices \[S\] (SPICE `GMIN`);
+    /// non-negative and finite.
     pub gmin: f64,
     /// Hard cap on total attempted steps.
     pub max_steps: usize,
@@ -252,6 +254,16 @@ impl SimOptions {
                 "max_newton_iter must be at least 5".into(),
             ));
         }
+        if !(self.max_newton_step > 0.0 && self.max_newton_step.is_finite()) {
+            return Err(SimError::InvalidOptions(
+                "max_newton_step must be positive and finite".into(),
+            ));
+        }
+        if !(self.gmin >= 0.0 && self.gmin.is_finite()) {
+            return Err(SimError::InvalidOptions(
+                "gmin must be non-negative and finite".into(),
+            ));
+        }
         if self.event_vtol <= 0.0 || self.event_vtol.is_nan() {
             return Err(SimError::InvalidOptions(
                 "event_vtol must be positive".into(),
@@ -286,6 +298,25 @@ mod tests {
             ..Default::default()
         };
         assert!(o.validate().is_err());
+        for gmin in [-1e-3, f64::NAN, f64::INFINITY] {
+            let o = SimOptions {
+                gmin,
+                ..Default::default()
+            };
+            assert!(o.validate().is_err(), "gmin = {gmin}");
+        }
+        for max_newton_step in [0.0, -0.3, f64::NAN, f64::INFINITY] {
+            let o = SimOptions {
+                max_newton_step,
+                ..Default::default()
+            };
+            assert!(o.validate().is_err(), "max_newton_step = {max_newton_step}");
+        }
+        let o = SimOptions {
+            gmin: 0.0,
+            ..Default::default()
+        };
+        o.validate().unwrap();
     }
 
     #[test]

@@ -22,7 +22,11 @@ pub struct TranStats {
     pub steps_accepted: usize,
     /// Rejected attempts (Newton failure or event refinement).
     pub steps_rejected: usize,
-    /// Total Newton iterations across all solves.
+    /// Newton iterations of the step attempts whose Newton loop converged,
+    /// including attempts that LTE or PTM-event control then rejected; an
+    /// attempt whose Newton loop failed adds none. On a linear circuit an
+    /// attempt's later iterations reuse its one solve, so this can exceed
+    /// `solver.solves`.
     pub newton_iterations: usize,
     /// Total PTM phase transitions fired.
     pub ptm_transitions: usize,
@@ -70,20 +74,22 @@ impl TranResult {
         self.stats
     }
 
-    /// Names of all recorded node-voltage signals.
+    /// Names of all recorded node-voltage signals, in MNA unknown order
+    /// (the circuit's node order, ground excluded).
     pub fn node_names(&self) -> impl Iterator<Item = &str> {
-        self.node_index.keys().map(String::as_str)
+        in_index_order(&self.node_index)
     }
 
     /// Names of all recorded branch-current signals (voltage sources and
-    /// inductors).
+    /// inductors), in element order.
     pub fn branch_names(&self) -> impl Iterator<Item = &str> {
-        self.branch_index.keys().map(String::as_str)
+        in_index_order(&self.branch_index)
     }
 
-    /// Names of all PTM instances with recorded resistance traces.
+    /// Names of all PTM instances with recorded resistance traces, in
+    /// element order.
     pub fn ptm_names(&self) -> impl Iterator<Item = &str> {
-        self.ptm_index.keys().map(String::as_str)
+        in_index_order(&self.ptm_index)
     }
 
     /// Node-voltage waveform by node name.
@@ -236,6 +242,16 @@ impl TranResult {
             .ok_or_else(|| SimError::UnknownSignal(format!("events({name})")))?;
         Ok(&self.ptm_events[idx])
     }
+}
+
+/// The names of a signal index, ordered by their column, not by the
+/// `HashMap`'s per-instance iteration order.
+fn in_index_order(index: &HashMap<String, usize>) -> impl Iterator<Item = &str> {
+    let mut names = vec![""; index.len()];
+    for (name, &i) in index {
+        names[i] = name;
+    }
+    names.into_iter()
 }
 
 #[cfg(test)]

@@ -172,7 +172,7 @@ fn served_bytes_are_pinned() {
         "SSE stream",
         &sse_text(&client.follow_events(id).unwrap()),
         2131,
-        0x732e_fa58_8e2c_6146,
+        0x9bfb_269a_b8a9_20b6,
     );
     pin(
         "status body",
@@ -184,7 +184,7 @@ fn served_bytes_are_pinned() {
         "rc_step result",
         &client.result(id).unwrap().body,
         29173,
-        0xa45d_c6fe_180d_5104,
+        0x9f45_a3a7_b316_c94c,
     );
 
     let ptm = client.run_to_result(PTM_JOB).unwrap();
@@ -192,7 +192,7 @@ fn served_bytes_are_pinned() {
     let events = events.get("ptm").and_then(|p| p.get("P1"));
     let events = events.and_then(|p| p.get("events")).and_then(Json::as_arr);
     assert!(!events.unwrap().is_empty(), "the PTM transitions");
-    pin("PTM result", &ptm, 81927, 0xa811_9df1_8a53_f618);
+    pin("PTM result", &ptm, 81927, 0x7e24_1ce7_3fa3_d3c4);
 
     let optimize = client.run_to_result(OPTIMIZE_JOB).unwrap();
     pin("optimize.v1 result", &optimize, 2789, 0x353b_8662_0fa4_d7b0);

@@ -263,3 +263,47 @@ fn simulation_is_deterministic() {
     assert_eq!(a.delay, b.delay);
     assert_eq!(a.transitions, b.transitions);
 }
+
+/// Signal names are listed in the circuit's order — nodes by MNA index,
+/// branches and PTMs by element — so two runs of one power-gate circuit in
+/// one process list them identically.
+#[test]
+fn signal_names_follow_circuit_order() {
+    use sfet_circuit::{Element, NodeId};
+    let scenario = sfet_pdn::power_gate::PowerGateScenario {
+        t_stop: 6e-9,
+        ..Default::default()
+    }
+    .with_soft_fet(PtmParams::vo2_default());
+    let ckt = scenario.build().unwrap();
+    let opts = SimOptions::for_duration(scenario.t_stop, 400);
+    let names = |r: &sfet_sim::TranResult| -> (Vec<String>, Vec<String>, Vec<String>) {
+        (
+            r.node_names().map(str::to_owned).collect(),
+            r.branch_names().map(str::to_owned).collect(),
+            r.ptm_names().map(str::to_owned).collect(),
+        )
+    };
+    let first = names(&transient(&ckt, scenario.t_stop, &opts).unwrap());
+    let second = names(&transient(&ckt, scenario.t_stop, &opts).unwrap());
+    assert_eq!(first, second, "the same sequence on every run");
+
+    let nodes: Vec<String> = (1..ckt.node_count())
+        .map(|i| ckt.node_name(NodeId::from_index(i)).to_owned())
+        .collect();
+    let branches: Vec<String> = ckt
+        .elements()
+        .iter()
+        .filter(|e| e.has_branch_current())
+        .map(|e| e.name().to_owned())
+        .collect();
+    let ptms: Vec<String> = ckt
+        .elements()
+        .iter()
+        .filter(|e| matches!(e, Element::Ptm(_)))
+        .map(|e| e.name().to_owned())
+        .collect();
+    assert_eq!(nodes.len(), 7);
+    assert_eq!(branches.len(), 3);
+    assert_eq!(first, (nodes, branches, ptms));
+}

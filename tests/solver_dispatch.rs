@@ -1,10 +1,15 @@
 //! Solver dispatch at droop-map scale: under the default options a chip
 //! grid above `SolverPolicy::AUTO_SPARSE_THRESHOLD` unknowns runs on sparse
 //! LU, which reuses the factors of the unchanged grid matrix, and still
-//! produces the dense-LU droop map bit for bit.
+//! produces the dense-LU droop map bit for bit. A linear circuit solves
+//! once per step attempt on every backend, bit for bit as if every Newton
+//! iteration had stamped and solved.
 
+use sfet_circuit::{Circuit, SourceWaveform};
+use sfet_devices::mosfet::MosfetModel;
+use sfet_devices::ptm::PtmParams;
 use sfet_pdn::{DroopMap, PdnGrid};
-use sfet_sim::{LinearSolver, SimOptions, SolverPolicy};
+use sfet_sim::{transient, LinearSolver, SimOptions, SolverPolicy, TranResult, TranStats};
 
 fn bits(map: &DroopMap) -> Vec<u64> {
     map.v_min.iter().map(|v| v.to_bits()).collect()
@@ -38,4 +43,127 @@ fn default_droop_map_equals_dense_with_far_fewer_factorizations() {
         4 * (s.full_factorizations + s.refactorizations) < s.solves,
         "unchanged matrices reuse their factors: {s:?}"
     );
+}
+
+/// The circuit plus one MOSFET with all four terminals on ground. It stamps
+/// nothing, so every assembled system is unchanged, but a device now reads
+/// the Newton iterate, so every iteration stamps and solves.
+fn with_inert_mosfet(ckt: &Circuit) -> Circuit {
+    let mut ckt = ckt.clone();
+    let g = Circuit::ground();
+    ckt.add_mosfet("MINERT", g, g, g, g, MosfetModel::nmos_40nm(), 1e-6, 40e-9)
+        .unwrap();
+    ckt
+}
+
+fn assert_bits(a: &[f64], b: &[f64], what: &str) {
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(a), bits(b), "{what}");
+}
+
+/// Runs `ckt` and its inert-MOSFET twin and requires bit-equal results:
+/// times, every node, branch and PTM trace, PTM events and the step and
+/// iteration counts. Returns the stats of the linear run.
+fn linear_matches_full_path(ckt: &Circuit, tstop: f64, opts: &SimOptions, what: &str) -> TranStats {
+    let linear = transient(ckt, tstop, opts).unwrap();
+    let full = transient(&with_inert_mosfet(ckt), tstop, opts).unwrap();
+    let names = |r: &TranResult| -> [Vec<String>; 3] {
+        [
+            r.node_names().map(str::to_owned).collect(),
+            r.branch_names().map(str::to_owned).collect(),
+            r.ptm_names().map(str::to_owned).collect(),
+        ]
+    };
+    let signals = names(&linear);
+    assert_eq!(signals, names(&full), "{what}: signal names");
+    let [nodes, branches, ptms] = signals;
+    assert_bits(linear.times(), full.times(), &format!("{what}: times"));
+    for node in &nodes {
+        let (a, b) = (linear.node_samples(node), full.node_samples(node));
+        assert_bits(a.unwrap(), b.unwrap(), &format!("{what}: v({node})"));
+    }
+    for branch in &branches {
+        let (a, b) = (linear.branch_current(branch), full.branch_current(branch));
+        let (a, b) = (a.unwrap(), b.unwrap());
+        assert_bits(a.values(), b.values(), &format!("{what}: i({branch})"));
+    }
+    for ptm in &ptms {
+        let (a, b) = (linear.ptm_resistance(ptm), full.ptm_resistance(ptm));
+        let (a, b) = (a.unwrap(), b.unwrap());
+        assert_bits(a.values(), b.values(), &format!("{what}: r({ptm})"));
+        let (a, b) = (linear.ptm_events(ptm), full.ptm_events(ptm));
+        assert_eq!(a.unwrap(), b.unwrap(), "{what}: events({ptm})");
+    }
+    let (l, f) = (linear.stats(), full.stats());
+    assert_eq!(l.steps_attempted, f.steps_attempted, "{what}");
+    assert_eq!(l.steps_accepted, f.steps_accepted, "{what}");
+    assert_eq!(l.steps_rejected, f.steps_rejected, "{what}");
+    assert_eq!(l.newton_iterations, f.newton_iterations, "{what}");
+    assert_eq!(l.ptm_transitions, f.ptm_transitions, "{what}");
+    assert_eq!(l.solver.solves, l.steps_attempted as u64, "{what}: {l:?}");
+    assert_eq!(f.solver.solves, f.newton_iterations as u64, "{what}: {f:?}");
+    assert!(
+        l.solver.solves < f.solver.solves,
+        "{what}: no update repeated"
+    );
+    l
+}
+
+#[test]
+fn linear_circuits_solve_once_per_step_attempt_bit_for_bit() {
+    // RC ladder: 5 stages behind a ramp, 6 nodes + 1 branch, dense LU.
+    let mut ladder = Circuit::new();
+    let src = ladder.node("src");
+    let g = Circuit::ground();
+    ladder
+        .add_voltage_source("V1", src, g, SourceWaveform::ramp(0.0, 1.0, 5e-12, 20e-12))
+        .unwrap();
+    let mut prev = src;
+    for k in 1..=5 {
+        let node = ladder.node(&format!("n{k}"));
+        ladder
+            .add_resistor(&format!("R{k}"), prev, node, 1e3)
+            .unwrap();
+        ladder
+            .add_capacitor(&format!("C{k}"), node, g, 2e-15)
+            .unwrap();
+        prev = node;
+    }
+    let tstop = 100e-12;
+    let opts = SimOptions::for_duration(tstop, 400).with_solver_policy(SolverPolicy::Direct);
+    let l = linear_matches_full_path(&ladder, tstop, &opts, "RC ladder");
+    assert_eq!(l.solver.factor_nnz, 7 * 7, "the ladder runs on dense LU");
+
+    // 6x6 chip grid: 78 unknowns, sparse LU under the default policy, and
+    // GMRES when pinned.
+    let grid = PdnGrid::chip(6, 6);
+    let chip = grid.build().unwrap();
+    let auto = SimOptions::for_duration(grid.t_stop, 400).with_solver_policy(SolverPolicy::Auto);
+    let l = linear_matches_full_path(&chip, grid.t_stop, &auto, "chip grid, sparse");
+    let n = grid.unknown_estimate();
+    assert!(l.solver.factor_nnz < n * n, "the grid runs on sparse LU");
+    let gmres = auto.clone().with_solver_policy(SolverPolicy::Iterative);
+    let l = linear_matches_full_path(&chip, grid.t_stop, &gmres, "chip grid, GMRES");
+    assert!(l.solver.gmres_iterations > 0, "the grid runs on GMRES");
+
+    // Paper Fig. 3 staircase: PTM events and backward-Euler restarts.
+    let mut stair = Circuit::new();
+    let inp = stair.node("in");
+    let vc = stair.node("vc");
+    stair
+        .add_voltage_source(
+            "VIN",
+            inp,
+            g,
+            SourceWaveform::ramp(0.0, 1.0, 10e-12, 30e-12),
+        )
+        .unwrap();
+    stair
+        .add_ptm("P1", inp, vc, PtmParams::vo2_default())
+        .unwrap();
+    stair.add_capacitor("C1", vc, g, 0.5e-15).unwrap();
+    let tstop = 300e-12;
+    let opts = SimOptions::for_duration(tstop, 600);
+    let l = linear_matches_full_path(&stair, tstop, &opts, "Fig. 3 staircase");
+    assert!(l.ptm_transitions > 0 && l.steps_rejected > 0, "{l:?}");
 }
