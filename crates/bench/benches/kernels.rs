@@ -192,7 +192,7 @@ fn softfet_inverter_transient(c: &mut Criterion) {
 }
 
 fn solver_backend(c: &mut Criterion) {
-    use sfet_sim::{LinearSolver, SolverPolicy};
+    use sfet_sim::LinearSolver;
     // Power-grid mesh sized to show the dense/sparse crossover.
     let mut group = c.benchmark_group("solver_backend");
     for &n in &[4usize, 8, 14] {
@@ -231,10 +231,7 @@ fn solver_backend(c: &mut Criterion) {
         .expect("grid build");
         let tstop = 2e-9;
         for solver in [LinearSolver::Dense, LinearSolver::Sparse] {
-            // `Direct` keeps the dense arm dense above the sparse threshold.
-            let opts = SimOptions::for_duration(tstop, 100)
-                .with_solver(solver)
-                .with_solver_policy(SolverPolicy::Direct);
+            let opts = SimOptions::for_duration(tstop, 100).with_solver(solver);
             group.bench_with_input(BenchmarkId::new(solver.to_string(), n * n), &n, |b, _| {
                 b.iter(|| {
                     std::hint::black_box(transient(&ckt, tstop, &opts).expect("grid converges"))

@@ -21,7 +21,7 @@ use std::time::Instant;
 
 use sfet_bench::{banner, save_json};
 use sfet_pdn::{DroopMap, PdnGrid};
-use sfet_sim::{LinearSolver, SimOptions, SolverPolicy};
+use sfet_sim::{LinearSolver, SimOptions};
 use sfet_telemetry::json::Object;
 
 struct MapRun {
@@ -33,12 +33,9 @@ struct MapRun {
     map: DroopMap,
 }
 
-/// One droop map. `Direct` runs pin sparse LU: the configured default
-/// backend is dense, which `Direct` would otherwise honour.
-fn run_map(grid: &PdnGrid, policy: SolverPolicy, points: usize, name: &'static str) -> MapRun {
-    let opts = SimOptions::for_duration(grid.t_stop, points)
-        .with_solver(LinearSolver::Sparse)
-        .with_solver_policy(policy);
+/// One droop map on the pinned `solver`.
+fn run_map(grid: &PdnGrid, solver: LinearSolver, points: usize, name: &'static str) -> MapRun {
+    let opts = SimOptions::for_duration(grid.t_stop, points).with_solver(solver);
     let start = Instant::now();
     let map = grid.droop_map_with(&opts).expect("droop map");
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
@@ -82,8 +79,8 @@ fn main() {
     // 2054), small in smoke mode; both runs must produce the same map.
     let (gx, gy, points) = if smoke { (12, 12, 150) } else { (32, 32, 300) };
     let gate_grid = PdnGrid::chip(gx, gy);
-    let direct = run_map(&gate_grid, SolverPolicy::Direct, points, "direct");
-    let iterative = run_map(&gate_grid, SolverPolicy::Iterative, points, "gmres+ilu0");
+    let direct = run_map(&gate_grid, LinearSolver::Sparse, points, "direct");
+    let iterative = run_map(&gate_grid, LinearSolver::Iterative, points, "gmres+ilu0");
     let rel = iterative
         .map
         .max_rel_diff(&direct.map)
@@ -115,7 +112,7 @@ fn main() {
     if !smoke {
         for (nx, ny) in [(48usize, 48usize), (72, 72)] {
             let grid = PdnGrid::chip(nx, ny);
-            let it = run_map(&grid, SolverPolicy::Iterative, 200, "gmres+ilu0");
+            let it = run_map(&grid, LinearSolver::Iterative, 200, "gmres+ilu0");
             let s = &it.map.stats.solver;
             println!(
                 "[scale] {} tiles={} unknowns={}: {:.1} ms, {} steps, {} gmres iters ({} restarts, {} fallbacks), worst droop {:.1} mV",

@@ -20,8 +20,9 @@
 //!   tile siblings stay untouched;
 //! * per-task accounting: `exec.*` telemetry totals and [`ExecStats`]
 //!   agree with each other and with a scalar run of the same sweep;
-//! * solver dispatch: droop-map lanes above the sparse threshold run on
-//!   sparse LU with factor reuse, exactly as their scalar runs do.
+//! * solver choice: droop-map lanes above the sparse threshold run on
+//!   sparse LU with factor reuse, and on GMRES when pinned to it, exactly
+//!   as their scalar runs do.
 
 use proptest::prelude::*;
 use sfet_circuit::{Circuit, SourceWaveform};
@@ -30,7 +31,9 @@ use sfet_numeric::exec::{task_seed, ExecConfig, SweepOutcome};
 use sfet_numeric::fault::FaultPlan;
 use sfet_numeric::integrate::Method;
 use sfet_pdn::PdnGrid;
-use sfet_sim::{transient, transient_batch, BatchSpec, SimOptions, SolverPolicy, TranResult};
+use sfet_sim::{
+    transient, transient_batch, BatchSpec, LinearSolver, SimOptions, SolverStats, TranResult,
+};
 use sfet_telemetry::{names, SharedAggregator, Telemetry};
 use sfet_verify::analytic::catalog;
 use softfet::design_space::vimt_vmit_grid_with;
@@ -103,10 +106,11 @@ fn golden_scenario_circuits_scalar_vs_batched_bitwise() {
     }
 }
 
-/// Lanes take their backend from the solver policy, as scalar runs do:
-/// under the default options, droop-map grids above the sparse threshold
-/// run on sparse LU and reuse the factors of unchanged matrices — bitwise
-/// equal to scalar, `SolverStats` included.
+/// Lanes take their backend from `SimOptions::solver`, as scalar runs do:
+/// under the size dispatch, droop-map grids above the sparse threshold run
+/// on sparse LU and reuse the factors of unchanged matrices, and pinned to
+/// GMRES they run on GMRES — bitwise equal to scalar either way,
+/// `SolverStats` included.
 #[test]
 fn droop_map_lanes_follow_the_solver_policy() {
     let grids = [0.15e-9, 0.2e-9, 0.25e-9].map(|site_stagger| PdnGrid {
@@ -114,32 +118,47 @@ fn droop_map_lanes_follow_the_solver_policy() {
         ..PdnGrid::chip(6, 6)
     });
     let n = grids[0].unknown_estimate();
-    assert!(n >= SolverPolicy::AUTO_SPARSE_THRESHOLD);
+    assert!(n >= LinearSolver::AUTO_SPARSE_THRESHOLD);
     let circuits: Vec<Circuit> = grids.iter().map(|g| g.build().unwrap()).collect();
     let tstop = grids[0].t_stop;
-    let opts = SimOptions::for_duration(tstop, 400);
-    let specs: Vec<BatchSpec<'_>> = circuits
-        .iter()
-        .map(|c| BatchSpec {
-            circuit: c,
-            tstop,
-            opts: &opts,
-        })
-        .collect();
-    let batched = transient_batch(&specs);
-    for (lane, (c, b)) in circuits.iter().zip(&batched).enumerate() {
-        let b = b.as_ref().unwrap();
-        assert_tran_bitwise(
-            &transient(c, tstop, &opts).unwrap(),
-            b,
-            &format!("grid lane {lane}"),
-        );
-        let st = b.stats().solver;
+    // Every lane equals its own scalar run; returns the lanes' solver stats.
+    let lanes_match_scalar = |opts: &SimOptions, arm: &str| -> Vec<SolverStats> {
+        let specs: Vec<BatchSpec<'_>> = circuits
+            .iter()
+            .map(|c| BatchSpec {
+                circuit: c,
+                tstop,
+                opts,
+            })
+            .collect();
+        let batched = transient_batch(&specs);
+        circuits
+            .iter()
+            .zip(&batched)
+            .enumerate()
+            .map(|(lane, (c, b))| {
+                let b = b.as_ref().unwrap();
+                assert_tran_bitwise(
+                    &transient(c, tstop, opts).unwrap(),
+                    b,
+                    &format!("{arm} grid lane {lane}"),
+                );
+                b.stats().solver
+            })
+            .collect()
+    };
+
+    let auto = SimOptions::for_duration(tstop, 400);
+    for st in lanes_match_scalar(&auto, "size dispatch") {
         assert!(st.factor_nnz < n * n, "sparse factors: {st:?}");
         assert!(
             st.full_factorizations + st.refactorizations < st.solves,
             "unchanged matrices reuse their factors: {st:?}"
         );
+    }
+    let gmres = auto.with_solver(LinearSolver::Iterative);
+    for st in lanes_match_scalar(&gmres, "GMRES") {
+        assert!(st.gmres_iterations > 0, "GMRES solves: {st:?}");
     }
 }
 

@@ -1,9 +1,9 @@
-//! Batched structure-of-arrays (SoA) linear-solver backends for lockstep
-//! parameter sweeps.
+//! Batched structure-of-arrays (SoA) dense LU for lockstep parameter
+//! sweeps.
 //!
 //! Monte-Carlo and design-space sweeps solve B *structurally identical*
-//! systems that differ only in a handful of stamped values. The backends
-//! here evaluate B lanes per pass over an interleaved lane-minor layout
+//! systems that differ only in a handful of stamped values. [`BatchDense`]
+//! evaluates B lanes per pass over an interleaved lane-minor layout
 //! (entry `(r, c)` of lane `l` lives at `[(c*n + r)*lanes + l]`), so the
 //! inner elimination loops stream all lanes of an entry contiguously and
 //! auto-vectorise, while each lane still executes *exactly* the scalar
@@ -12,105 +12,23 @@
 //! # Determinism contract
 //!
 //! Every lane's factor and solution is **bitwise identical** to what the
-//! scalar backends ([`crate::dense::LuFactors`], [`crate::sparse::SparseLu`])
-//! produce for the same stamps:
+//! scalar [`crate::dense::LuFactors`] produces for the same stamps:
 //!
-//! * value-dependent control flow (pivot selection, row swaps, the sparse
-//!   refactor-vs-full decision) runs lane-*outer*, per lane, exactly as in
-//!   the scalar code;
+//! * value-dependent control flow (pivot selection, row swaps) runs
+//!   lane-*outer*, per lane, exactly as in the scalar code;
 //! * value-independent skip guards (`if ukc != 0.0`) become per-lane select
 //!   forms, which are bitwise equal to skipping because skipping a
 //!   subtraction of the exact value `x - m*0.0`-style is only equal in
 //!   *value*, not in signed-zero corner cases — so the guarded entry is
-//!   left untouched, never recomputed;
-//! * the sparse backends share only the *value-independent* assembler
-//!   pattern across lanes (see [`CscAssembler::finish_adopting`]); pivot
-//!   orders are value-dependent, so every lane keeps its own
-//!   [`SparseFactorCache`] and makes its own reuse/refactor/full/fallback
-//!   decisions.
+//!   left untouched, never recomputed.
 //!
-//! A failed lane (singular matrix, degraded pivot with failed recovery)
-//! never stalls or perturbs its siblings: dead lanes keep computing benign
-//! lane-local garbage (IEEE-754 `inf`/`NaN` arithmetic does not trap) and
-//! only the first error per lane is reported via [`LaneReport`].
+//! A failed lane (singular matrix) never stalls or perturbs its siblings:
+//! dead lanes keep computing benign lane-local garbage (IEEE-754
+//! `inf`/`NaN` arithmetic does not trap) and only the first error per lane
+//! is reported.
 
 use crate::dense::SINGULARITY_EPS;
-use crate::sparse::{CscAssembler, FactorStep, SparseFactorCache};
 use crate::{NumericError, Result};
-
-/// Per-lane outcome of one [`BatchBackend::factor_solve`] round.
-///
-/// The flags mirror the scalar solver-stats protocol exactly — including
-/// its quirks: `pivot_fallback` can be `true` on a lane whose `result` is
-/// an error (the scalar path counts the fallback *before* attempting the
-/// full factorisation that then fails), and `pattern_epoch` is reported
-/// even on factor errors (the scalar path assigns `pattern_rebuilds`
-/// before factoring).
-#[derive(Debug)]
-pub struct LaneReport {
-    /// `Ok` when the lane factored and solved; the first error otherwise.
-    /// Inactive lanes report `Ok` with every flag clear.
-    pub result: Result<()>,
-    /// The lane performed a full (re-pivoting) factorisation.
-    pub full_factorization: bool,
-    /// The lane ran a numeric-only refactorisation along its cached
-    /// symbolic analysis (sparse only). A lane whose matrix was unchanged
-    /// solves with its cached factors and sets neither this flag nor
-    /// `full_factorization`.
-    pub refactorization: bool,
-    /// The lane's numeric refactorisation was rejected for pivot
-    /// degradation and retried as a full factorisation (sparse only).
-    pub pivot_fallback: bool,
-    /// Assembler pattern epoch after this round (sparse backend);
-    /// `0` on the dense backend.
-    pub pattern_epoch: u64,
-    /// Stored factor entries of the factors the lane solved with (`n*n`
-    /// on the dense backend); `0` when the lane did not get factors.
-    pub factor_nnz: usize,
-}
-
-impl LaneReport {
-    fn clear() -> Self {
-        LaneReport {
-            result: Ok(()),
-            full_factorization: false,
-            refactorization: false,
-            pivot_fallback: false,
-            pattern_epoch: 0,
-            factor_nnz: 0,
-        }
-    }
-}
-
-/// A batched MNA linear-solver backend: B same-structure systems stamped
-/// and solved in lockstep.
-///
-/// The right-hand-side layout is lane-*contiguous*: lane `l`'s system
-/// occupies `rhs[l*n .. (l+1)*n]`, so callers keep one ordinary slice per
-/// lane. (The internal factor storage is lane-minor; see the module docs.)
-///
-/// The `active` mask passed to [`BatchBackend::factor_solve`] must be the
-/// same one given to the preceding [`BatchBackend::begin`]: backends may
-/// compact active lanes into dense storage slots at `begin` time so the
-/// elimination cost tracks the number of *active* lanes, not the batch
-/// width — desynchronised sweeps (lanes finishing or retrying at
-/// different rounds) would otherwise pay full-width factor cost per round.
-pub trait BatchBackend {
-    /// Number of lanes evaluated per pass.
-    fn lanes(&self) -> usize;
-    /// System size (unknowns per lane).
-    fn n(&self) -> usize;
-    /// Begins a fresh assembly round for the lanes flagged in `active`.
-    fn begin(&mut self, active: &[bool]);
-    /// Accumulates `v` at `(r, c)` of `lane`'s system — the stamp
-    /// primitive. The lane must be active in the current round.
-    fn add(&mut self, lane: usize, r: usize, c: usize, v: f64);
-    /// Factors every active lane and solves its system in place:
-    /// `rhs[l*n..(l+1)*n]` is overwritten with lane `l`'s solution.
-    /// Returns one [`LaneReport`] per lane (inactive lanes report a
-    /// cleared `Ok`).
-    fn factor_solve(&mut self, rhs: &mut [f64], active: &[bool]) -> Vec<LaneReport>;
-}
 
 /// Batched dense LU with partial pivoting over a lane-minor SoA layout.
 ///
@@ -120,8 +38,12 @@ pub trait BatchBackend {
 /// bitwise identical to a scalar [`crate::dense::LuFactors::refactor`] of
 /// the same stamps.
 ///
+/// The right-hand-side layout is lane-*contiguous*: lane `l`'s system
+/// occupies `rhs[l*n .. (l+1)*n]`, so callers keep one ordinary slice per
+/// lane.
+///
 /// Active lanes are compacted into contiguous storage *slots* at
-/// [`BatchBackend::begin`] time, so a round with `na` active lanes costs
+/// [`begin`](BatchDense::begin) time, so a round with `na` active lanes costs
 /// `O(n³·na)` — never `O(n³·lanes)` — and the lane-inner elimination
 /// loops still stream contiguously for auto-vectorisation. (Bitwise
 /// identity is unaffected: each lane's arithmetic sequence is independent
@@ -171,18 +93,11 @@ impl BatchDense {
             order: Vec::with_capacity(lanes),
         }
     }
-}
 
-impl BatchBackend for BatchDense {
-    fn lanes(&self) -> usize {
-        self.lanes
-    }
-
-    fn n(&self) -> usize {
-        self.n
-    }
-
-    fn begin(&mut self, active: &[bool]) {
+    /// Begins a fresh assembly round for the lanes flagged in `active`.
+    /// The same mask must go to the round's
+    /// [`factor_solve`](BatchDense::factor_solve).
+    pub fn begin(&mut self, active: &[bool]) {
         assert_eq!(active.len(), self.lanes, "one active flag per lane");
         self.order.clear();
         for (l, &on) in active.iter().enumerate() {
@@ -197,20 +112,26 @@ impl BatchBackend for BatchDense {
         self.a[..used].iter_mut().for_each(|v| *v = 0.0);
     }
 
+    /// Accumulates `v` at `(r, c)` of `lane`'s system — the stamp
+    /// primitive. The lane must be active in the current round.
     #[inline]
-    fn add(&mut self, lane: usize, r: usize, c: usize, v: f64) {
+    pub fn add(&mut self, lane: usize, r: usize, c: usize, v: f64) {
         debug_assert!(lane < self.lanes && r < self.n && c < self.n);
         let s = self.slots[lane];
         debug_assert!(s != usize::MAX, "stamping an inactive lane");
         self.a[(c * self.n + r) * self.order.len() + s] += v;
     }
 
-    fn factor_solve(&mut self, rhs: &mut [f64], active: &[bool]) -> Vec<LaneReport> {
+    /// Factors every active lane and solves its system in place:
+    /// `rhs[l*n..(l+1)*n]` is overwritten with lane `l`'s solution, and
+    /// `solved[l]` with `Ok` or the lane's first error. Inactive lanes keep
+    /// their `rhs` and `solved` entries.
+    pub fn factor_solve(&mut self, rhs: &mut [f64], active: &[bool], solved: &mut [Result<()>]) {
         let n = self.n;
         let nl = self.lanes;
         assert_eq!(rhs.len(), n * nl, "rhs must be lanes * n long");
         assert_eq!(active.len(), nl, "one active flag per lane");
-        let mut reports: Vec<LaneReport> = (0..nl).map(|_| LaneReport::clear()).collect();
+        assert_eq!(solved.len(), nl, "one outcome slot per lane");
         // Compacted width: this round's active-lane count, as fixed by the
         // matching `begin` call.
         let na = self.order.len();
@@ -222,7 +143,7 @@ impl BatchBackend for BatchDense {
             "the active mask must match the one passed to begin()"
         );
         if na == 0 {
-            return reports;
+            return;
         }
         let used = n * n * na;
 
@@ -234,6 +155,10 @@ impl BatchBackend for BatchDense {
             }
         }
 
+        for &l in &self.order {
+            solved[l] = Ok(());
+        }
+
         let lu = &mut self.lu[..used];
         for k in 0..n {
             // Slot-outer pivot selection, swap, and singularity check —
@@ -241,7 +166,7 @@ impl BatchBackend for BatchDense {
             // the scalar elimination.
             for (s, &l) in self.order.iter().enumerate() {
                 let diag = (k * n + k) * na + s;
-                if reports[l].result.is_err() {
+                if solved[l].is_err() {
                     // Dead lane: force a benign pivot so the vectorised
                     // phases below never divide by zero on this slot.
                     if lu[diag] == 0.0 {
@@ -260,7 +185,7 @@ impl BatchBackend for BatchDense {
                     }
                 }
                 if pivot_val < SINGULARITY_EPS {
-                    reports[l].result = Err(NumericError::SingularMatrix { column: k });
+                    solved[l] = Err(NumericError::SingularMatrix { column: k });
                     lu[diag] = 1.0;
                     self.piv[s] = 1.0;
                     continue;
@@ -329,11 +254,9 @@ impl BatchBackend for BatchDense {
         // Per-lane permuted forward/back substitution — the scalar
         // `solve_in_place` transcribed onto the strided factor storage.
         for (s, &l) in self.order.iter().enumerate() {
-            if reports[l].result.is_err() {
+            if solved[l].is_err() {
                 continue;
             }
-            reports[l].full_factorization = true;
-            reports[l].factor_nnz = n * n;
             let b = &mut rhs[l * n..(l + 1) * n];
             for i in 0..n {
                 self.scratch[i] = b[self.perm[l * n + i]];
@@ -357,121 +280,6 @@ impl BatchBackend for BatchDense {
             }
             b.copy_from_slice(&self.scratch);
         }
-        reports
-    }
-}
-
-/// Batched sparse LU: per-lane Gilbert–Peierls factors over a *shared*
-/// assembler pattern.
-///
-/// The first active lane compiles the stamp-sequence → CSC pattern; every
-/// other lane adopts it ([`CscAssembler::finish_adopting`]), skipping the
-/// per-lane sort-and-compile. Pivot orders are value-dependent, so each
-/// lane keeps its own [`SparseFactorCache`] and climbs the scalar
-/// reuse / refactor / full-factorisation ladder independently — which is
-/// what keeps every lane bitwise identical to a scalar run.
-#[derive(Debug)]
-pub struct BatchSparse {
-    n: usize,
-    lanes: usize,
-    asms: Vec<CscAssembler>,
-    caches: Vec<SparseFactorCache>,
-    scratch: Vec<f64>,
-}
-
-impl BatchSparse {
-    /// Creates a batched sparse backend for `lanes` systems of `n`
-    /// unknowns. `reuse` enables factor reuse and the numeric-only
-    /// refactorisation path, exactly like the scalar MNA engine's
-    /// `reuse_factorization`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes == 0`.
-    pub fn new(n: usize, lanes: usize, reuse: bool) -> Self {
-        assert!(lanes > 0, "a batch needs at least one lane");
-        BatchSparse {
-            n,
-            lanes,
-            asms: (0..lanes).map(|_| CscAssembler::new(n, n)).collect(),
-            caches: (0..lanes).map(|_| SparseFactorCache::new(reuse)).collect(),
-            scratch: Vec::with_capacity(n),
-        }
-    }
-}
-
-impl BatchBackend for BatchSparse {
-    fn lanes(&self) -> usize {
-        self.lanes
-    }
-
-    fn n(&self) -> usize {
-        self.n
-    }
-
-    fn begin(&mut self, active: &[bool]) {
-        for (asm, &on) in self.asms.iter_mut().zip(active) {
-            if on {
-                asm.begin();
-            }
-        }
-    }
-
-    #[inline]
-    fn add(&mut self, lane: usize, r: usize, c: usize, v: f64) {
-        self.asms[lane].add(r, c, v);
-    }
-
-    fn factor_solve(&mut self, rhs: &mut [f64], active: &[bool]) -> Vec<LaneReport> {
-        let n = self.n;
-        let nl = self.lanes;
-        assert_eq!(rhs.len(), n * nl, "rhs must be lanes * n long");
-        assert_eq!(active.len(), nl, "one active flag per lane");
-        let mut reports: Vec<LaneReport> = (0..nl).map(|_| LaneReport::clear()).collect();
-
-        // Compile/adopt patterns. The first active lane is the donor; it
-        // always precedes the adopters, so a split at the adopter's index
-        // yields disjoint borrows.
-        let donor = match active.iter().position(|&on| on) {
-            Some(d) => d,
-            None => return reports,
-        };
-        self.asms[donor].finish();
-        for (l, &on) in active.iter().enumerate().skip(donor + 1) {
-            if on {
-                let (head, tail) = self.asms.split_at_mut(l);
-                tail[0].finish_adopting(Some(&head[donor]));
-            }
-        }
-
-        for l in 0..nl {
-            if !active[l] {
-                continue;
-            }
-            let asm = &self.asms[l];
-            let epoch = asm.epoch();
-            let a = asm.matrix().expect("finish compiles a pattern");
-            let rep = &mut reports[l];
-            rep.pattern_epoch = epoch;
-            let cache = &mut self.caches[l];
-            let factored = cache.factor(a, epoch);
-            rep.pivot_fallback = factored.pivot_fallback;
-            match factored.step {
-                Ok(step) => {
-                    rep.full_factorization = step == FactorStep::Full;
-                    rep.refactorization = step == FactorStep::Refactored;
-                }
-                Err(e) => {
-                    rep.result = Err(e);
-                    continue;
-                }
-            }
-            rep.factor_nnz = cache.factor_nnz();
-            if let Err(e) = cache.solve_in_place(&mut rhs[l * n..(l + 1) * n], &mut self.scratch) {
-                rep.result = Err(e);
-            }
-        }
-        reports
     }
 }
 
@@ -479,7 +287,6 @@ impl BatchBackend for BatchSparse {
 mod tests {
     use super::*;
     use crate::dense::{DenseMatrix, LuFactors};
-    use crate::sparse::SparseLu;
 
     /// Deterministic LCG fill, as used by the dense unit tests.
     fn lcg(seed: &mut u64) -> f64 {
@@ -502,6 +309,10 @@ mod tests {
         (a, b)
     }
 
+    fn outcomes(lanes: usize) -> Vec<Result<()>> {
+        (0..lanes).map(|_| Ok(())).collect()
+    }
+
     #[test]
     fn batch_dense_matches_scalar_bitwise() {
         let n = 7;
@@ -521,11 +332,10 @@ mod tests {
             rhs[l * n..(l + 1) * n].copy_from_slice(&b);
             scalars.push((a, b));
         }
-        let reports = batch.factor_solve(&mut rhs, &active);
+        let mut solved = outcomes(lanes);
+        batch.factor_solve(&mut rhs, &active, &mut solved);
         for (l, (a, b)) in scalars.into_iter().enumerate() {
-            assert!(reports[l].result.is_ok());
-            assert!(reports[l].full_factorization);
-            assert_eq!(reports[l].factor_nnz, n * n);
+            assert!(solved[l].is_ok());
             let mut ws = LuFactors::workspace(n);
             ws.refactor(&a).unwrap();
             let x = ws.solve(&b).unwrap();
@@ -561,9 +371,10 @@ mod tests {
                 }
                 rhs[l * n..(l + 1) * n].copy_from_slice(&b);
             }
-            let reports = batch.factor_solve(&mut rhs, &active);
+            let mut solved = outcomes(lanes);
+            batch.factor_solve(&mut rhs, &active, &mut solved);
             let bits = rhs.iter().map(|v| v.to_bits()).collect();
-            let ok: Vec<bool> = reports.iter().map(|r| r.result.is_ok()).collect();
+            let ok: Vec<bool> = solved.iter().map(Result::is_ok).collect();
             (bits, ok)
         };
         let (clean, ok_clean) = solve_with(None);
@@ -596,187 +407,14 @@ mod tests {
         rhs[..n].copy_from_slice(&b);
         let sentinel = [1.5, -2.5, 42.0];
         rhs[n..].copy_from_slice(&sentinel);
-        let reports = batch.factor_solve(&mut rhs, &active);
-        assert!(reports[0].result.is_ok() && reports[0].full_factorization);
-        assert!(reports[1].result.is_ok() && !reports[1].full_factorization);
+        // A stale error in the inactive lane's slot must survive the round.
+        let mut solved = vec![Err(NumericError::SingularMatrix { column: 9 }); lanes];
+        batch.factor_solve(&mut rhs, &active, &mut solved);
+        assert!(solved[0].is_ok());
+        assert!(matches!(
+            solved[1],
+            Err(NumericError::SingularMatrix { column: 9 })
+        ));
         assert_eq!(&rhs[n..], &sentinel, "inactive lane rhs must be untouched");
-    }
-
-    /// Scalar replication of the MNA sparse accounting (assembler +
-    /// cached `SparseLu` with refactor reuse), used as the bitwise
-    /// reference for `BatchSparse`.
-    struct ScalarSparseRef {
-        asm: CscAssembler,
-        lu: Option<SparseLu>,
-        lu_epoch: u64,
-        scratch: Vec<f64>,
-    }
-
-    impl ScalarSparseRef {
-        fn new(n: usize) -> Self {
-            ScalarSparseRef {
-                asm: CscAssembler::new(n, n),
-                lu: None,
-                lu_epoch: 0,
-                scratch: Vec::new(),
-            }
-        }
-
-        fn solve(&mut self, stamps: &[(usize, usize, f64)], rhs: &mut [f64]) {
-            self.asm.begin();
-            for &(r, c, v) in stamps {
-                self.asm.add(r, c, v);
-            }
-            self.asm.finish();
-            let epoch = self.asm.epoch();
-            let a = self.asm.matrix().unwrap();
-            let mut refactored = false;
-            if self.lu_epoch == epoch {
-                if let Some(f) = self.lu.as_mut() {
-                    refactored = f.refactor(a).is_ok();
-                }
-            }
-            if !refactored {
-                self.lu = Some(a.lu().unwrap());
-                self.lu_epoch = epoch;
-            }
-            self.lu
-                .as_ref()
-                .unwrap()
-                .solve_in_place(rhs, &mut self.scratch)
-                .unwrap();
-        }
-    }
-
-    fn tridiag_stamps(n: usize, seed: u64) -> Vec<(usize, usize, f64)> {
-        let mut s = seed;
-        let mut out = Vec::new();
-        for i in 0..n {
-            out.push((i, i, 4.0 + lcg(&mut s)));
-            if i + 1 < n {
-                out.push((i, i + 1, -1.0 + 0.1 * lcg(&mut s)));
-                out.push((i + 1, i, -1.0 + 0.1 * lcg(&mut s)));
-            }
-        }
-        out
-    }
-
-    #[test]
-    fn batch_sparse_matches_scalar_bitwise_across_rounds() {
-        let n = 6;
-        let lanes = 3;
-        let mut batch = BatchSparse::new(n, lanes, true);
-        let active = vec![true; lanes];
-        let mut refs: Vec<ScalarSparseRef> = (0..lanes).map(|_| ScalarSparseRef::new(n)).collect();
-        for round in 0..4 {
-            batch.begin(&active);
-            let mut rhs = vec![0.0; n * lanes];
-            let mut stamps_per_lane = Vec::new();
-            for l in 0..lanes {
-                let stamps = tridiag_stamps(n, 0xC0FFEE + (round * lanes + l) as u64);
-                for &(r, c, v) in &stamps {
-                    batch.add(l, r, c, v);
-                }
-                for i in 0..n {
-                    rhs[l * n + i] = (i as f64 + 1.0) * 0.25 - l as f64;
-                }
-                stamps_per_lane.push(stamps);
-            }
-            let reports = batch.factor_solve(&mut rhs, &active);
-            for l in 0..lanes {
-                assert!(reports[l].result.is_ok(), "round {round} lane {l}");
-                assert_eq!(reports[l].pattern_epoch, 1, "pattern compiles once");
-                if round == 0 {
-                    assert!(reports[l].full_factorization);
-                } else {
-                    assert!(
-                        reports[l].refactorization,
-                        "later rounds reuse the analysis"
-                    );
-                }
-                let mut b: Vec<f64> = (0..n).map(|i| (i as f64 + 1.0) * 0.25 - l as f64).collect();
-                refs[l].solve(&stamps_per_lane[l], &mut b);
-                for i in 0..n {
-                    assert_eq!(
-                        b[i].to_bits(),
-                        rhs[l * n + i].to_bits(),
-                        "round {round} lane {l} unknown {i}"
-                    );
-                }
-            }
-        }
-    }
-
-    /// A lane whose stamps repeat bit for bit solves with its cached
-    /// factors (no factorisation flag), while a sibling whose values moved
-    /// refactors; both stay bitwise equal to the scalar reference.
-    #[test]
-    fn batch_sparse_reuses_unchanged_lanes() {
-        let n = 5;
-        let lanes = 2;
-        let mut batch = BatchSparse::new(n, lanes, true);
-        let active = vec![true; lanes];
-        let mut refs: Vec<ScalarSparseRef> = (0..lanes).map(|_| ScalarSparseRef::new(n)).collect();
-        for round in 0..3u64 {
-            batch.begin(&active);
-            let mut rhs = vec![0.5; n * lanes];
-            // Lane 0 stamps the same values every round; lane 1 new ones.
-            let stamps = [tridiag_stamps(n, 7), tridiag_stamps(n, 100 + round)];
-            for (l, lane_stamps) in stamps.iter().enumerate() {
-                for &(r, c, v) in lane_stamps {
-                    batch.add(l, r, c, v);
-                }
-            }
-            let reports = batch.factor_solve(&mut rhs, &active);
-            for (l, rep) in reports.iter().enumerate() {
-                assert!(rep.result.is_ok());
-                let expect = match (round, l) {
-                    (0, _) => (true, false),
-                    (_, 0) => (false, false),
-                    _ => (false, true),
-                };
-                assert_eq!(
-                    (rep.full_factorization, rep.refactorization),
-                    expect,
-                    "round {round} lane {l}"
-                );
-                assert!(rep.factor_nnz > 0);
-                let mut b = vec![0.5; n];
-                refs[l].solve(&stamps[l], &mut b);
-                for i in 0..n {
-                    assert_eq!(b[i].to_bits(), rhs[l * n + i].to_bits());
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn batch_sparse_singular_lane_isolated() {
-        let n = 4;
-        let lanes = 2;
-        let mut batch = BatchSparse::new(n, lanes, true);
-        let active = vec![true; lanes];
-        batch.begin(&active);
-        let mut rhs = vec![1.0; n * lanes];
-        // Lane 0 healthy; lane 1 stamps the same pattern with a zero row
-        // (structurally identical so pattern adoption still applies, but
-        // numerically singular).
-        for &(r, c, v) in &tridiag_stamps(n, 99) {
-            batch.add(0, r, c, v);
-            batch.add(1, r, c, if r == 2 { 0.0 } else { v });
-        }
-        let reports = batch.factor_solve(&mut rhs, &active);
-        assert!(reports[0].result.is_ok());
-        assert!(
-            matches!(reports[1].result, Err(NumericError::SingularMatrix { .. })),
-            "zero row must surface as a singular matrix on its own lane"
-        );
-        // Lane 0 must match a scalar solve of the same stamps.
-        let mut r0 = ScalarSparseRef::new(n);
-        let mut b = vec![1.0; n];
-        r0.solve(&tridiag_stamps(n, 99), &mut b);
-        for i in 0..n {
-            assert_eq!(b[i].to_bits(), rhs[i].to_bits());
-        }
     }
 }

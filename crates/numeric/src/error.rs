@@ -30,20 +30,13 @@ pub enum NumericError {
         /// Size that was actually supplied.
         actual: usize,
     },
-    /// Newton–Raphson failed to converge within the iteration limit.
+    /// An iterative solve (GMRES) failed to converge within its iteration
+    /// budget.
     NonConvergence {
         /// Number of iterations performed before giving up.
         iterations: usize,
-        /// Infinity norm of the final update step.
+        /// Norm of the last residual, `‖b − A x‖`.
         last_delta: f64,
-    },
-    /// A bracketing root-finder was given a bracket that does not contain a
-    /// sign change.
-    InvalidBracket {
-        /// Function value at the lower bracket end.
-        f_lo: f64,
-        /// Function value at the upper bracket end.
-        f_hi: f64,
     },
     /// An argument was out of its legal domain (empty data, non-monotonic
     /// abscissae, non-positive step, ...).
@@ -78,12 +71,8 @@ impl fmt::Display for NumericError {
                 last_delta,
             } => write!(
                 f,
-                "newton iteration failed to converge after {iterations} iterations \
-                 (last step {last_delta:.3e})"
-            ),
-            NumericError::InvalidBracket { f_lo, f_hi } => write!(
-                f,
-                "bracket does not contain a sign change (f_lo={f_lo:.3e}, f_hi={f_hi:.3e})"
+                "iterative solve failed to converge after {iterations} iterations \
+                 (last residual {last_delta:.3e})"
             ),
             NumericError::InvalidArgument(msg) => write!(f, "invalid argument: {msg}"),
             NumericError::NonFinite { context } => {

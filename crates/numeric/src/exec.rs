@@ -71,7 +71,7 @@ pub const BATCH_ENV: &str = "SFET_BATCH";
 
 /// Default lane width when neither [`ExecConfig::with_batch`] nor
 /// `SFET_BATCH` picks one. Wide enough to amortise per-batch setup
-/// (pattern adoption, device-model shared terms) while keeping a tile's
+/// (lane setup, the SoA factor's bookkeeping) while keeping a tile's
 /// working set cache-resident for cell-level circuits.
 const DEFAULT_BATCH: usize = 8;
 
@@ -123,14 +123,17 @@ impl fmt::Debug for ExecConfig {
 }
 
 impl ExecConfig {
-    /// Auto configuration: workers from `SFET_THREADS` if set and valid
-    /// (an invalid value warns on stderr and falls back to the default),
-    /// plus any fault plan armed through `SFET_FAULT_PLAN`.
+    /// Auto configuration: workers from `SFET_THREADS` and the lane width
+    /// from `SFET_BATCH` if set and valid (an invalid value warns once on
+    /// stderr and falls back to the default), plus any fault plan armed
+    /// through `SFET_FAULT_PLAN`.
     pub fn from_env() -> Self {
+        static THREADS_WARNED: Once = Once::new();
+        static BATCH_WARNED: Once = Once::new();
         ExecConfig {
-            workers: workers_from_env(),
+            workers: positive_from_env(THREADS_ENV, "worker count", &THREADS_WARNED),
             fault: FaultPlan::from_env(),
-            batch: batch_from_env(),
+            batch: positive_from_env(BATCH_ENV, "batch width", &BATCH_WARNED),
             ..Default::default()
         }
     }
@@ -243,80 +246,28 @@ impl ExecConfig {
     }
 }
 
-/// Parses a `SFET_THREADS`-style override; `None` for invalid or zero.
-pub fn parse_workers(value: &str) -> Option<usize> {
-    match value.trim().parse::<usize>() {
-        Ok(0) | Err(_) => None,
-        Ok(n) => Some(n),
+/// Parses a positive-integer override read from `var`, or returns the
+/// warning [`ExecConfig::from_env`] prints before falling back to the
+/// default `fallback` (a zero, empty, or non-numeric value).
+fn parse_positive(var: &str, raw: &str, fallback: &str) -> Result<usize, String> {
+    match raw.trim().parse::<usize>() {
+        Ok(0) | Err(_) => Err(format!(
+            "{var}={raw:?} is not a positive integer; falling back to the default {fallback}"
+        )),
+        Ok(n) => Ok(n),
     }
 }
 
-/// Resolves a `SFET_THREADS` value to a worker count, or explains why it
-/// cannot be used. `Err` carries the exact warning [`ExecConfig::from_env`]
-/// prints before falling back to the default worker count.
-///
-/// # Errors
-///
-/// A warning message for a zero, empty, or non-numeric value.
-pub fn resolve_env_workers(raw: &str) -> Result<usize, String> {
-    parse_workers(raw).ok_or_else(|| {
-        format!(
-            "{THREADS_ENV}={raw:?} is not a positive integer; \
-             falling back to the default worker count"
-        )
-    })
-}
-
-/// Reads the `SFET_THREADS` override, warning (once per process, on
-/// stderr) and returning `None` for invalid values such as `0`, `""`, or
-/// `"abc"` instead of silently misconfiguring the pool.
-fn workers_from_env() -> Option<usize> {
-    let raw = std::env::var(THREADS_ENV).ok()?;
-    match resolve_env_workers(&raw) {
+/// Reads a positive-integer override from `var`, warning (once per
+/// process and variable, on stderr, through `warned`) and returning `None`
+/// for invalid values such as `0`, `""`, or `"abc"` instead of silently
+/// misconfiguring the sweep.
+fn positive_from_env(var: &str, fallback: &str, warned: &Once) -> Option<usize> {
+    let raw = std::env::var(var).ok()?;
+    match parse_positive(var, &raw, fallback) {
         Ok(n) => Some(n),
         Err(warning) => {
-            static WARN: Once = Once::new();
-            WARN.call_once(|| eprintln!("warning: {warning}"));
-            None
-        }
-    }
-}
-
-/// Parses a `SFET_BATCH`-style override; `None` for invalid or zero.
-pub fn parse_batch(value: &str) -> Option<usize> {
-    match value.trim().parse::<usize>() {
-        Ok(0) | Err(_) => None,
-        Ok(n) => Some(n),
-    }
-}
-
-/// Resolves a `SFET_BATCH` value to a lane width, or explains why it
-/// cannot be used. `Err` carries the exact warning [`ExecConfig::from_env`]
-/// prints before falling back to the default lane width.
-///
-/// # Errors
-///
-/// A warning message for a zero, empty, or non-numeric value.
-pub fn resolve_env_batch(raw: &str) -> Result<usize, String> {
-    parse_batch(raw).ok_or_else(|| {
-        format!(
-            "{BATCH_ENV}={raw:?} is not a positive integer; \
-             falling back to the default batch width"
-        )
-    })
-}
-
-/// Reads the `SFET_BATCH` override, warning (once per process, on stderr)
-/// and returning `None` for invalid values such as `0`, `""`, or `"abc"`
-/// instead of silently misconfiguring the lane width — the same contract
-/// as the `SFET_THREADS` override.
-fn batch_from_env() -> Option<usize> {
-    let raw = std::env::var(BATCH_ENV).ok()?;
-    match resolve_env_batch(&raw) {
-        Ok(n) => Some(n),
-        Err(warning) => {
-            static WARN: Once = Once::new();
-            WARN.call_once(|| eprintln!("warning: {warning}"));
+            warned.call_once(|| eprintln!("warning: {warning}"));
             None
         }
     }
@@ -960,29 +911,33 @@ mod tests {
     }
 
     #[test]
-    fn workers_env_parsing() {
-        assert_eq!(parse_workers("8"), Some(8));
-        assert_eq!(parse_workers(" 2 "), Some(2));
-        assert_eq!(parse_workers("0"), None);
-        assert_eq!(parse_workers("all"), None);
-        assert_eq!(parse_workers(""), None);
-    }
-
-    #[test]
-    fn invalid_env_workers_fall_back_with_diagnostic() {
-        // `SFET_THREADS=0`, empty, and non-numeric values must resolve to
-        // "use the default" with an error naming the variable, never panic
-        // or a silent zero-worker pool.
-        for raw in ["0", "", "abc", "-3", "1.5"] {
-            let err = resolve_env_workers(raw).unwrap_err();
-            assert!(
-                err.contains(THREADS_ENV) && err.contains("default"),
-                "diagnostic for {raw:?} should name {THREADS_ENV} and the \
-                 fallback, got: {err}"
-            );
+    fn env_overrides_parse_positive_integers() {
+        for (var, fallback) in [(THREADS_ENV, "worker count"), (BATCH_ENV, "batch width")] {
+            assert_eq!(parse_positive(var, "8", fallback), Ok(8));
+            assert_eq!(parse_positive(var, " 2 ", fallback), Ok(2));
+            // `0`, empty, and non-numeric values resolve to "use the
+            // default" with a warning naming the variable, never a panic
+            // or a silent zero-worker pool or zero-lane tile.
+            for raw in ["0", "all", "", "abc", "-3", "1.5"] {
+                let err = parse_positive(var, raw, fallback).unwrap_err();
+                assert!(
+                    err.contains(var) && err.contains("default"),
+                    "diagnostic for {raw:?} should name {var} and the fallback, got: {err}"
+                );
+            }
         }
-        assert_eq!(resolve_env_workers("8"), Ok(8));
-        assert_eq!(resolve_env_workers(" 4 "), Ok(4));
+        assert_eq!(
+            parse_positive(THREADS_ENV, "0", "worker count"),
+            Err("SFET_THREADS=\"0\" is not a positive integer; \
+                 falling back to the default worker count"
+                .to_owned())
+        );
+        assert_eq!(
+            parse_positive(BATCH_ENV, "all", "batch width"),
+            Err("SFET_BATCH=\"all\" is not a positive integer; \
+                 falling back to the default batch width"
+                .to_owned())
+        );
     }
 
     #[test]
@@ -1098,32 +1053,6 @@ mod tests {
         assert_eq!(ExecConfig::with_workers(16).resolved_workers(3), 3);
         assert_eq!(ExecConfig::with_workers(16).resolved_workers(0), 1);
         assert_eq!(ExecConfig::serial().resolved_workers(100), 1);
-    }
-
-    #[test]
-    fn batch_env_parsing() {
-        assert_eq!(parse_batch("8"), Some(8));
-        assert_eq!(parse_batch(" 2 "), Some(2));
-        assert_eq!(parse_batch("0"), None);
-        assert_eq!(parse_batch("all"), None);
-        assert_eq!(parse_batch(""), None);
-    }
-
-    #[test]
-    fn invalid_env_batch_falls_back_with_diagnostic() {
-        // `SFET_BATCH=0`, empty, and non-numeric values must resolve to
-        // "use the default" with an error naming the variable — the same
-        // contract `SFET_THREADS` honours — never a silent zero-lane tile.
-        for raw in ["0", "", "abc", "-3", "1.5"] {
-            let err = resolve_env_batch(raw).unwrap_err();
-            assert!(
-                err.contains(BATCH_ENV) && err.contains("default"),
-                "diagnostic for {raw:?} should name {BATCH_ENV} and the \
-                 fallback, got: {err}"
-            );
-        }
-        assert_eq!(resolve_env_batch("8"), Ok(8));
-        assert_eq!(resolve_env_batch(" 4 "), Ok(4));
     }
 
     #[test]

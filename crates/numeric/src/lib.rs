@@ -1,9 +1,9 @@
 //! Numerical kernels underpinning the Soft-FET circuit-simulation stack.
 //!
 //! This crate depends only on `std` and the in-workspace `sfet-telemetry`
-//! observability layer, and provides the linear-algebra and
-//! nonlinear-solver machinery that the MNA simulator in `sfet-sim` is
-//! built on:
+//! observability layer, and provides the linear-algebra and sweep
+//! machinery that the MNA simulator in `sfet-sim` is built on (the
+//! simulator runs its own Newton loops):
 //!
 //! * [`dense`] — column-major dense matrices with partial-pivoting LU
 //!   factorisation, the workhorse for cell-level circuits (tens of nodes).
@@ -13,14 +13,10 @@
 //!   direct factorisation stops scaling: restarted GMRES(m) over a
 //!   [`LinearOperator`](krylov::LinearOperator) with Jacobi and ILU(0)
 //!   preconditioners.
-//! * [`newton`] — a damped Newton–Raphson driver with SPICE-style
-//!   (`reltol`, `abstol`) convergence criteria.
 //! * [`interp`] — piecewise-linear interpolation used by PWL sources and
 //!   waveform resampling.
 //! * [`smooth`] — numerically safe smooth primitives (softplus, logistic,
 //!   smoothstep) used by the EKV MOSFET model.
-//! * [`roots`] — bracketing root refinement (bisection / Brent) used for
-//!   PTM threshold-crossing event location.
 //! * [`integrate`] — integration-method coefficients (backward Euler,
 //!   trapezoidal, Gear-2) for companion models.
 //! * [`norms`] — error norms and log–log convergence-order fitting used
@@ -36,10 +32,9 @@
 //!   [`par_map_outcomes`](exec::par_map_outcomes) runs every task to a
 //!   verdict under a retry budget. Each takes a per-item or a tiled
 //!   [`Task`](exec::Task) (lanes for the batched transient engine).
-//! * [`batch`] — batched structure-of-arrays linear-solver backends
-//!   ([`BatchBackend`](batch::BatchBackend)): a lane-minor dense LU and a
-//!   shared-pattern sparse LU whose every lane is bitwise-identical to
-//!   the scalar backends.
+//! * [`batch`] — a batched structure-of-arrays dense LU
+//!   ([`BatchDense`](batch::BatchDense)) whose every lane is
+//!   bitwise-identical to the scalar dense LU.
 //! * [`fault`] — deterministic fault injection (`SFET_FAULT_PLAN`) for
 //!   exercising the retry and checkpoint/resume paths in CI.
 //! * [`manifest`] — append-only sweep manifests so an interrupted verdict
@@ -74,9 +69,7 @@ pub mod integrate;
 pub mod interp;
 pub mod krylov;
 pub mod manifest;
-pub mod newton;
 pub mod norms;
-pub mod roots;
 pub mod smooth;
 pub mod sparse;
 pub mod stats;
@@ -90,8 +83,8 @@ pub type Result<T> = std::result::Result<T, NumericError>;
 
 /// Returns `true` when `a` and `b` agree within `reltol * max(|a|,|b|) + abstol`.
 ///
-/// This is the SPICE-style mixed relative/absolute comparison used by the
-/// Newton driver and by convergence checks throughout the simulator.
+/// This is the SPICE-style mixed relative/absolute comparison used by
+/// convergence checks throughout the simulator.
 ///
 /// # Example
 ///

@@ -168,57 +168,6 @@ impl CscAssembler {
         self.csc.as_ref()
     }
 
-    /// Completes the round like [`finish`](CscAssembler::finish), but when
-    /// this assembler has no compiled pattern yet and `donor` has already
-    /// compiled one for the *same* stamp sequence, adopts the donor's
-    /// pattern (sequence, scatter map, and CSC skeleton) instead of sorting
-    /// and recompiling it from scratch. This is the batched-sweep fast
-    /// path: B lanes stamping the same circuit structure pay for one
-    /// symbolic compilation instead of B.
-    ///
-    /// Adoption scatters the recorded stamps through the donor's map,
-    /// which sums duplicates per slot in ascending stamp order — exactly
-    /// the order the rebuild path uses — so the assembled values are
-    /// bitwise-identical to an independent compile of the same stamps. The
-    /// epoch advances to what an independent first compile would report,
-    /// keeping `epoch`-derived telemetry identical to the scalar path.
-    ///
-    /// Falls back to a plain [`finish`](CscAssembler::finish) when there
-    /// is no donor, the donor has no pattern, a pattern is already
-    /// compiled here, or the stamp sequences differ.
-    pub fn finish_adopting(&mut self, donor: Option<&CscAssembler>) -> &CscMatrix {
-        if self.csc.is_none() {
-            if let Some(d) = donor {
-                if let Some(donor_csc) = d.csc.as_ref() {
-                    let same_sequence = d.seq.len() == self.pending.len()
-                        && d.seq
-                            .iter()
-                            .zip(&self.pending)
-                            .all(|(&(r, c), &(pr, pc, _))| (r, c) == (pr, pc));
-                    if same_sequence {
-                        self.seq.clear();
-                        self.seq.extend_from_slice(&d.seq);
-                        self.scatter.clear();
-                        self.scatter.extend_from_slice(&d.scatter);
-                        let mut csc = donor_csc.clone();
-                        for v in csc.values_mut() {
-                            *v = 0.0;
-                        }
-                        for (k, &(_, _, v)) in self.pending.iter().enumerate() {
-                            csc.values_mut()[self.scatter[k]] += v;
-                        }
-                        self.csc = Some(csc);
-                        self.cursor = self.seq.len();
-                        self.fast = true;
-                        self.epoch += 1;
-                        return self.csc.as_ref().expect("adopted above");
-                    }
-                }
-            }
-        }
-        self.finish()
-    }
-
     /// Recompiles the pattern, scatter map, and sequence from `pending`.
     ///
     /// Duplicates are summed in stamp order — the same order the scatter
@@ -394,52 +343,5 @@ mod tests {
         let mut asm = CscAssembler::new(1, 1);
         asm.begin();
         asm.add(1, 0, 1.0);
-    }
-
-    #[test]
-    fn adoption_is_bitwise_identical_to_independent_compile() {
-        // Donor compiles the pattern; the adopter must produce the same
-        // matrix (values and structure), the same epoch, and then run the
-        // scatter fast path on later rounds just like an independent
-        // compile would.
-        let mut donor = CscAssembler::new(3, 3);
-        stamp_round(&mut donor, 1.7);
-
-        let mut independent = CscAssembler::new(3, 3);
-        let a = stamp_round(&mut independent, 0.3123);
-
-        let mut adopter = CscAssembler::new(3, 3);
-        adopter.begin();
-        adopter.add(0, 0, 2.0 * 0.3123);
-        adopter.add(1, 1, 3.0 * 0.3123);
-        adopter.add(0, 0, 0.5 * 0.3123);
-        adopter.add(2, 1, -0.3123);
-        adopter.add(1, 2, -0.3123);
-        adopter.add(2, 2, 4.0 * 0.3123);
-        let b = adopter.finish_adopting(Some(&donor)).clone();
-        assert_eq!(adopter.epoch(), independent.epoch());
-        for r in 0..3 {
-            for c in 0..3 {
-                assert_eq!(a.get(r, c).to_bits(), b.get(r, c).to_bits());
-            }
-        }
-        // Later rounds take the zero-alloc fast path (epoch stable).
-        let e = adopter.epoch();
-        let c2 = stamp_round(&mut adopter, 0.99);
-        assert_eq!(adopter.epoch(), e);
-        assert_eq!(c2.nnz(), a.nnz());
-    }
-
-    #[test]
-    fn adoption_with_mismatched_sequence_falls_back_to_finish() {
-        let mut donor = CscAssembler::new(3, 3);
-        stamp_round(&mut donor, 1.0);
-        let mut asm = CscAssembler::new(3, 3);
-        asm.begin();
-        asm.add(0, 0, 5.0); // different sequence than the donor's
-        let a = asm.finish_adopting(Some(&donor)).clone();
-        assert_eq!(a.nnz(), 1);
-        assert_eq!(a.get(0, 0), 5.0);
-        assert_eq!(asm.epoch(), 1);
     }
 }

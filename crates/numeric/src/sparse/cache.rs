@@ -1,10 +1,10 @@
 //! Sparse LU factors cached across the solves of a Newton loop.
 //!
-//! Every sparse direct solve in the simulator — the MNA sparse backend,
-//! the GMRES backend's LU fallback and each lane of the batched sparse
-//! backend — assembles a matrix of one fixed pattern again and again, and
-//! climbs the same ladder to factor it. [`SparseFactorCache`] is that
-//! ladder, kept in one place so the three callers cannot drift apart.
+//! Every sparse direct solve in the simulator — the MNA sparse backend
+//! and the GMRES backend's LU fallback — assembles a matrix of one fixed
+//! pattern again and again, and climbs the same ladder to factor it.
+//! [`SparseFactorCache`] is that ladder, kept in one place so the two
+//! callers cannot drift apart.
 
 use super::{CscMatrix, SparseLu};
 use crate::{NumericError, Result};

@@ -130,7 +130,7 @@ fn refactor_solve_hot_path_is_allocation_free() {
             a.set(0, 0, 4.0 + f64::from(k) * 1e-3);
             let span = telemetry.span(Level::Iteration, names::SPAN_NEWTON_ITER);
             factors.refactor(&a).unwrap();
-            telemetry.counter(names::NEWTON_ITERATIONS, 1);
+            telemetry.counter(names::TRAN_NEWTON_ITERATIONS, 1);
             telemetry.histogram(names::H_TRAN_DT, f64::from(k) * 1e-12);
             drop(span);
         }

@@ -14,9 +14,9 @@
 //! A grid tile contributes two unknowns (rail node + decap internal
 //! node), so even a 6×6 grid is past the dense LU's range, and chip-scale
 //! grids reach 10⁴–10⁵ MNA unknowns, where the sparse direct
-//! factorisation's fill-in dominates runtime. With the default
-//! [`SolverPolicy::Auto`](sfet_sim::SolverPolicy) dispatch, grids from 64
-//! unknowns run on the reusable sparse LU — the grid is linear, so its
+//! factorisation's fill-in dominates runtime. Under the default size
+//! dispatch ([`SimOptions::effective_solver`]), grids from 64 unknowns run
+//! on the reusable sparse LU — the grid is linear, so its
 //! matrix changes only with the step size and most solves reuse the
 //! factors — and grids beyond the GMRES threshold route to GMRES+ILU(0)
 //! automatically, with mid-size grids (where LU is still feasible)
@@ -393,7 +393,7 @@ impl DroopMap {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sfet_sim::{LinearSolver, SolverPolicy};
+    use sfet_sim::LinearSolver;
 
     #[test]
     fn default_validates_and_builds() {
@@ -517,15 +517,10 @@ mod tests {
         };
         let opts = SimOptions::for_duration(g.t_stop, 300);
         let direct = g
-            .droop_map_with(
-                &opts
-                    .clone()
-                    .with_solver(LinearSolver::Sparse)
-                    .with_solver_policy(SolverPolicy::Direct),
-            )
+            .droop_map_with(&opts.clone().with_solver(LinearSolver::Sparse))
             .unwrap();
         let iter = g
-            .droop_map_with(&opts.clone().with_solver_policy(SolverPolicy::Iterative))
+            .droop_map_with(&opts.with_solver(LinearSolver::Iterative))
             .unwrap();
         assert!(iter.stats.solver.gmres_iterations > 0);
         let diff = direct.max_rel_diff(&iter).unwrap();

@@ -3,8 +3,8 @@
 //!
 //! [`transient`] and [`transient_resumable`](crate::transient_resumable)
 //! run a single lane over an [`MnaMatrix`] (dense, sparse or GMRES).
-//! [`transient_batch`] runs each lane of a [`BatchSpec`] slice over a
-//! [`BatchBackend`], which lays the B Jacobians out lane-minor so the dense
+//! [`transient_batch`] runs the lanes of a [`BatchSpec`] slice over a
+//! [`BatchDense`], which lays the B Jacobians out lane-minor so the dense
 //! kernels auto-vectorise across lanes. Both go through the same code for
 //! step-size control, the damped Newton update, LTE and PTM-event
 //! rejection, fault injection, the `timestep`/`newton_iter` spans and
@@ -28,11 +28,10 @@
 //! * value-dependent decisions (step-size choice, convergence, pivoting,
 //!   refactor-vs-full) are taken per lane.
 //!
-//! Lanes must share a *shape* — MNA size, linear solver (as resolved by
-//! [`SimOptions::effective_solver`], so the solver policy and
-//! `SFET_SOLVER` apply to lanes as they do to scalar runs), and
-//! factor-reuse flag — for the SoA backend to apply. A non-uniform batch
-//! silently falls back to per-lane [`transient`] calls (bitwise equal by
+//! The SoA backend applies when every lane resolves to dense LU
+//! ([`SimOptions::effective_solver`], exactly as a scalar run resolves it)
+//! at one MNA size. Any other batch — sparse or GMRES lanes, or mixed
+//! sizes — runs lane by lane through [`transient`] (bitwise equal by
 //! definition). Lanes that fail option/circuit validation error
 //! individually without aborting siblings.
 //!
@@ -55,7 +54,7 @@ use crate::trace;
 use crate::transient::{compile_checked, non_finite_unknown, transient, unknown_name, Recorder};
 use crate::{Result, SimError};
 use sfet_circuit::Circuit;
-use sfet_numeric::batch::{BatchBackend, BatchDense, BatchSparse};
+use sfet_numeric::batch::BatchDense;
 use sfet_numeric::fault::FaultPlan;
 use sfet_numeric::integrate::Method;
 use sfet_telemetry::{names, Level, SpanGuard};
@@ -68,8 +67,8 @@ pub struct BatchSpec<'a> {
     pub circuit: &'a Circuit,
     /// Stop time \[s\].
     pub tstop: f64,
-    /// Simulation options (solver/reuse must match across lanes for the
-    /// batched path; otherwise the batch falls back to scalar runs).
+    /// Simulation options (every lane must resolve to dense LU at one
+    /// size for the batched path; otherwise the batch runs lane by lane).
     pub opts: &'a SimOptions,
 }
 
@@ -91,14 +90,16 @@ pub fn transient_batch(specs: &[BatchSpec<'_>]) -> Vec<Result<TranResult>> {
         .map(|s| compile_checked(s.circuit, s.tstop, s.opts))
         .collect();
 
-    // --- The lanes that validated must share one shape.
+    // --- The lanes that validated must all resolve to dense LU at one
+    // --- size; any other batch runs lane by lane.
     let mut shapes = specs.iter().zip(&prevalidated).filter_map(|(spec, pre)| {
         let n = pre.as_ref().ok()?.size;
-        let opts = spec.opts;
-        Some((opts.effective_solver(n), opts.reuse_factorization, n))
+        Some((spec.opts.effective_solver(n), n))
     });
     let shape = shapes.next();
-    if shapes.any(|s| Some(s) != shape) {
+    if shapes.any(|s| Some(s) != shape)
+        || shape.is_some_and(|(solver, _)| solver != LinearSolver::Dense)
+    {
         return specs
             .iter()
             .map(|s| transient(s.circuit, s.tstop, s.opts))
@@ -116,23 +117,9 @@ pub fn transient_batch(specs: &[BatchSpec<'_>]) -> Vec<Result<TranResult>> {
         .collect();
 
     // --- Drive all live lanes to completion, one batched solve per round.
-    // Monomorphised per backend so the per-entry `add` calls in the
-    // stamping loop inline instead of going through a vtable.
-    let nl = specs.len();
-    match shape {
-        Some((LinearSolver::Dense, _, n)) => {
-            drive_lanes(&mut Batched::new(BatchDense::new(n, nl)), &mut lanes, n)
-        }
-        // Batched lanes share one factorisation across lanes, which an
-        // iterative solve cannot amortise — GMRES lanes run on the shared
-        // sparse LU instead (single-lane runs still use the Krylov path).
-        Some((LinearSolver::Sparse | LinearSolver::Iterative, reuse, n)) => drive_lanes(
-            &mut Batched::new(BatchSparse::new(n, nl, reuse)),
-            &mut lanes,
-            n,
-        ),
-        // Every lane failed validation: only their errors remain.
-        None => {}
+    // With no shape every lane failed validation: only their errors remain.
+    if let Some((_, n)) = shape {
+        drive_lanes(&mut Batched::new(n, specs.len()), &mut lanes, n);
     }
     lanes
         .into_iter()
@@ -142,7 +129,7 @@ pub fn transient_batch(specs: &[BatchSpec<'_>]) -> Vec<Result<TranResult>> {
 
 /// The linear solve under the round loop: one same-shape MNA system per
 /// lane, assembled and factor-solved together. [`MnaMatrix`] is the
-/// one-lane solver; [`Batched`] adapts a [`BatchBackend`].
+/// one-lane solver; [`Batched`] adapts a [`BatchDense`].
 ///
 /// Devices stamp into the solver itself, so a one-lane run stamps
 /// straight into its `MnaMatrix`; the stamps land in the lane last
@@ -189,35 +176,37 @@ impl LaneSolver for MnaMatrix {
     }
 }
 
-/// A [`BatchBackend`] as a [`LaneSolver`]. It keeps each lane's
-/// [`SolverStats`] the way `MnaMatrix::factor_solve` keeps its own (a lane
-/// that reused its factors counts neither factorisation) and attributes
-/// each whole-batch solve's time to every active lane.
-struct Batched<B> {
-    backend: B,
+/// A [`BatchDense`] as a [`LaneSolver`]. It keeps each lane's
+/// [`SolverStats`] the way `MnaMatrix::factor_solve` keeps a dense
+/// matrix's (one full factorisation per solve) and attributes each
+/// whole-batch solve's time to every active lane.
+struct Batched {
+    backend: BatchDense,
+    n: usize,
     stats: Vec<SolverStats>,
     /// The lane [`Stamp::add`] writes to.
     selected: usize,
 }
 
-impl<B: BatchBackend> Batched<B> {
-    fn new(backend: B) -> Self {
+impl Batched {
+    fn new(n: usize, lanes: usize) -> Self {
         Batched {
-            stats: vec![SolverStats::default(); backend.lanes()],
-            backend,
+            backend: BatchDense::new(n, lanes),
+            n,
+            stats: vec![SolverStats::default(); lanes],
             selected: 0,
         }
     }
 }
 
-impl<B: BatchBackend> Stamp for Batched<B> {
+impl Stamp for Batched {
     #[inline]
     fn add(&mut self, r: usize, c: usize, v: f64) {
         self.backend.add(self.selected, r, c, v);
     }
 }
 
-impl<B: BatchBackend> LaneSolver for Batched<B> {
+impl LaneSolver for Batched {
     fn begin(&mut self, active: &[bool]) {
         self.backend.begin(active);
     }
@@ -233,31 +222,18 @@ impl<B: BatchBackend> LaneSolver for Batched<B> {
         solved: &mut [sfet_numeric::Result<()>],
     ) {
         let t0 = Instant::now();
-        let reports = self.backend.factor_solve(rhs, active);
+        self.backend.factor_solve(rhs, active, solved);
         let elapsed_ns = t0.elapsed().as_nanos() as u64;
-        for (l, rep) in reports.into_iter().enumerate() {
+        for (l, stats) in self.stats.iter_mut().enumerate() {
             if !active[l] {
                 continue;
             }
-            let stats = &mut self.stats[l];
-            stats.pattern_rebuilds = rep.pattern_epoch;
-            if rep.pivot_fallback {
-                stats.pivot_fallbacks += 1;
-            }
-            if rep.refactorization {
-                stats.refactorizations += 1;
-            }
-            if rep.full_factorization {
-                stats.full_factorizations += 1;
-            }
-            if rep.factor_nnz != 0 {
-                stats.factor_nnz = rep.factor_nnz;
-            }
             stats.solve_time_ns += elapsed_ns;
-            if rep.result.is_ok() {
+            if solved[l].is_ok() {
+                stats.full_factorizations += 1;
+                stats.factor_nnz = self.n * self.n;
                 stats.solves += 1;
             }
-            solved[l] = rep.result;
         }
     }
 

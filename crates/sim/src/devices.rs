@@ -37,7 +37,7 @@ pub(crate) fn volt(x: &[f64], u: Unknown) -> f64 {
 
 /// A Jacobian sink devices stamp into. [`MnaMatrix`] is the scalar
 /// implementation; the transient stepper's batch adapter stamps into the
-/// selected lane of a [`sfet_numeric::batch::BatchBackend`]. Both receive
+/// selected lane of a [`sfet_numeric::batch::BatchDense`]. Both receive
 /// the *identical* sequence of `add` calls for a given device list and
 /// iterate, which is what keeps batched solves bitwise-equal to scalar.
 pub(crate) trait Stamp {
@@ -46,7 +46,11 @@ pub(crate) trait Stamp {
 }
 
 impl Stamp for MnaMatrix {
-    #[inline]
+    // Runs once per Jacobian entry per Newton iteration. Under a plain
+    // `#[inline]` the inliner's choice depends on how the crate is split
+    // into codegen units, and an out-of-line call here costs the scalar
+    // power-gate wake (perfbench `wake_scalar`) about 7 % of its jobs/s.
+    #[inline(always)]
     fn add(&mut self, r: usize, c: usize, v: f64) {
         MnaMatrix::add(self, r, c, v);
     }

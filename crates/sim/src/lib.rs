@@ -12,9 +12,14 @@
 //!    transition begins within a tight tolerance of its true crossing
 //!    time, then the resistance ramp is resolved with sub-`T_PTM` steps);
 //! 3. [`transient_batch`] runs B independent transients through the same
-//!    stepper over one structure-of-arrays linear solver — each lane
-//!    bitwise identical to its [`transient`] run — for parameter-sweep
+//!    stepper — over one structure-of-arrays dense LU when every lane
+//!    resolves to dense LU at one size, lane by lane otherwise — each lane
+//!    bitwise identical to its [`transient`] run, for parameter-sweep
 //!    throughput.
+//!
+//! Every analysis takes its linear solver from one option,
+//! [`SimOptions::solver`]: unset, dense LU, sparse LU or GMRES is picked
+//! by system size ([`SimOptions::effective_solver`]); set, it pins one.
 //!
 //! # Example
 //!
@@ -68,7 +73,7 @@ pub use checkpoint::{circuit_fingerprint, CheckpointPolicy, CHECKPOINT_VERSION};
 pub use dcop::{dc_operating_point, dc_operating_point_with_stats};
 pub use dcsweep::{dc_sweep, DcSweepResult};
 pub use error::SimError;
-pub use matrix::{LinearSolver, SolverPolicy, SolverStats, SOLVER_ENV};
+pub use matrix::{LinearSolver, SolverStats};
 pub use options::SimOptions;
 pub use result::{DcStats, TranResult, TranStats};
 pub use transient::{transient, transient_resumable};

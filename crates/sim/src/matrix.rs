@@ -3,9 +3,11 @@
 //! Cell-level circuits (tens of unknowns) factor fastest with the dense
 //! LU; PDN-scale systems (hundreds of unknowns and up, >95 % structurally
 //! zero) with the sparse Gilbert–Peierls LU; full-chip grids past a few
-//! thousand unknowns with GMRES. The default [`SolverPolicy::Auto`] picks
-//! one by system size (see [`SolverPolicy::resolve`]), and all three share
-//! the same stamping interface, so device code is backend-agnostic.
+//! thousand unknowns with GMRES. Unless
+//! [`SimOptions::solver`](crate::SimOptions::solver) pins one,
+//! [`SimOptions::effective_solver`](crate::SimOptions::effective_solver)
+//! picks one by system size, and all three share the same stamping
+//! interface, so device code is backend-agnostic.
 //!
 //! The backends are built for the Newton hot loop, where the same matrix
 //! structure is assembled and solved thousands of times:
@@ -35,14 +37,16 @@ use sfet_numeric::{NumericError, Result};
 
 /// Which linear-solver backend the MNA engine uses.
 ///
-/// Under the default [`SolverPolicy::Auto`] this is a floor, not a pin:
-/// systems of [`SolverPolicy::AUTO_SPARSE_THRESHOLD`] unknowns or more
-/// leave `Dense` for `Sparse`, and larger ones again for `Iterative`.
-/// [`SolverPolicy::Direct`] honours `Dense` and `Sparse` at any size.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+/// [`SimOptions::solver`](crate::SimOptions::solver) pins one at any
+/// system size. Left unset, the size dispatch of
+/// [`SimOptions::effective_solver`](crate::SimOptions::effective_solver)
+/// picks dense LU below
+/// [`AUTO_SPARSE_THRESHOLD`](Self::AUTO_SPARSE_THRESHOLD) unknowns, sparse
+/// LU below [`AUTO_ITERATIVE_THRESHOLD`](Self::AUTO_ITERATIVE_THRESHOLD),
+/// and GMRES from there.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LinearSolver {
     /// Dense LU with partial pivoting — fastest for small systems.
-    #[default]
     Dense,
     /// Sparse left-looking (Gilbert–Peierls) LU — scales to PDN meshes,
     /// and reuses its factors while the assembled values repeat.
@@ -55,48 +59,9 @@ pub enum LinearSolver {
     Iterative,
 }
 
-impl std::fmt::Display for LinearSolver {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            LinearSolver::Dense => "dense",
-            LinearSolver::Sparse => "sparse",
-            LinearSolver::Iterative => "gmres",
-        })
-    }
-}
-
-/// Environment variable selecting the solver policy for a whole process
-/// (`direct`, `gmres`/`iterative`, or `auto`).
-pub const SOLVER_ENV: &str = "SFET_SOLVER";
-
-/// How the engines choose a [`LinearSolver`] for each system.
-///
-/// The policy is resolved against the *system size* at matrix-creation
-/// time, so one `SimOptions` value works for a 10-unknown inverter (dense
-/// LU), a 300-unknown droop map (sparse LU) and a 10⁵-unknown PDN grid
-/// (GMRES) without manual backend switching. Selected via
-/// [`SimOptions::with_solver_policy`](crate::SimOptions::with_solver_policy)
-/// or the [`SOLVER_ENV`] environment variable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum SolverPolicy {
-    /// Size dispatch: dense LU below
-    /// [`AUTO_SPARSE_THRESHOLD`](SolverPolicy::AUTO_SPARSE_THRESHOLD)
-    /// unknowns, sparse LU from there, GMRES from
-    /// [`AUTO_ITERATIVE_THRESHOLD`](SolverPolicy::AUTO_ITERATIVE_THRESHOLD).
-    /// A configured `Sparse` or `Iterative` backend is kept where the size
-    /// alone would pick a lighter one.
-    #[default]
-    Auto,
-    /// Always use the configured direct backend (dense/sparse LU) — the
-    /// way to pin dense LU at any size.
-    Direct,
-    /// Always use [`LinearSolver::Iterative`], regardless of size.
-    Iterative,
-}
-
-impl SolverPolicy {
-    /// System size at which [`SolverPolicy::Auto`] moves from dense to
-    /// sparse LU.
+impl LinearSolver {
+    /// System size at which the size dispatch moves from dense to sparse
+    /// LU.
     ///
     /// Measured on transients (docs/SOLVERS.md): sparse LU with factor
     /// reuse runs 16–21 % slower than dense on the 10-unknown nonlinear
@@ -106,7 +71,7 @@ impl SolverPolicy {
     /// on the sparse side.
     pub const AUTO_SPARSE_THRESHOLD: usize = 64;
 
-    /// System size at which [`SolverPolicy::Auto`] switches to GMRES.
+    /// System size at which the size dispatch switches to GMRES.
     ///
     /// Conservative: below it sparse LU beats GMRES+ILU(0) wall-clock and
     /// its factor memory is still negligible. On PDN grids sparse LU with
@@ -114,80 +79,14 @@ impl SolverPolicy {
     /// its fill grows faster than the unknown count while ILU(0) never
     /// fills, and only the iterative path reaches 10⁵ unknowns.
     pub const AUTO_ITERATIVE_THRESHOLD: usize = 4096;
-
-    /// Parses `direct`, `gmres` (alias `iterative`), or `auto`
-    /// (case-insensitive).
-    ///
-    /// # Errors
-    ///
-    /// A human-readable description of the unrecognised value.
-    pub fn parse(text: &str) -> std::result::Result<Self, String> {
-        match text.trim().to_ascii_lowercase().as_str() {
-            "auto" => Ok(SolverPolicy::Auto),
-            "direct" => Ok(SolverPolicy::Direct),
-            "gmres" | "iterative" => Ok(SolverPolicy::Iterative),
-            other => Err(format!(
-                "unknown {SOLVER_ENV} value {other:?} (expected auto, direct, or gmres)"
-            )),
-        }
-    }
-
-    /// Reads the policy from [`SOLVER_ENV`]. Returns `None` when unset or
-    /// empty; a malformed value warns on stderr once per process and is
-    /// ignored rather than silently arming garbage.
-    pub fn from_env() -> Option<Self> {
-        let raw = std::env::var(SOLVER_ENV).ok()?;
-        if raw.trim().is_empty() {
-            return None;
-        }
-        match Self::parse(&raw) {
-            Ok(policy) => Some(policy),
-            Err(msg) => {
-                static WARN: std::sync::Once = std::sync::Once::new();
-                WARN.call_once(|| {
-                    eprintln!("warning: ignoring invalid {SOLVER_ENV}: {msg}");
-                });
-                None
-            }
-        }
-    }
-
-    /// Resolves the policy to a concrete backend for an `n`-unknown
-    /// system, given the directly-configured backend.
-    ///
-    /// | policy | `n` < 64 | 64 ≤ `n` < 4096 | `n` ≥ 4096 |
-    /// |--------|----------|-----------------|------------|
-    /// | `Auto` | configured | `Sparse`, or `Iterative` if configured | `Iterative` |
-    /// | `Direct` | configured (`Iterative` → `Sparse`) | same | same |
-    /// | `Iterative` | `Iterative` | `Iterative` | `Iterative` |
-    pub fn resolve(self, configured: LinearSolver, n: usize) -> LinearSolver {
-        match self {
-            SolverPolicy::Direct => match configured {
-                LinearSolver::Iterative => LinearSolver::Sparse,
-                direct => direct,
-            },
-            SolverPolicy::Iterative => LinearSolver::Iterative,
-            SolverPolicy::Auto => {
-                if configured == LinearSolver::Iterative
-                    || n >= SolverPolicy::AUTO_ITERATIVE_THRESHOLD
-                {
-                    LinearSolver::Iterative
-                } else if n >= SolverPolicy::AUTO_SPARSE_THRESHOLD {
-                    LinearSolver::Sparse
-                } else {
-                    configured
-                }
-            }
-        }
-    }
 }
 
-impl std::fmt::Display for SolverPolicy {
+impl std::fmt::Display for LinearSolver {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
-            SolverPolicy::Auto => "auto",
-            SolverPolicy::Direct => "direct",
-            SolverPolicy::Iterative => "gmres",
+            LinearSolver::Dense => "dense",
+            LinearSolver::Sparse => "sparse",
+            LinearSolver::Iterative => "gmres",
         })
     }
 }
@@ -382,8 +281,9 @@ impl MnaMatrix {
         }
     }
 
-    /// Accumulates `v` at `(r, c)` — the stamp primitive.
-    #[inline]
+    /// Accumulates `v` at `(r, c)` — the stamp primitive. Always inlined,
+    /// like `<MnaMatrix as Stamp>::add`, which says why.
+    #[inline(always)]
     pub(crate) fn add(&mut self, r: usize, c: usize, v: f64) {
         match &mut self.backend {
             Backend::Dense { m, .. } => m.add(r, c, v),
@@ -578,52 +478,37 @@ mod tests {
         ));
     }
 
-    /// `resolve` on both sides of both thresholds, for every policy and
-    /// configured backend.
+    /// The backend each `solver` value resolves to on both sides of both
+    /// size thresholds: `None` dispatches by size, `Some` pins.
     #[test]
     fn solver_policy_resolution() {
+        use crate::SimOptions;
         use LinearSolver::{Dense as D, Iterative as I, Sparse as S};
-        use SolverPolicy::*;
-        let sp = SolverPolicy::AUTO_SPARSE_THRESHOLD;
-        let it = SolverPolicy::AUTO_ITERATIVE_THRESHOLD;
+        let sp = LinearSolver::AUTO_SPARSE_THRESHOLD;
+        let it = LinearSolver::AUTO_ITERATIVE_THRESHOLD;
         assert!(sp < it);
         let sizes = [2, sp - 1, sp, it - 1, it, 2 * it];
-        // One row per (policy, configured): the backend at each size.
+        // One row per `solver` value: the backend at each size.
         let table = [
-            (Auto, D, [D, D, S, S, I, I]),
-            (Auto, S, [S, S, S, S, I, I]),
-            (Auto, I, [I, I, I, I, I, I]),
-            (Direct, D, [D, D, D, D, D, D]),
-            (Direct, S, [S, S, S, S, S, S]),
-            (Direct, I, [S, S, S, S, S, S]),
-            (Iterative, D, [I, I, I, I, I, I]),
-            (Iterative, S, [I, I, I, I, I, I]),
-            (Iterative, I, [I, I, I, I, I, I]),
+            (None, [D, D, S, S, I, I]),
+            (Some(D), [D, D, D, D, D, D]),
+            (Some(S), [S, S, S, S, S, S]),
+            (Some(I), [I, I, I, I, I, I]),
         ];
-        for (policy, configured, expect) in table {
+        for (solver, expect) in table {
+            let opts = SimOptions {
+                solver,
+                ..SimOptions::default()
+            };
             for (n, want) in sizes.into_iter().zip(expect) {
                 assert_eq!(
-                    policy.resolve(configured, n),
+                    opts.effective_solver(n),
                     want,
-                    "{policy} with {configured} configured at n = {n}"
+                    "solver {solver:?} at n = {n}"
                 );
             }
         }
-        assert_eq!(SolverPolicy::default(), Auto);
-    }
-
-    #[test]
-    fn solver_policy_parses() {
-        assert_eq!(SolverPolicy::parse("auto"), Ok(SolverPolicy::Auto));
-        assert_eq!(SolverPolicy::parse(" Direct "), Ok(SolverPolicy::Direct));
-        assert_eq!(SolverPolicy::parse("gmres"), Ok(SolverPolicy::Iterative));
-        assert_eq!(
-            SolverPolicy::parse("iterative"),
-            Ok(SolverPolicy::Iterative)
-        );
-        assert!(SolverPolicy::parse("qr").is_err());
-        assert_eq!(SolverPolicy::Iterative.to_string(), "gmres");
-        assert_eq!(SolverPolicy::Auto.to_string(), "auto");
+        assert_eq!(SimOptions::default().solver, None);
     }
 
     #[test]
@@ -811,6 +696,5 @@ mod tests {
         assert_eq!(LinearSolver::Dense.to_string(), "dense");
         assert_eq!(LinearSolver::Sparse.to_string(), "sparse");
         assert_eq!(LinearSolver::Iterative.to_string(), "gmres");
-        assert_eq!(LinearSolver::default(), LinearSolver::Dense);
     }
 }

@@ -1,6 +1,6 @@
 //! Simulation options.
 
-use crate::matrix::{LinearSolver, SolverPolicy};
+use crate::matrix::LinearSolver;
 use crate::{Result, SimError};
 use sfet_numeric::fault::FaultPlan;
 use sfet_numeric::integrate::Method;
@@ -48,10 +48,10 @@ pub struct SimOptions {
     pub gmin: f64,
     /// Hard cap on total attempted steps.
     pub max_steps: usize,
-    /// Linear-solver backend for the MNA system, as resolved against the
-    /// system size by [`solver_policy`](Self::solver_policy) (under the
-    /// default policy, large systems move from `Dense` to sparse LU).
-    pub solver: LinearSolver,
+    /// Linear-solver backend for the MNA system of every analysis and
+    /// batch lane. `None` (the default) picks one by system size, `Some`
+    /// pins one at any size; see [`SimOptions::effective_solver`].
+    pub solver: Option<LinearSolver>,
     /// Reuse the cached sparsity pattern and symbolic factorisation across
     /// Newton iterations and timesteps (sparse backend), and the factors
     /// themselves while the assembled values repeat bit for bit. Produces
@@ -74,11 +74,6 @@ pub struct SimOptions {
     /// falls back to the process-wide `SFET_FAULT_PLAN` environment
     /// variable; set an explicit plan to scope injection to one run.
     pub fault: Option<FaultPlan>,
-    /// Size-based linear-solver dispatch policy. `None` (the default)
-    /// falls back to the process-wide `SFET_SOLVER` environment variable,
-    /// then to [`SolverPolicy::Auto`]; set an explicit policy to pin one
-    /// run. See [`SimOptions::effective_solver`].
-    pub solver_policy: Option<SolverPolicy>,
 }
 
 impl Default for SimOptions {
@@ -95,13 +90,12 @@ impl Default for SimOptions {
             event_vtol: 2e-3,
             gmin: 1e-12,
             max_steps: 2_000_000,
-            solver: LinearSolver::default(),
+            solver: None,
             reuse_factorization: true,
             lte_control: false,
             lte_tol: 1e-3,
             telemetry: Telemetry::disabled(),
             fault: None,
-            solver_policy: None,
         }
     }
 }
@@ -137,9 +131,10 @@ impl SimOptions {
         self
     }
 
-    /// Builder-style override of the linear-solver backend.
+    /// Builder-style pin of the linear-solver backend at every system
+    /// size.
     pub fn with_solver(mut self, solver: LinearSolver) -> Self {
-        self.solver = solver;
+        self.solver = Some(solver);
         self
     }
 
@@ -182,34 +177,35 @@ impl SimOptions {
         self
     }
 
-    /// Builder-style override of the solver dispatch policy, overriding
-    /// any `SFET_SOLVER` environment setting for this run.
-    pub fn with_solver_policy(mut self, policy: SolverPolicy) -> Self {
-        self.solver_policy = Some(policy);
-        self
-    }
-
-    /// Resolves the backend an analysis of `n` unknowns actually uses:
-    /// the explicit [`solver_policy`](Self::solver_policy) (falling back
-    /// to `SFET_SOLVER`, then [`SolverPolicy::Auto`]) applied to the
-    /// configured [`solver`](Self::solver) backend and the system size.
+    /// Resolves the backend an analysis of `n` unknowns uses: the pinned
+    /// [`solver`](Self::solver), or else the size dispatch.
+    ///
+    /// | `solver` | `n` < 64 | 64 ≤ `n` < 4096 | `n` ≥ 4096 |
+    /// |----------|----------|-----------------|------------|
+    /// | `None` | `Dense` | `Sparse` | `Iterative` |
+    /// | `Some(b)` | `b` | `b` | `b` |
+    ///
+    /// The thresholds are [`LinearSolver::AUTO_SPARSE_THRESHOLD`] and
+    /// [`LinearSolver::AUTO_ITERATIVE_THRESHOLD`].
     ///
     /// # Example
     ///
     /// ```
-    /// use sfet_sim::{LinearSolver, SimOptions, SolverPolicy};
+    /// use sfet_sim::{LinearSolver, SimOptions};
     ///
-    /// let opts = SimOptions::default().with_solver_policy(SolverPolicy::Iterative);
-    /// assert_eq!(opts.effective_solver(8), LinearSolver::Iterative);
-    /// let auto = SimOptions::default().with_solver_policy(SolverPolicy::Auto);
+    /// let auto = SimOptions::default();
     /// assert_eq!(auto.effective_solver(8), LinearSolver::Dense);
     /// assert_eq!(auto.effective_solver(294), LinearSolver::Sparse);
+    /// let pinned = SimOptions::default().with_solver(LinearSolver::Iterative);
+    /// assert_eq!(pinned.effective_solver(8), LinearSolver::Iterative);
     /// ```
     pub fn effective_solver(&self, n: usize) -> LinearSolver {
-        self.solver_policy
-            .or_else(SolverPolicy::from_env)
-            .unwrap_or_default()
-            .resolve(self.solver, n)
+        match self.solver {
+            Some(pinned) => pinned,
+            None if n < LinearSolver::AUTO_SPARSE_THRESHOLD => LinearSolver::Dense,
+            None if n < LinearSolver::AUTO_ITERATIVE_THRESHOLD => LinearSolver::Sparse,
+            None => LinearSolver::Iterative,
+        }
     }
 
     /// Derives a *relaxed* copy of these options for retry attempt
@@ -336,20 +332,19 @@ mod tests {
 
     #[test]
     fn effective_solver_applies_policy() {
-        let base = SimOptions::default().with_solver_policy(SolverPolicy::Auto);
-        assert_eq!(base.effective_solver(16), LinearSolver::Dense);
+        let auto = SimOptions::default();
+        assert_eq!(auto.effective_solver(16), LinearSolver::Dense);
         assert_eq!(
-            base.effective_solver(SolverPolicy::AUTO_SPARSE_THRESHOLD),
+            auto.effective_solver(LinearSolver::AUTO_SPARSE_THRESHOLD),
             LinearSolver::Sparse
         );
         assert_eq!(
-            base.effective_solver(SolverPolicy::AUTO_ITERATIVE_THRESHOLD),
+            auto.effective_solver(LinearSolver::AUTO_ITERATIVE_THRESHOLD),
             LinearSolver::Iterative
         );
-        let pinned = SimOptions::default()
-            .with_solver(LinearSolver::Iterative)
-            .with_solver_policy(SolverPolicy::Direct);
-        assert_eq!(pinned.effective_solver(1_000_000), LinearSolver::Sparse);
+        let pinned = SimOptions::default().with_solver(LinearSolver::Dense);
+        assert_eq!(pinned.solver, Some(LinearSolver::Dense));
+        assert_eq!(pinned.effective_solver(1_000_000), LinearSolver::Dense);
     }
 
     #[test]

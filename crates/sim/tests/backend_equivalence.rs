@@ -4,7 +4,7 @@
 use sfet_circuit::{Circuit, SourceWaveform};
 use sfet_devices::mosfet::MosfetModel;
 use sfet_devices::ptm::PtmParams;
-use sfet_sim::{dc_operating_point, dc_sweep, transient, LinearSolver, SimOptions, SolverPolicy};
+use sfet_sim::{dc_operating_point, dc_sweep, transient, LinearSolver, SimOptions};
 
 fn soft_inverter() -> Circuit {
     let mut ckt = Circuit::new();
@@ -305,14 +305,12 @@ fn sparse_backend_handles_pdn_scale_grid() {
     // IR drop: ~100 mA across a mesh of ~2 ohm effective = visible sag.
     assert!(v_far.last_value() < 0.999);
     assert!(v_far.last_value() > 0.5, "grid still delivers");
-    // Cross-check the end state against the dense backend (`Direct`, or
-    // the size dispatch would send this 102-unknown grid to sparse LU).
+    // Cross-check the end state against the dense backend, pinned: the
+    // size dispatch would send this 102-unknown grid to sparse LU.
     let rd = transient(
         &ckt,
         tstop,
-        &SimOptions::for_duration(tstop, 500)
-            .with_solver(LinearSolver::Dense)
-            .with_solver_policy(SolverPolicy::Direct),
+        &SimOptions::for_duration(tstop, 500).with_solver(LinearSolver::Dense),
     )
     .unwrap();
     assert_eq!(rd.stats().solver.factor_nnz, 102 * 102, "dense arm");

@@ -225,12 +225,6 @@ pub mod names {
     /// Transient runs resumed from an on-disk snapshot.
     pub const CHECKPOINT_RESUMED: &str = "checkpoint.resumed";
 
-    // --- Generic Newton driver (`sfet_numeric::newton`). ---
-    /// Completed `newton::solve` calls.
-    pub const NEWTON_SOLVES: &str = "newton.solves";
-    /// Iterations consumed by `newton::solve` calls.
-    pub const NEWTON_ITERATIONS: &str = "newton.iterations";
-
     // --- Linear-solver counter suffixes (prefix with `dc.`/`tran.`/`ac.`). ---
     /// Full factorisations (symbolic + pivot search + numeric).
     pub const SOLVER_FULL_FACTORIZATIONS: &str = "solver.full_factorizations";

@@ -1,5 +1,5 @@
 //! Solver dispatch at droop-map scale: under the default options a chip
-//! grid above `SolverPolicy::AUTO_SPARSE_THRESHOLD` unknowns runs on sparse
+//! grid above `LinearSolver::AUTO_SPARSE_THRESHOLD` unknowns runs on sparse
 //! LU, which reuses the factors of the unchanged grid matrix, and still
 //! produces the dense-LU droop map bit for bit. A linear circuit solves
 //! once per step attempt on every backend, bit for bit as if every Newton
@@ -9,7 +9,7 @@ use sfet_circuit::{Circuit, SourceWaveform};
 use sfet_devices::mosfet::MosfetModel;
 use sfet_devices::ptm::PtmParams;
 use sfet_pdn::{DroopMap, PdnGrid};
-use sfet_sim::{transient, LinearSolver, SimOptions, SolverPolicy, TranResult, TranStats};
+use sfet_sim::{transient, LinearSolver, SimOptions, TranResult, TranStats};
 
 fn bits(map: &DroopMap) -> Vec<u64> {
     map.v_min.iter().map(|v| v.to_bits()).collect()
@@ -20,12 +20,10 @@ fn default_droop_map_equals_dense_with_far_fewer_factorizations() {
     // 36 tiles: 78 unknowns, above the sparse threshold.
     let grid = PdnGrid::chip(6, 6);
     let n = grid.unknown_estimate();
-    assert!(n >= SolverPolicy::AUTO_SPARSE_THRESHOLD);
+    assert!(n >= LinearSolver::AUTO_SPARSE_THRESHOLD);
 
     let default = grid.droop_map().unwrap();
-    let dense_opts = SimOptions::for_duration(grid.t_stop, 400)
-        .with_solver_policy(SolverPolicy::Direct)
-        .with_solver(LinearSolver::Dense);
+    let dense_opts = SimOptions::for_duration(grid.t_stop, 400).with_solver(LinearSolver::Dense);
     let dense = grid.droop_map_with(&dense_opts).unwrap();
 
     assert_eq!(bits(&default), bits(&dense), "tile minima bit for bit");
@@ -130,19 +128,19 @@ fn linear_circuits_solve_once_per_step_attempt_bit_for_bit() {
         prev = node;
     }
     let tstop = 100e-12;
-    let opts = SimOptions::for_duration(tstop, 400).with_solver_policy(SolverPolicy::Direct);
+    let opts = SimOptions::for_duration(tstop, 400).with_solver(LinearSolver::Dense);
     let l = linear_matches_full_path(&ladder, tstop, &opts, "RC ladder");
     assert_eq!(l.solver.factor_nnz, 7 * 7, "the ladder runs on dense LU");
 
-    // 6x6 chip grid: 78 unknowns, sparse LU under the default policy, and
+    // 6x6 chip grid: 78 unknowns, sparse LU under the size dispatch, and
     // GMRES when pinned.
     let grid = PdnGrid::chip(6, 6);
     let chip = grid.build().unwrap();
-    let auto = SimOptions::for_duration(grid.t_stop, 400).with_solver_policy(SolverPolicy::Auto);
+    let auto = SimOptions::for_duration(grid.t_stop, 400);
     let l = linear_matches_full_path(&chip, grid.t_stop, &auto, "chip grid, sparse");
     let n = grid.unknown_estimate();
     assert!(l.solver.factor_nnz < n * n, "the grid runs on sparse LU");
-    let gmres = auto.clone().with_solver_policy(SolverPolicy::Iterative);
+    let gmres = auto.clone().with_solver(LinearSolver::Iterative);
     let l = linear_matches_full_path(&chip, grid.t_stop, &gmres, "chip grid, GMRES");
     assert!(l.solver.gmres_iterations > 0, "the grid runs on GMRES");
 
