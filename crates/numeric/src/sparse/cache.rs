@@ -143,6 +143,16 @@ impl SparseFactorCache {
         Ok(FactorStep::Full)
     }
 
+    /// Whether the reuse rung is open: reuse is on and the last
+    /// [`factor`](SparseFactorCache::factor) call succeeded. A caller that
+    /// knows its next matrix repeats that call's, bit for bit and on the
+    /// same pattern, may then skip assembling it and
+    /// [`solve_in_place`](SparseFactorCache::solve_in_place) at once: the
+    /// `factor` call it skips would have reused the factors.
+    pub fn holds_factors(&self) -> bool {
+        self.reuse && self.valid
+    }
+
     /// Stored factor entries (L + U) of the cached factors; `0` before
     /// the first successful factorisation.
     pub fn factor_nnz(&self) -> usize {

@@ -16,11 +16,13 @@
 //! grids reach 10⁴–10⁵ MNA unknowns, where the sparse direct
 //! factorisation's fill-in dominates runtime. Under the default size
 //! dispatch ([`SimOptions::effective_solver`]), grids from 64 unknowns run
-//! on the reusable sparse LU — the grid is linear, so its
-//! matrix changes only with the step size and most solves reuse the
-//! factors — and grids beyond the GMRES threshold route to GMRES+ILU(0)
-//! automatically, with mid-size grids (where LU is still feasible)
-//! gating its accuracy — see `bench_pdn_grid` and `docs/SOLVERS.md`.
+//! on the reusable sparse LU. The grid is linear, so its matrix changes
+//! only with the step size and the integration method: a step that
+//! repeats both skips assembling the matrix and solves with the held
+//! factors, stamping only the right-hand side. Grids beyond the GMRES
+//! threshold route to GMRES+ILU(0) automatically, with mid-size grids
+//! (where LU is still feasible) gating its accuracy — see
+//! `bench_pdn_grid` and `docs/SOLVERS.md`.
 //!
 //! # Site placement and staggering
 //!
@@ -290,7 +292,8 @@ impl PdnGrid {
     }
 
     /// [`PdnGrid::droop_map`] under explicit simulator options — the hook
-    /// for selecting the solver backend/policy and attaching telemetry.
+    /// for pinning a solver backend ([`SimOptions::solver`]) and attaching
+    /// telemetry.
     ///
     /// # Errors
     ///

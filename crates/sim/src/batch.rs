@@ -135,12 +135,21 @@ pub fn transient_batch(specs: &[BatchSpec<'_>]) -> Vec<Result<TranResult>> {
 /// straight into its `MnaMatrix`; the stamps land in the lane last
 /// passed to [`select`](LaneSolver::select). The `add` call sequence is
 /// the same at every width, which is what the batch backends'
-/// determinism contract needs.
+/// determinism contract needs. In each round an active lane either
+/// [holds the factors](LaneSolver::hold_factors) of the system it would
+/// assemble, or selects itself and assembles.
 pub(crate) trait LaneSolver: Stamp {
-    /// Begins an assembly round for the lanes flagged in `active`.
+    /// Begins a round for the lanes flagged in `active`.
     fn begin(&mut self, active: &[bool]);
-    /// Directs the stamps that follow into lane `lane`'s system.
+    /// Starts lane `lane`'s assembly: the stamps that follow go into its
+    /// system.
     fn select(&mut self, lane: usize);
+    /// If lane `lane` holds the factors of its last successful solve, it
+    /// skips this round's assembly and
+    /// [`factor_solve`](LaneSolver::factor_solve) solves it with them;
+    /// returns whether it does. The caller guarantees that the system
+    /// repeats, bit for bit, the one those factors came from.
+    fn hold_factors(&mut self, lane: usize) -> bool;
     /// Factors every active lane and solves it in place — lane `l`'s slice
     /// `rhs[l*n..(l+1)*n]` becomes its solution — and stores the lane's
     /// outcome in `solved[l]`. The outcomes go into caller-owned storage,
@@ -155,12 +164,18 @@ pub(crate) trait LaneSolver: Stamp {
     fn stats(&self, lane: usize) -> SolverStats;
 }
 
+/// The one lane clears the matrix only when it assembles, so a round
+/// that holds factors leaves the last assembly as it is.
 impl LaneSolver for MnaMatrix {
-    fn begin(&mut self, _active: &[bool]) {
+    fn begin(&mut self, _active: &[bool]) {}
+
+    fn select(&mut self, _lane: usize) {
         self.clear();
     }
 
-    fn select(&mut self, _lane: usize) {}
+    fn hold_factors(&mut self, _lane: usize) -> bool {
+        MnaMatrix::hold_factors(self)
+    }
 
     fn factor_solve(
         &mut self,
@@ -213,6 +228,11 @@ impl LaneSolver for Batched {
 
     fn select(&mut self, lane: usize) {
         self.selected = lane;
+    }
+
+    /// Dense LU refactors at every solve, so it holds no factors.
+    fn hold_factors(&mut self, _lane: usize) -> bool {
+        false
     }
 
     fn factor_solve(
@@ -286,6 +306,26 @@ enum LanePhase {
     Done(Box<Result<TranResult>>),
 }
 
+/// What a linear lane's transient Jacobian is a function of: the bits of
+/// the step size, the method, and the bits every device names in its
+/// [`jacobian_key`](SimDevice::jacobian_key) (the PTMs' frozen
+/// resistances), in device order.
+#[derive(Default)]
+struct JacobianKey {
+    dt: u64,
+    method: Method,
+    devices: Vec<u64>,
+}
+
+/// A [`Stamp`] sink that drops every Jacobian entry: a lane that holds
+/// its factors stamps only the right-hand side through it.
+struct RhsOnly;
+
+impl Stamp for RhsOnly {
+    #[inline(always)]
+    fn add(&mut self, _r: usize, _c: usize, _v: f64) {}
+}
+
 /// All stepper state for one transient run, suspended at the linear solve
 /// between rounds.
 pub(crate) struct Lane<'a> {
@@ -319,6 +359,8 @@ pub(crate) struct Lane<'a> {
     /// entry), exercising the non-finite guard exactly the way a
     /// genuinely diverging solve would.
     poison: bool,
+    /// The key of the last system a linear lane assembled.
+    assembled: JacobianKey,
     // Newton iterate for the current attempt.
     x_iter: Vec<f64>,
     iter: usize,
@@ -363,6 +405,7 @@ impl<'a> Lane<'a> {
             method: opts.method,
             lands_on_corner: false,
             poison: false,
+            assembled: JacobianKey::default(),
             x_iter: Vec::new(),
             iter: 0,
             phase: LanePhase::StartStep,
@@ -514,6 +557,11 @@ impl<'a> Lane<'a> {
 
     /// Opens one Newton iteration: stamps the lane's Jacobian into `solver`
     /// and its right-hand side into `rhs`.
+    ///
+    /// A linear lane whose [`JacobianKey`] repeats the last assembled one
+    /// would stamp that system's Jacobian again, bit for bit. While the
+    /// solver still holds its factors, the lane holds them and stamps only
+    /// the right-hand side.
     fn stamp(&mut self, solver: &mut impl LaneSolver, l: usize, rhs: &mut [f64]) {
         let opts = self.opts;
         self.open_iteration();
@@ -523,9 +571,41 @@ impl<'a> Lane<'a> {
             dt: self.dt_cur,
             method: self.method,
         };
+        if self.compiled.linear && self.key_repeats() && solver.hold_factors(l) {
+            return self.stamp_rhs(mode, rhs);
+        }
         solver.select(l);
         for device in &self.compiled.devices {
             device.stamp(mode, &self.x_iter, solver, rhs, opts.gmin);
+        }
+    }
+
+    /// Whether this step attempt's [`JacobianKey`] repeats the last
+    /// assembled one; when it does not, it becomes that key, since the lane
+    /// assembles next.
+    fn key_repeats(&mut self) -> bool {
+        let (dt, method) = (self.dt_cur.to_bits(), self.method);
+        let devices = &self.compiled.devices;
+        let keys = devices.iter().filter_map(SimDevice::jacobian_key);
+        let key = &mut self.assembled;
+        if key.dt == dt && key.method == method && key.devices.iter().copied().eq(keys.clone()) {
+            return true;
+        }
+        key.dt = dt;
+        key.method = method;
+        key.devices.clear();
+        key.devices.extend(keys);
+        false
+    }
+
+    /// Stamps the right-hand side alone, for a lane that holds its factors.
+    /// Kept out of line, so that the assembling loop in
+    /// [`stamp`](Lane::stamp), the one every nonlinear lane runs, compiles
+    /// as it would without this one.
+    #[inline(never)]
+    fn stamp_rhs(&self, mode: StampMode, rhs: &mut [f64]) {
+        for device in &self.compiled.devices {
+            device.stamp(mode, &self.x_iter, &mut RhsOnly, rhs, self.opts.gmin);
         }
     }
 

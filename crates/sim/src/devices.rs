@@ -40,6 +40,8 @@ pub(crate) fn volt(x: &[f64], u: Unknown) -> f64 {
 /// selected lane of a [`sfet_numeric::batch::BatchDense`]. Both receive
 /// the *identical* sequence of `add` calls for a given device list and
 /// iterate, which is what keeps batched solves bitwise-equal to scalar.
+/// A linear lane that re-solves with held factors stamps into a sink
+/// that drops every entry, so only its right-hand side is written.
 pub(crate) trait Stamp {
     /// `jac[r][c] += v`.
     fn add(&mut self, r: usize, c: usize, v: f64);
@@ -439,6 +441,33 @@ impl SimDevice {
             | SimDevice::Ccvs { .. }
             | SimDevice::NodeIc { .. }
             | SimDevice::Ptm { .. } => false,
+        }
+    }
+
+    /// The bits of what this device's transient Jacobian entries read
+    /// besides the step size and the integration method, if anything.
+    /// Meaningful when no device [reads the iterate](Self::reads_iterate):
+    /// two transient stamps of such a circuit with equal `dt`, method and
+    /// keys stamp bit-equal Jacobians. Every variant answers explicitly, so
+    /// a new one must declare itself.
+    pub(crate) fn jacobian_key(&self) -> Option<u64> {
+        match self {
+            // The resistance frozen for the step.
+            SimDevice::Ptm { r_step, .. } => Some(r_step.to_bits()),
+            // Companions read only (dt, method); sources and controlled
+            // sources stamp constants; a `.ic` pin stamps only in DC.
+            SimDevice::Resistor { .. }
+            | SimDevice::Capacitor { .. }
+            | SimDevice::Inductor { .. }
+            | SimDevice::Vsrc { .. }
+            | SimDevice::Isrc { .. }
+            | SimDevice::Vcvs { .. }
+            | SimDevice::Vccs { .. }
+            | SimDevice::Cccs { .. }
+            | SimDevice::Ccvs { .. }
+            | SimDevice::NodeIc { .. } => None,
+            // Reads the iterate, so its circuit is never keyed.
+            SimDevice::Mosfet { .. } => None,
         }
     }
 

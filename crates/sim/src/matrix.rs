@@ -19,11 +19,14 @@
 //! * **sparse** — stamps go through a pattern-caching [`CscAssembler`]
 //!   (stamp sequence compiled once into a fixed CSC pattern plus scatter
 //!   map), and the factors live in a [`SparseFactorCache`]: a matrix
-//!   whose values repeat bit for bit (a linear circuit at a fixed step
-//!   size) solves with the cached factors, a changed one runs the
-//!   numeric-only refactorisation along the cached symbolic analysis, and
-//!   a refactorisation whose frozen pivot degrades past threshold falls
-//!   back to a full, re-pivoting factorisation;
+//!   whose values repeat bit for bit solves with the cached factors, a
+//!   changed one runs the numeric-only refactorisation along the cached
+//!   symbolic analysis, and a refactorisation whose frozen pivot degrades
+//!   past threshold falls back to a full, re-pivoting factorisation. A
+//!   caller that knows its system repeats (a linear circuit's transient
+//!   step at an unchanged step size, method and PTM resistances)
+//!   [holds](MnaMatrix::hold_factors) the factors and skips assembly
+//!   altogether;
 //! * **iterative** — ILU(0)-preconditioned GMRES over the same compiled
 //!   pattern, with a [`SparseFactorCache`] as the fallback for stagnated
 //!   solves.
@@ -107,10 +110,12 @@ pub struct SolverStats {
     pub refactorizations: u64,
     /// Linear solves (forward/back substitutions) actually performed. On
     /// the sparse backend `solves - full_factorizations - refactorizations`
-    /// counts the solves that reused the factors of an unchanged matrix.
-    /// A transient of a linear circuit solves once per step attempt and
-    /// repeats its Newton update against that solve, so there `solves`
-    /// counts the step attempts that reached a solve, not Newton
+    /// counts the solves that reused the factors of an unchanged matrix,
+    /// whether the factor cache found the assembled values bit-equal or a
+    /// linear transient held the factors without assembling (the two
+    /// count alike). A transient of a linear circuit solves once per step
+    /// attempt and repeats its Newton update against that solve, so there
+    /// `solves` counts the step attempts that reached a solve, not Newton
     /// iterations.
     pub solves: u64,
     /// Sparse stamp-pattern compilations: the initial one plus one per
@@ -204,6 +209,9 @@ pub(crate) struct MnaMatrix {
     /// Allow the iterative backend to refresh its ILU(0) numerically
     /// across solves (the sparse caches carry their own flag).
     reuse: bool,
+    /// The next [`factor_solve`](MnaMatrix::factor_solve) re-solves with
+    /// the held factors (set by [`hold_factors`](MnaMatrix::hold_factors)).
+    held: bool,
     stats: SolverStats,
 }
 
@@ -268,6 +276,7 @@ impl MnaMatrix {
         MnaMatrix {
             backend,
             reuse,
+            held: false,
             stats: SolverStats::default(),
         }
     }
@@ -291,6 +300,23 @@ impl MnaMatrix {
         }
     }
 
+    /// Holds the factors of the last successful
+    /// [`factor_solve`](MnaMatrix::factor_solve) for the next one, if the
+    /// matrix has them, and returns whether it did. A held solve skips
+    /// finishing an assembly and comparing values, and counts what the
+    /// reuse rung counts: one solve. The caller guarantees that the system
+    /// it would have assembled repeats, bit for bit, the one the factors
+    /// came from, and assembles as usual when this returns `false`.
+    ///
+    /// Only the sparse backend with factor reuse on holds factors, exactly
+    /// when its [`SparseFactorCache`] would take the reuse rung for
+    /// bit-equal values. Dense LU counts one factorisation per solve, and
+    /// GMRES needs the assembled values for its matrix-vector products.
+    pub(crate) fn hold_factors(&mut self) -> bool {
+        self.held = matches!(&self.backend, Backend::Sparse { lu, .. } if lu.holds_factors());
+        self.held
+    }
+
     /// Factorises the assembled matrix and solves `A x = rhs` in place:
     /// `rhs` is overwritten with the solution. This is the Newton hot
     /// path — steady-state calls perform no heap allocation on the dense
@@ -308,6 +334,7 @@ impl MnaMatrix {
     }
 
     fn factor_solve_inner(&mut self, rhs: &mut [f64]) -> Result<()> {
+        let held = std::mem::take(&mut self.held);
         match &mut self.backend {
             Backend::Dense {
                 m,
@@ -320,16 +347,18 @@ impl MnaMatrix {
                 factors.solve_in_place(rhs, scratch)?;
             }
             Backend::Sparse { asm, lu, scratch } => {
-                asm.finish();
-                let epoch = asm.epoch();
-                let a = asm.matrix().expect("finish compiles a pattern");
-                self.stats.pattern_rebuilds = epoch;
-                match self.stats.count_factor(lu.factor(a, epoch))? {
-                    FactorStep::Full => self.stats.full_factorizations += 1,
-                    FactorStep::Refactored => self.stats.refactorizations += 1,
-                    FactorStep::Reused => {}
+                if !held {
+                    asm.finish();
+                    let epoch = asm.epoch();
+                    let a = asm.matrix().expect("finish compiles a pattern");
+                    self.stats.pattern_rebuilds = epoch;
+                    match self.stats.count_factor(lu.factor(a, epoch))? {
+                        FactorStep::Full => self.stats.full_factorizations += 1,
+                        FactorStep::Refactored => self.stats.refactorizations += 1,
+                        FactorStep::Reused => {}
+                    }
+                    self.stats.factor_nnz = lu.factor_nnz();
                 }
-                self.stats.factor_nnz = lu.factor_nnz();
                 lu.solve_in_place(rhs, scratch)?;
             }
             Backend::Iterative {
@@ -599,6 +628,68 @@ mod tests {
         assert_eq!(st.refactorizations, 1, "only the value change refactors");
         assert_eq!(st_fresh.full_factorizations, 6);
         assert_eq!(st.factor_nnz, st_fresh.factor_nnz);
+    }
+
+    /// A re-solve with held factors gives the bits and the counters of
+    /// assembling the same matrix again, which takes the reuse rung.
+    #[test]
+    fn held_factors_solve_like_the_reuse_rung() {
+        let stamp = |m: &mut MnaMatrix| {
+            m.clear();
+            m.add(0, 0, 2.0);
+            m.add(0, 1, -1.0);
+            m.add(1, 0, -1.0);
+            m.add(1, 1, 3.0);
+        };
+        let run = |held: bool| -> (Vec<u64>, SolverStats) {
+            let mut m = MnaMatrix::new(LinearSolver::Sparse, 2, true);
+            stamp(&mut m);
+            let mut b1 = vec![1.0, 0.5];
+            m.factor_solve(&mut b1).unwrap();
+            if held {
+                assert!(m.hold_factors());
+            } else {
+                stamp(&mut m);
+            }
+            let mut b2 = vec![-0.25, 2.0];
+            m.factor_solve(&mut b2).unwrap();
+            let bits = b1.iter().chain(&b2).map(|v| v.to_bits()).collect();
+            (bits, m.stats())
+        };
+        let (held, st) = run(true);
+        let (assembled, st_assembled) = run(false);
+        assert_eq!(held, assembled);
+        assert_eq!(st, st_assembled);
+        assert_eq!((st.solves, st.full_factorizations), (2, 1), "{st:?}");
+        assert_eq!(st.refactorizations, 0);
+    }
+
+    /// Only sparse LU with reuse on holds factors, and only after a
+    /// successful solve.
+    #[test]
+    fn factors_are_held_only_by_reusing_sparse_lu() {
+        let solved = |backend, reuse| {
+            let mut m = MnaMatrix::new(backend, 2, reuse);
+            assert!(!m.hold_factors(), "{backend} before the first solve");
+            stamp_divider(&mut m);
+            solve_once(&mut m);
+            m.hold_factors()
+        };
+        assert!(solved(LinearSolver::Sparse, true));
+        assert!(!solved(LinearSolver::Sparse, false));
+        assert!(!solved(LinearSolver::Dense, true));
+        assert!(!solved(LinearSolver::Iterative, true));
+
+        let mut m = MnaMatrix::new(LinearSolver::Sparse, 2, true);
+        stamp_divider(&mut m);
+        solve_once(&mut m);
+        m.clear();
+        m.add(0, 0, 1.0);
+        m.add(0, 1, 1.0);
+        m.add(1, 0, 1.0);
+        m.add(1, 1, 1.0);
+        assert!(m.factor_solve(&mut [1.0, 1.0]).is_err(), "singular");
+        assert!(!m.hold_factors(), "after a singular factorisation");
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //! LU, which reuses the factors of the unchanged grid matrix, and still
 //! produces the dense-LU droop map bit for bit. A linear circuit solves
 //! once per step attempt on every backend, bit for bit as if every Newton
-//! iteration had stamped and solved.
+//! iteration had stamped and solved, and on sparse LU a step that repeats
+//! the last assembled step size, method and PTM resistances re-solves
+//! with the held factors without assembling.
 
 use sfet_circuit::{Circuit, SourceWaveform};
 use sfet_devices::mosfet::MosfetModel;
@@ -164,4 +166,15 @@ fn linear_circuits_solve_once_per_step_attempt_bit_for_bit() {
     let opts = SimOptions::for_duration(tstop, 600);
     let l = linear_matches_full_path(&stair, tstop, &opts, "Fig. 3 staircase");
     assert!(l.ptm_transitions > 0 && l.steps_rejected > 0, "{l:?}");
+    // On sparse LU the staircase re-solves with held factors while its
+    // step size and PTM resistance repeat, and assembles again when a
+    // transition ramp moves the resistance at an unchanged step size.
+    let sparse = opts.with_solver(LinearSolver::Sparse);
+    let l = linear_matches_full_path(&stair, tstop, &sparse, "Fig. 3 staircase, sparse");
+    let s = l.solver;
+    assert!(l.ptm_transitions > 0, "{l:?}");
+    assert!(
+        s.solves > s.full_factorizations + s.refactorizations,
+        "held factors re-solve: {s:?}"
+    );
 }
