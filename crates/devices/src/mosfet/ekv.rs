@@ -14,7 +14,7 @@
 //! PMOS devices are evaluated by mirroring all terminal voltages.
 
 use super::model::{MosfetModel, Polarity};
-use sfet_numeric::smooth::{logistic, softplus};
+use sfet_numeric::smooth::softplus_logistic;
 
 /// Smoothing width for |V_DS| in the channel-length-modulation factor \[V\].
 const VDS_SMOOTH: f64 = 1e-3;
@@ -123,16 +123,10 @@ fn eval_core(model: &MosfetModel, w: f64, l: f64, vg: f64, vd: f64, vs: f64, vb:
     let xd = (vp - (vd - vb)) / ut;
 
     // F(x) = softplus(x/2)^2 ; F'(x) = softplus(x/2) * logistic(x/2)
-    let fs = {
-        let s = softplus(0.5 * xs);
-        s * s
-    };
-    let fd = {
-        let s = softplus(0.5 * xd);
-        s * s
-    };
-    let fps = softplus(0.5 * xs) * logistic(0.5 * xs);
-    let fpd = softplus(0.5 * xd) * logistic(0.5 * xd);
+    let (ss, gs) = softplus_logistic(0.5 * xs);
+    let (sd, gd) = softplus_logistic(0.5 * xd);
+    let (fs, fd) = (ss * ss, sd * sd);
+    let (fps, fpd) = (ss * gs, sd * gd);
 
     let base = k * (fs - fd);
     let dbase_dvg = k / (n * ut) * (fps - fpd);

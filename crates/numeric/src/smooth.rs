@@ -40,6 +40,32 @@ pub fn logistic(x: f64) -> f64 {
     }
 }
 
+/// `(softplus(x), logistic(x))` bit for bit, sharing one `e^x` between
+/// the two where both branches take it.
+///
+/// # Example
+///
+/// ```
+/// use sfet_numeric::smooth::{logistic, softplus, softplus_logistic};
+/// let (s, g) = softplus_logistic(-0.3);
+/// assert_eq!(s.to_bits(), softplus(-0.3).to_bits());
+/// assert_eq!(g.to_bits(), logistic(-0.3).to_bits());
+/// ```
+#[inline]
+pub fn softplus_logistic(x: f64) -> (f64, f64) {
+    if x > 36.0 {
+        return (x, 1.0 / (1.0 + (-x).exp()));
+    }
+    let e = x.exp();
+    let s = if x < -36.0 { e } else { e.ln_1p() };
+    let g = if x >= 0.0 {
+        1.0 / (1.0 + (-x).exp())
+    } else {
+        e / (1.0 + e)
+    };
+    (s, g)
+}
+
 /// Cubic smoothstep on `[0, 1]`: `3t^2 - 2t^3`, clamped outside.
 ///
 /// Used for the PTM resistance ramp shaping.
@@ -117,6 +143,50 @@ mod tests {
     fn logistic_symmetry() {
         for &x in &[0.0, 1.5, 10.0, 100.0] {
             assert!((logistic(x) + logistic(-x) - 1.0).abs() < 1e-15);
+        }
+    }
+
+    /// `softplus_logistic` must equal the pair it replaces bit for bit:
+    /// over the branch edges and their neighbours, and over 10⁶ SplitMix64
+    /// draws, each read both as a raw bit pattern (every sign and exponent)
+    /// and as a uniform value in `[-80, 80)` (every branch's interior).
+    #[test]
+    fn softplus_logistic_is_the_pair_bit_for_bit() {
+        let check = |x: f64| {
+            let (s, g) = softplus_logistic(x);
+            let (want_s, want_g) = (softplus(x), logistic(x));
+            if x.is_nan() {
+                assert!(s.is_nan() && g.is_nan(), "fused pair at NaN: ({s}, {g})");
+                assert!(want_s.is_nan() && want_g.is_nan());
+            } else {
+                assert_eq!(
+                    (s.to_bits(), g.to_bits()),
+                    (want_s.to_bits(), want_g.to_bits()),
+                    "at {x:e} ({:#018x})",
+                    x.to_bits()
+                );
+            }
+        };
+        let tiny = f64::from_bits(1);
+        for edge in [0.0, 36.0, 72.0, tiny, f64::MIN_POSITIVE, f64::MAX] {
+            let b = edge.to_bits();
+            for x in [b.saturating_sub(1), b, b + 1].map(f64::from_bits) {
+                check(x);
+                check(-x);
+            }
+        }
+        for x in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            check(x);
+        }
+        let mut state = 0u64;
+        for _ in 0..1_000_000 {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^= z >> 31;
+            check(f64::from_bits(z));
+            check(((z >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * 160.0);
         }
     }
 

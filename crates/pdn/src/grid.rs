@@ -24,6 +24,14 @@
 //! (where LU is still feasible) gating its accuracy — see
 //! `bench_pdn_grid` and `docs/SOLVERS.md`.
 //!
+//! The sparse LU factors in the circuit's own unknown order, so
+//! [`PdnGrid::build`] numbers the unknowns for low fill: each tile's decap
+//! node (a leaf) before its rail node, tiles in row-major order, and the
+//! package nodes after every tile. On the 12×12 chip grid the factor
+//! holds 3 919 entries; numbering the package first fills it to 7 245.
+//! No solver reorders, so every backend solves the same system and dense
+//! and sparse maps are equal bit for bit.
+//!
 //! # Site placement and staggering
 //!
 //! Sites are placed by the R2 low-discrepancy sequence (a 2-D
@@ -228,6 +236,16 @@ impl PdnGrid {
     /// links between 4-neighbours, per-tile ESR + C decap (initialised to
     /// `v_nom`), and the staggered site loads.
     ///
+    /// Nodes are created before any element, in an order that keeps LU
+    /// fill low: tile by tile in row-major order, the decap node
+    /// `d{ix}_{iy}` and then the rail node `t{ix}_{iy}`, and the four
+    /// package nodes last. A decap node is a leaf (its ESR and its
+    /// capacitor to ground), so eliminating it before its rail node adds
+    /// no fill; the package, which ties the centre tile to the last
+    /// unknowns (its branch currents), is eliminated after the tiles.
+    /// Elements follow the nodes, and their order alone fixes the device
+    /// stamp order and the branch numbering.
+    ///
     /// # Errors
     ///
     /// Propagates validation and circuit-construction failures.
@@ -235,6 +253,13 @@ impl PdnGrid {
         self.validate()?;
         let mut ckt = Circuit::new();
         let gnd = Circuit::ground();
+        // Create the nodes in low-fill order; the loops below look them up.
+        for iy in 0..self.ny {
+            for ix in 0..self.nx {
+                ckt.node(&format!("d{ix}_{iy}"));
+                ckt.node(&Self::tile_node_name(ix, iy));
+            }
+        }
         let entry = self.pdn.attach(&mut ckt, "pkg")?;
 
         let c_tile = self.c_tile_total / self.tiles() as f64;

@@ -39,6 +39,13 @@ fn default_droop_map_equals_dense_with_far_fewer_factorizations() {
     assert_eq!(d.factor_nnz, n * n, "the pinned arm is dense");
     assert_eq!(d.full_factorizations, d.solves);
     assert!(s.factor_nnz < n * n, "the default arm is sparse: {s:?}");
+    // Each decap node before its rail node and the package after the
+    // tiles give 565 factor entries; numbering the package first gives 969.
+    assert!(
+        s.factor_nnz <= 600,
+        "the grid's unknown numbering regressed: factor_nnz {} > 600",
+        s.factor_nnz
+    );
     assert!(
         4 * (s.full_factorizations + s.refactorizations) < s.solves,
         "unchanged matrices reuse their factors: {s:?}"
@@ -56,9 +63,28 @@ fn with_inert_mosfet(ckt: &Circuit) -> Circuit {
     ckt
 }
 
+/// Requires `a` and `b` bit for bit. A mismatch names the first differing
+/// index with both values and their bits, how many of the entries both
+/// sequences have differ, and both lengths.
 fn assert_bits(a: &[f64], b: &[f64], what: &str) {
-    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-    assert_eq!(bits(a), bits(b), "{what}");
+    let mut differ = a
+        .iter()
+        .zip(b)
+        .enumerate()
+        .filter(|(_, (x, y))| x.to_bits() != y.to_bits());
+    if let Some((i, (x, y))) = differ.next() {
+        panic!(
+            "{what}: {} of {} shared entries differ (lengths {} and {}); \
+             the first is [{i}]: {x:e} ({:#018x}) vs {y:e} ({:#018x})",
+            1 + differ.count(),
+            a.len().min(b.len()),
+            a.len(),
+            b.len(),
+            x.to_bits(),
+            y.to_bits()
+        );
+    }
+    assert_eq!(a.len(), b.len(), "{what}: lengths");
 }
 
 /// Runs `ckt` and its inert-MOSFET twin and requires bit-equal results:
