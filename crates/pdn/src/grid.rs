@@ -20,7 +20,8 @@
 //! only with the step size and the integration method: a step that
 //! repeats both skips assembling the matrix and solves with the held
 //! factors, stamping only the right-hand side. Grids beyond the GMRES
-//! threshold route to GMRES+ILU(0) automatically, with mid-size grids
+//! threshold route to GMRES+ILU(0) automatically, where such a step
+//! holds the assembled matrix and its ILU(0) instead, with mid-size grids
 //! (where LU is still feasible) gating its accuracy — see
 //! `bench_pdn_grid` and `docs/SOLVERS.md`.
 //!

@@ -307,9 +307,9 @@ enum LanePhase {
 }
 
 /// What a linear lane's transient Jacobian is a function of: the bits of
-/// the step size, the method, and the bits every device names in its
+/// the step size, the method, and the bits the devices name in their
 /// [`jacobian_key`](SimDevice::jacobian_key) (the PTMs' frozen
-/// resistances), in device order.
+/// resistances, the only devices that name any), in device order.
 #[derive(Default)]
 struct JacobianKey {
     dt: u64,
@@ -519,8 +519,8 @@ impl<'a> Lane<'a> {
                 }
             }
             // Resolve in-flight PTM ramps with sub-T_PTM steps.
-            for device in &self.compiled.devices {
-                if let SimDevice::Ptm { state, .. } = device {
+            for &(i, _) in &self.compiled.ptm_devices {
+                if let SimDevice::Ptm { state, .. } = &self.compiled.devices[i] {
                     if state.in_transition() {
                         dt_cur = dt_cur.min((state.params().t_ptm / 8.0).max(opts.dtmin));
                     }
@@ -528,8 +528,8 @@ impl<'a> Lane<'a> {
             }
             dt_cur = dt_cur.max(opts.dtmin);
             let t_next = self.t + dt_cur;
-            for device in &mut self.compiled.devices {
-                device.prepare_step(t_next);
+            for &(i, _) in &self.compiled.ptm_devices {
+                self.compiled.devices[i].prepare_step(t_next);
             }
             self.dt_cur = dt_cur;
             self.t_next = t_next;
@@ -585,8 +585,9 @@ impl<'a> Lane<'a> {
     /// assembles next.
     fn key_repeats(&mut self) -> bool {
         let (dt, method) = (self.dt_cur.to_bits(), self.method);
-        let devices = &self.compiled.devices;
-        let keys = devices.iter().filter_map(SimDevice::jacobian_key);
+        let compiled = &self.compiled;
+        let ptms = compiled.ptm_devices.iter();
+        let keys = ptms.filter_map(|&(i, _)| compiled.devices[i].jacobian_key());
         let key = &mut self.assembled;
         if key.dt == dt && key.method == method && key.devices.iter().copied().eq(keys.clone()) {
             return true;
@@ -598,14 +599,16 @@ impl<'a> Lane<'a> {
         false
     }
 
-    /// Stamps the right-hand side alone, for a lane that holds its factors.
-    /// Kept out of line, so that the assembling loop in
+    /// Stamps the right-hand side alone, for a lane that holds its factors:
+    /// only the devices whose transient stamp writes it, in device order,
+    /// so every entry sums the same terms in the same order as an
+    /// assembling round. Kept out of line, so that the assembling loop in
     /// [`stamp`](Lane::stamp), the one every nonlinear lane runs, compiles
     /// as it would without this one.
     #[inline(never)]
     fn stamp_rhs(&self, mode: StampMode, rhs: &mut [f64]) {
-        for device in &self.compiled.devices {
-            device.stamp(mode, &self.x_iter, &mut RhsOnly, rhs, self.opts.gmin);
+        for &i in &self.compiled.rhs_devices {
+            self.compiled.devices[i].stamp(mode, &self.x_iter, &mut RhsOnly, rhs, self.opts.gmin);
         }
     }
 
@@ -772,8 +775,8 @@ impl<'a> Lane<'a> {
 
         // --- PTM event refinement. ---
         let mut worst_overshoot = 0.0f64;
-        for device in &self.compiled.devices {
-            if let SimDevice::Ptm { p, n, state, .. } = device {
+        for &(i, _) in &self.compiled.ptm_devices {
+            if let SimDevice::Ptm { p, n, state, .. } = &self.compiled.devices[i] {
                 let v = volt(&self.x_iter, *p) - volt(&self.x_iter, *n);
                 if let Some(excess) = state.threshold_excess(v) {
                     worst_overshoot = worst_overshoot.max(excess);
@@ -785,9 +788,8 @@ impl<'a> Lane<'a> {
         }
 
         // --- Accept. ---
-        for device in &mut self.compiled.devices {
-            device.commit(&self.x_iter, self.t_next, self.dt_cur, self.method);
-        }
+        self.compiled
+            .commit_step(&self.x_iter, self.t_next, self.dt_cur, self.method);
         // A slope discontinuity at a source corner excites the trapezoidal
         // rule's undamped oscillatory mode in capacitor branch currents
         // (classic "trapezoidal ringing"); take one L-stable backward-Euler
@@ -795,14 +797,14 @@ impl<'a> Lane<'a> {
         self.force_be = self.lands_on_corner;
         // Fire any armed transitions at the accepted point.
         let mut fired = false;
-        for device in &mut self.compiled.devices {
+        for &(i, _) in &self.compiled.ptm_devices {
             if let SimDevice::Ptm {
                 p,
                 n,
                 state,
                 events,
                 ..
-            } = device
+            } = &mut self.compiled.devices[i]
             {
                 let v = volt(&self.x_iter, *p) - volt(&self.x_iter, *n);
                 if let Some(excess) = state.threshold_excess(v) {

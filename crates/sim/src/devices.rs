@@ -471,6 +471,78 @@ impl SimDevice {
         }
     }
 
+    /// Whether this is an independent source, the only kind of device
+    /// with [breakpoints](SimDevice::next_breakpoint). Every variant
+    /// answers explicitly, so a new one must declare itself.
+    pub(crate) fn is_source(&self) -> bool {
+        match self {
+            SimDevice::Vsrc { .. } | SimDevice::Isrc { .. } => true,
+            SimDevice::Resistor { .. }
+            | SimDevice::Capacitor { .. }
+            | SimDevice::Inductor { .. }
+            | SimDevice::Vcvs { .. }
+            | SimDevice::Vccs { .. }
+            | SimDevice::Cccs { .. }
+            | SimDevice::Ccvs { .. }
+            | SimDevice::NodeIc { .. }
+            | SimDevice::Mosfet { .. }
+            | SimDevice::Ptm { .. } => false,
+        }
+    }
+
+    /// Whether a transient [`stamp`](SimDevice::stamp) writes the
+    /// right-hand side. Every variant answers explicitly, so a new one must
+    /// declare itself.
+    pub(crate) fn stamps_transient_rhs(&self) -> bool {
+        match self {
+            // Companion currents, source values and the linearised drain
+            // current.
+            SimDevice::Capacitor { .. }
+            | SimDevice::Inductor { .. }
+            | SimDevice::Vsrc { .. }
+            | SimDevice::Isrc { .. }
+            | SimDevice::Mosfet { .. } => true,
+            // Conductances and controlled sources stamp the Jacobian only;
+            // a `.ic` pin stamps only in DC.
+            SimDevice::Resistor { .. }
+            | SimDevice::Vcvs { .. }
+            | SimDevice::Vccs { .. }
+            | SimDevice::Cccs { .. }
+            | SimDevice::Ccvs { .. }
+            | SimDevice::NodeIc { .. }
+            | SimDevice::Ptm { .. } => false,
+        }
+    }
+
+    /// Whether [`commit`](SimDevice::commit) changes this device. Every
+    /// variant answers explicitly, so a new one must declare itself.
+    pub(crate) fn commits_state(&self) -> bool {
+        match self {
+            // Companion histories and the PTM phase.
+            SimDevice::Capacitor { .. }
+            | SimDevice::Inductor { .. }
+            | SimDevice::Mosfet { .. }
+            | SimDevice::Ptm { .. } => true,
+            SimDevice::Resistor { .. }
+            | SimDevice::Vsrc { .. }
+            | SimDevice::Isrc { .. }
+            | SimDevice::Vcvs { .. }
+            | SimDevice::Vccs { .. }
+            | SimDevice::Cccs { .. }
+            | SimDevice::Ccvs { .. }
+            | SimDevice::NodeIc { .. } => false,
+        }
+    }
+
+    /// The earliest breakpoint of this device's waveform strictly after
+    /// `t`, if any.
+    fn next_breakpoint(&self, t: f64) -> Option<f64> {
+        match self {
+            SimDevice::Vsrc { wave, .. } | SimDevice::Isrc { wave, .. } => wave.next_breakpoint(t),
+            _ => None,
+        }
+    }
+
     /// Voltage-unknown indices this device touches (for gmin stepping).
     /// Returns a fixed-size array (padded with ground) so the per-stamp
     /// hot path stays allocation-free.
@@ -614,6 +686,15 @@ pub(crate) struct CompiledCircuit {
     /// transient step attempt every Newton iteration assembles the same
     /// system, so its solve is the same too.
     pub linear: bool,
+    /// Indices into `devices` of the [sources](SimDevice::is_source), for
+    /// the breakpoint search.
+    pub sources: Vec<usize>,
+    /// Indices into `devices` whose transient stamp
+    /// [writes the right-hand side](SimDevice::stamps_transient_rhs).
+    pub rhs_devices: Vec<usize>,
+    /// Indices into `devices` that [`commit`](SimDevice::commit)
+    /// [changes](SimDevice::commits_state).
+    pub stateful: Vec<usize>,
 }
 
 impl CompiledCircuit {
@@ -785,8 +866,16 @@ impl CompiledCircuit {
             })
             .collect();
 
+        // The per-step passes of the transient stepper walk only the
+        // devices their pass acts on.
+        let role = |acts: fn(&SimDevice) -> bool| -> Vec<usize> {
+            (0..devices.len()).filter(|&i| acts(&devices[i])).collect()
+        };
         CompiledCircuit {
             linear: !devices.iter().any(SimDevice::reads_iterate),
+            sources: role(SimDevice::is_source),
+            rhs_devices: role(SimDevice::stamps_transient_rhs),
+            stateful: role(SimDevice::commits_state),
             devices,
             size: next_branch,
             node_names,
@@ -813,20 +902,125 @@ impl CompiledCircuit {
         None
     }
 
+    /// Commits an accepted step: [`commit`](SimDevice::commit)s only the
+    /// devices it changes.
+    pub(crate) fn commit_step(&mut self, x: &[f64], t_next: f64, dt: f64, method: Method) {
+        for &i in &self.stateful {
+            self.devices[i].commit(x, t_next, dt, method);
+        }
+    }
+
     /// The earliest source breakpoint strictly after `t`, if any.
     pub(crate) fn next_breakpoint(&self, t: f64) -> Option<f64> {
-        self.devices
+        self.sources
             .iter()
-            .filter_map(|d| match d {
-                SimDevice::Vsrc { wave, .. } | SimDevice::Isrc { wave, .. } => {
-                    wave.next_breakpoint(t)
-                }
-                _ => None,
-            })
+            .filter_map(|&i| self.devices[i].next_breakpoint(t))
             // total_cmp, not partial_cmp: a NaN breakpoint from a degenerate
             // waveform must not panic the stepper mid-run (NaN sorts last
             // under total order, so finite breakpoints still win the min).
             .filter(|t| t.is_finite())
             .min_by(f64::total_cmp)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::checkpoint::capture_devices;
+    use crate::matrix::LinearSolver;
+    use sfet_devices::ptm::PtmParams;
+
+    /// One element of every kind and a `.ic` pin; both sources ramp with
+    /// corners after t = 0.
+    fn every_kind() -> Circuit {
+        let mut ckt = Circuit::new();
+        let [a, b, c, d, e, f] = ["a", "b", "c", "d", "e", "f"].map(|n| ckt.node(n));
+        let g = Circuit::ground();
+        let ramp = |v1| SourceWaveform::ramp(0.0, v1, 1e-12, 2e-12);
+        ckt.add_voltage_source("V1", a, g, ramp(1.0)).unwrap();
+        ckt.add_current_source("I1", b, g, ramp(1e-3)).unwrap();
+        ckt.add_resistor("R1", a, b, 1e3).unwrap();
+        ckt.add_capacitor("C1", b, g, 1e-15).unwrap();
+        ckt.add_inductor("L1", b, c, 1e-9).unwrap();
+        ckt.add_vcvs("E1", d, g, a, g, 2.0).unwrap();
+        ckt.add_vccs("G1", c, g, a, g, 1e-3).unwrap();
+        ckt.add_cccs("F1", e, g, "V1", 0.5).unwrap();
+        ckt.add_ccvs("H1", f, g, "V1", 100.0).unwrap();
+        ckt.add_mosfet("M1", c, a, g, g, MosfetModel::nmos_40nm(), 200e-9, 40e-9)
+            .unwrap();
+        ckt.add_ptm("P1", a, f, PtmParams::vo2_default()).unwrap();
+        ckt.set_node_ic(d, 0.3);
+        ckt
+    }
+
+    /// Each per-step pass of the transient stepper walks one role list
+    /// instead of every device, so no device outside a list may be one
+    /// that pass changes or reads.
+    #[test]
+    fn role_lists_hold_every_device_their_pass_acts_on() {
+        let mut compiled = CompiledCircuit::compile(&every_kind());
+        let kinds: std::collections::HashSet<_> = compiled
+            .devices
+            .iter()
+            .map(std::mem::discriminant)
+            .collect();
+        assert_eq!(kinds.len(), 12, "one device of every kind");
+
+        // Nonzero histories everywhere and the PTM mid-transition, so each
+        // pass has something to change.
+        let n = compiled.size;
+        let method = Method::Trapezoidal;
+        let (dt, t0) = (1e-13, 2.4e-12);
+        let x0: Vec<f64> = (0..n).map(|k| 0.1 + 0.07 * k as f64).collect();
+        let x1: Vec<f64> = x0.iter().map(|v| 0.02 - 0.5 * v).collect();
+        for device in &mut compiled.devices {
+            device.init_history(&x0);
+            if let SimDevice::Ptm { state, .. } = device {
+                state.fire(t0);
+            }
+        }
+        let t_next = t0 + dt;
+        let mode = StampMode::Transient { t_next, dt, method };
+        let sentinel: Vec<f64> = (0..n).map(|k| -0.0 - 0.375 * k as f64).collect();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut ptm_pass = Vec::new();
+
+        for (i, device) in compiled.devices.iter().enumerate() {
+            let what = format!("device {i} ({device:?})");
+
+            let mut rhs = sentinel.clone();
+            let mut jac = MnaMatrix::new(LinearSolver::Dense, n, true);
+            device.stamp(mode, &x1, &mut jac, &mut rhs, 1e-12);
+            assert_eq!(
+                bits(&rhs) != bits(&sentinel),
+                compiled.rhs_devices.contains(&i),
+                "{what}: writes the right-hand side exactly when in `rhs_devices`"
+            );
+
+            let mut probe = compiled.clone();
+            probe.stateful = vec![i];
+            probe.commit_step(&x1, t_next + 1e-9, dt, method);
+            assert_eq!(
+                capture_devices(&probe) != capture_devices(&compiled),
+                compiled.stateful.contains(&i),
+                "{what}: `commit` changes it exactly when in `stateful`"
+            );
+
+            assert_eq!(
+                device.next_breakpoint(0.0).is_some(),
+                compiled.sources.contains(&i),
+                "{what}: has breakpoints exactly when in `sources`"
+            );
+
+            let mut probe = compiled.clone();
+            probe.devices[i].prepare_step(t_next);
+            let prepares = capture_devices(&probe) != capture_devices(&compiled);
+            let is_ptm = matches!(device, SimDevice::Ptm { .. });
+            if is_ptm || prepares || device.jacobian_key().is_some() {
+                ptm_pass.push(i);
+            }
+        }
+        let ptm_devices: Vec<usize> = compiled.ptm_devices.iter().map(|&(i, _)| i).collect();
+        assert_eq!(ptm_pass, ptm_devices, "the PTM passes' list");
     }
 }

@@ -29,7 +29,8 @@
 //!   altogether;
 //! * **iterative** — ILU(0)-preconditioned GMRES over the same compiled
 //!   pattern, with a [`SparseFactorCache`] as the fallback for stagnated
-//!   solves.
+//!   solves. A caller that knows its system repeats holds the assembled
+//!   matrix and its ILU(0) the same way.
 
 use std::time::Instant;
 
@@ -106,17 +107,19 @@ pub struct SolverStats {
     /// dense LU always re-pivots.
     pub full_factorizations: u64,
     /// Numeric-only refactorisations that reused the cached symbolic
-    /// analysis and frozen pivot order (sparse backend only).
+    /// analysis: on the sparse backend along the frozen pivot order, on
+    /// the iterative backend as an ILU(0) refresh over the same pattern.
     pub refactorizations: u64,
     /// Linear solves (forward/back substitutions) actually performed. On
     /// the sparse backend `solves - full_factorizations - refactorizations`
     /// counts the solves that reused the factors of an unchanged matrix,
     /// whether the factor cache found the assembled values bit-equal or a
     /// linear transient held the factors without assembling (the two
-    /// count alike). A transient of a linear circuit solves once per step
-    /// attempt and repeats its Newton update against that solve, so there
-    /// `solves` counts the step attempts that reached a solve, not Newton
-    /// iterations.
+    /// count alike). On the iterative backend it counts the solves that
+    /// ran GMRES with a held ILU(0), without refreshing it. A transient of
+    /// a linear circuit solves once per step attempt and repeats its
+    /// Newton update against that solve, so there `solves` counts the step
+    /// attempts that reached a solve, not Newton iterations.
     pub solves: u64,
     /// Sparse stamp-pattern compilations: the initial one plus one per
     /// stamp-sequence change (e.g. DC gmin shunts toggling).
@@ -207,7 +210,8 @@ impl SolverStats {
 pub(crate) struct MnaMatrix {
     backend: Backend,
     /// Allow the iterative backend to refresh its ILU(0) numerically
-    /// across solves (the sparse caches carry their own flag).
+    /// across solves and to hold it (the sparse caches carry their own
+    /// flag).
     reuse: bool,
     /// The next [`factor_solve`](MnaMatrix::factor_solve) re-solves with
     /// the held factors (set by [`hold_factors`](MnaMatrix::hold_factors)).
@@ -239,6 +243,9 @@ enum Backend {
         /// Solution buffer (GMRES starts from x = 0 for determinism).
         x: Vec<f64>,
         scratch: Vec<f64>,
+        /// The last solve succeeded, so `ilu` holds the ILU(0) of the
+        /// matrix `asm` holds.
+        solved: bool,
     },
 }
 
@@ -271,6 +278,7 @@ impl MnaMatrix {
                 ws: Box::new(GmresWorkspace::new(n, GMRES_RESTART)),
                 x: vec![0.0; n],
                 scratch: Vec::with_capacity(n),
+                solved: false,
             },
         };
         MnaMatrix {
@@ -303,17 +311,27 @@ impl MnaMatrix {
     /// Holds the factors of the last successful
     /// [`factor_solve`](MnaMatrix::factor_solve) for the next one, if the
     /// matrix has them, and returns whether it did. A held solve skips
-    /// finishing an assembly and comparing values, and counts what the
-    /// reuse rung counts: one solve. The caller guarantees that the system
-    /// it would have assembled repeats, bit for bit, the one the factors
-    /// came from, and assembles as usual when this returns `false`.
+    /// finishing an assembly and refreshing factors. The caller guarantees
+    /// that the system it would have assembled repeats, bit for bit, the
+    /// one the factors came from, and assembles as usual when this returns
+    /// `false`.
     ///
-    /// Only the sparse backend with factor reuse on holds factors, exactly
-    /// when its [`SparseFactorCache`] would take the reuse rung for
-    /// bit-equal values. Dense LU counts one factorisation per solve, and
-    /// GMRES needs the assembled values for its matrix-vector products.
+    /// With factor reuse on, and after a successful solve:
+    ///
+    /// * the sparse backend holds its LU factors, exactly when its
+    ///   [`SparseFactorCache`] would take the reuse rung for bit-equal
+    ///   values, and counts what that rung counts: one solve;
+    /// * the iterative backend holds the assembled matrix and its ILU(0),
+    ///   which a refresh would recompute bit for bit, and runs GMRES from
+    ///   x = 0 on them, counting the solve and its GMRES iterations.
+    ///
+    /// Dense LU holds nothing: it counts one factorisation per solve.
     pub(crate) fn hold_factors(&mut self) -> bool {
-        self.held = matches!(&self.backend, Backend::Sparse { lu, .. } if lu.holds_factors());
+        self.held = match &self.backend {
+            Backend::Dense { .. } => false,
+            Backend::Sparse { lu, .. } => lu.holds_factors(),
+            Backend::Iterative { solved, .. } => self.reuse && *solved,
+        };
         self.held
     }
 
@@ -369,30 +387,36 @@ impl MnaMatrix {
                 ws,
                 x,
                 scratch,
+                solved,
             } => {
-                asm.finish();
-                let epoch = asm.epoch();
-                let a = asm.matrix().expect("finish compiles a pattern");
-                self.stats.pattern_rebuilds = epoch;
-                // ILU(0) preconditioner: numeric-only refresh while the
-                // pattern epoch is unchanged (the Newton hot loop), full
-                // symbolic + numeric factorisation otherwise.
-                let mut refreshed = false;
-                if self.reuse && *ilu_epoch == epoch {
-                    if let Some(pre) = ilu.as_mut() {
-                        if pre.refactor(a).is_ok() {
-                            refreshed = true;
+                *solved = false;
+                if !held {
+                    asm.finish();
+                    let epoch = asm.epoch();
+                    let a = asm.matrix().expect("finish compiles a pattern");
+                    self.stats.pattern_rebuilds = epoch;
+                    // ILU(0) preconditioner: numeric-only refresh while the
+                    // pattern epoch is unchanged (the Newton hot loop), full
+                    // symbolic + numeric factorisation otherwise.
+                    let mut refreshed = false;
+                    if self.reuse && *ilu_epoch == epoch {
+                        if let Some(pre) = ilu.as_mut() {
+                            if pre.refactor(a).is_ok() {
+                                refreshed = true;
+                            }
                         }
                     }
+                    if refreshed {
+                        self.stats.refactorizations += 1;
+                    } else {
+                        *ilu = Some(Ilu0::factor(a)?);
+                        *ilu_epoch = epoch;
+                        self.stats.full_factorizations += 1;
+                    }
                 }
-                if refreshed {
-                    self.stats.refactorizations += 1;
-                } else {
-                    *ilu = Some(Ilu0::factor(a)?);
-                    *ilu_epoch = epoch;
-                    self.stats.full_factorizations += 1;
-                }
-                let pre = ilu.as_ref().expect("factorised above");
+                let epoch = asm.epoch();
+                let a = asm.matrix().expect("finish compiles a pattern");
+                let pre = ilu.as_ref().expect("factorised above or held");
                 self.stats.factor_nnz = pre.factor_nnz();
                 // GMRES from x = 0: deterministic regardless of solve
                 // history, and the convergence test is on the true
@@ -418,6 +442,7 @@ impl MnaMatrix {
                     }
                     Err(e) => return Err(e),
                 }
+                *solved = true;
             }
         }
         self.stats.solves += 1;
@@ -664,10 +689,46 @@ mod tests {
         assert_eq!(st.refactorizations, 0);
     }
 
-    /// Only sparse LU with reuse on holds factors, and only after a
-    /// successful solve.
+    /// An iterative re-solve with the held matrix and ILU(0) gives the bits
+    /// of assembling the same matrix again, minus that round's ILU(0)
+    /// refresh.
     #[test]
-    fn factors_are_held_only_by_reusing_sparse_lu() {
+    fn held_ilu_solves_like_a_refresh() {
+        let run = |held: bool| -> (Vec<u64>, SolverStats) {
+            let mut m = MnaMatrix::new(LinearSolver::Iterative, 2, true);
+            stamp_divider(&mut m);
+            let mut b1 = vec![1.0, 0.5];
+            m.factor_solve(&mut b1).unwrap();
+            if held {
+                assert!(m.hold_factors());
+            } else {
+                m.clear();
+                stamp_divider(&mut m);
+            }
+            let mut b2 = vec![-0.25, 2.0];
+            m.factor_solve(&mut b2).unwrap();
+            let bits = b1.iter().chain(&b2).map(|v| v.to_bits()).collect();
+            (bits, m.stats())
+        };
+        let (held, st) = run(true);
+        let (assembled, st_assembled) = run(false);
+        assert_eq!(held, assembled);
+        assert_eq!(
+            (st.solves, st.full_factorizations, st.refactorizations),
+            (2, 1, 0)
+        );
+        let refreshed = SolverStats {
+            refactorizations: 1,
+            ..st
+        };
+        assert_eq!(refreshed, st_assembled);
+        assert!(st.gmres_iterations > 0);
+    }
+
+    /// Sparse LU and GMRES hold factors with reuse on and after a
+    /// successful solve; dense LU never does.
+    #[test]
+    fn factors_are_held_only_with_reuse_after_a_successful_solve() {
         let solved = |backend, reuse| {
             let mut m = MnaMatrix::new(backend, 2, reuse);
             assert!(!m.hold_factors(), "{backend} before the first solve");
@@ -678,7 +739,8 @@ mod tests {
         assert!(solved(LinearSolver::Sparse, true));
         assert!(!solved(LinearSolver::Sparse, false));
         assert!(!solved(LinearSolver::Dense, true));
-        assert!(!solved(LinearSolver::Iterative, true));
+        assert!(solved(LinearSolver::Iterative, true));
+        assert!(!solved(LinearSolver::Iterative, false));
 
         let mut m = MnaMatrix::new(LinearSolver::Sparse, 2, true);
         stamp_divider(&mut m);
@@ -690,6 +752,13 @@ mod tests {
         m.add(1, 1, 1.0);
         assert!(m.factor_solve(&mut [1.0, 1.0]).is_err(), "singular");
         assert!(!m.hold_factors(), "after a singular factorisation");
+
+        let mut m = MnaMatrix::new(LinearSolver::Iterative, 2, true);
+        stamp_divider(&mut m);
+        solve_once(&mut m);
+        assert!(m.hold_factors());
+        assert!(m.factor_solve(&mut [f64::NAN, 2.0]).is_err(), "non-finite");
+        assert!(!m.hold_factors(), "after a failed GMRES solve");
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //! LU, which reuses the factors of the unchanged grid matrix, and still
 //! produces the dense-LU droop map bit for bit. A linear circuit solves
 //! once per step attempt on every backend, bit for bit as if every Newton
-//! iteration had stamped and solved, and on sparse LU a step that repeats
-//! the last assembled step size, method and PTM resistances re-solves
-//! with the held factors without assembling.
+//! iteration had stamped and solved, and on sparse LU and GMRES a step
+//! that repeats the last assembled step size, method and PTM resistances
+//! re-solves with the held factors (GMRES: the held matrix and ILU(0))
+//! without assembling.
 
 use sfet_circuit::{Circuit, SourceWaveform};
 use sfet_devices::mosfet::MosfetModel;
@@ -170,7 +171,12 @@ fn linear_circuits_solve_once_per_step_attempt_bit_for_bit() {
     assert!(l.solver.factor_nnz < n * n, "the grid runs on sparse LU");
     let gmres = auto.clone().with_solver(LinearSolver::Iterative);
     let l = linear_matches_full_path(&chip, grid.t_stop, &gmres, "chip grid, GMRES");
-    assert!(l.solver.gmres_iterations > 0, "the grid runs on GMRES");
+    let s = l.solver;
+    assert!(s.gmres_iterations > 0, "the grid runs on GMRES");
+    assert!(
+        s.full_factorizations + s.refactorizations < s.solves,
+        "held ILU(0) re-solves: {s:?}"
+    );
 
     // Paper Fig. 3 staircase: PTM events and backward-Euler restarts.
     let mut stair = Circuit::new();
