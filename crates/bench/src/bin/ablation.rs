@@ -5,7 +5,7 @@
 //! 2. PTM event refinement (`event_vtol`) — how crossing tolerance moves
 //!    the measured transition times and I_MAX;
 //! 3. linear-solver backend (dense vs sparse) — result equivalence (the
-//!    runtime comparison lives in the Criterion `kernels` bench).
+//!    measured runtimes of both backends are in docs/SOLVERS.md).
 
 use sfet_bench::banner;
 use sfet_circuit::{Circuit, SourceWaveform};

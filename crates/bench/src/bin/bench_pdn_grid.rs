@@ -13,9 +13,9 @@
 //!   per grid (and a direct-LU reference timing on the sizes where direct
 //!   is still tractable).
 //!
-//! Uses only `std::time` — no Criterion — so it runs in plain CI. Pass
-//! `--smoke` for a fast small-grid run that still exercises (and gates)
-//! both solver paths.
+//! Uses only `std::time`, so it runs in plain CI. Pass `--smoke` for a
+//! fast small-grid run that still exercises (and gates) both solver
+//! paths.
 
 use std::time::Instant;
 

@@ -1,5 +1,5 @@
-//! Shared helpers for the figure-regeneration binaries and Criterion
-//! benches.
+//! Shared helpers for the figure, ablation, droop-map and optimizer
+//! binaries.
 //!
 //! Each `fig*` binary regenerates one figure/table of the paper: it prints
 //! the same rows/series the paper plots and drops CSV files under
@@ -48,10 +48,10 @@ pub fn save_rows(name: &str, header: &str, rows: &[String]) {
 }
 
 /// Writes a benchmark summary — the JSON object `fields` writes, through
-/// the workspace's one writer — to `name` under the figure directory,
-/// reports the path, and returns the text. Exits with status 1 when the
-/// file cannot be written: CI archives these files.
-pub fn save_json(name: &str, fields: impl FnOnce(&mut sfet_telemetry::json::Object<'_>)) -> String {
+/// the workspace's one writer — to `name` under the figure directory and
+/// reports the path. Exits with status 1 when the file cannot be written:
+/// CI archives these files.
+pub fn save_json(name: &str, fields: impl FnOnce(&mut sfet_telemetry::json::Object<'_>)) {
     let mut text = String::new();
     fields(&mut sfet_telemetry::json::Object::new(&mut text));
     text.push('\n');
@@ -62,72 +62,6 @@ pub fn save_json(name: &str, fields: impl FnOnce(&mut sfet_telemetry::json::Obje
             eprintln!("failed to write {}: {e}", path.display());
             std::process::exit(1);
         }
-    }
-    text
-}
-
-/// Reference implementations of solver paths that the engine no longer
-/// uses, preserved so the `factor_reuse` benchmarks compare the current
-/// hot loop against what it replaced rather than against itself.
-pub mod legacy {
-    use sfet_numeric::dense::DenseMatrix;
-
-    /// The dense clone-and-factor solve as the engine ran it before the
-    /// persistent-workspace refactorisation path landed: clone the stamped
-    /// matrix, allocate a fresh permutation, eliminate row-by-row through
-    /// the bounds-checked accessors (row-major traversal of the
-    /// column-major storage), then allocate the solution vector.
-    #[allow(clippy::needless_range_loop)] // faithful replica of the old loops
-    pub fn dense_clone_lu_solve(a: &DenseMatrix, b: &[f64]) -> Vec<f64> {
-        let n = a.rows();
-        let mut lu = a.clone();
-        let mut perm: Vec<usize> = (0..n).collect();
-        for k in 0..n {
-            let mut pivot_row = k;
-            let mut pivot_val = lu.get(k, k).abs();
-            for r in (k + 1)..n {
-                let v = lu.get(r, k).abs();
-                if v > pivot_val {
-                    pivot_val = v;
-                    pivot_row = r;
-                }
-            }
-            assert!(pivot_val > 0.0, "legacy baseline fed a singular matrix");
-            if pivot_row != k {
-                for c in 0..n {
-                    let tmp = lu.get(k, c);
-                    lu.set(k, c, lu.get(pivot_row, c));
-                    lu.set(pivot_row, c, tmp);
-                }
-                perm.swap(k, pivot_row);
-            }
-            let pivot = lu.get(k, k);
-            for r in (k + 1)..n {
-                let m = lu.get(r, k) / pivot;
-                lu.set(r, k, m);
-                if m != 0.0 {
-                    for c in (k + 1)..n {
-                        lu.add(r, c, -m * lu.get(k, c));
-                    }
-                }
-            }
-        }
-        let mut x: Vec<f64> = perm.iter().map(|&p| b[p]).collect();
-        for r in 1..n {
-            let mut acc = x[r];
-            for c in 0..r {
-                acc -= lu.get(r, c) * x[c];
-            }
-            x[r] = acc;
-        }
-        for r in (0..n).rev() {
-            let mut acc = x[r];
-            for c in (r + 1)..n {
-                acc -= lu.get(r, c) * x[c];
-            }
-            x[r] = acc / lu.get(r, r);
-        }
-        x
     }
 }
 
@@ -231,24 +165,6 @@ mod tests {
     fn figure_dir_is_creatable() {
         let d = figure_dir();
         assert!(d.exists());
-    }
-
-    #[test]
-    fn legacy_dense_solve_matches_current() {
-        use sfet_numeric::dense::DenseMatrix;
-        let mut a = DenseMatrix::zeros(4, 4);
-        for r in 0..4 {
-            for c in 0..4 {
-                a.set(r, c, ((r * 7 + c * 3) % 5) as f64 - 2.0);
-            }
-            a.add(r, r, 6.0);
-        }
-        let b = [1.0, -2.0, 0.5, 3.0];
-        let x_legacy = legacy::dense_clone_lu_solve(&a, &b);
-        let x_now = a.clone().lu().unwrap().solve(&b).unwrap();
-        for (l, n) in x_legacy.iter().zip(&x_now) {
-            assert!((l - n).abs() < 1e-12, "legacy {l} vs current {n}");
-        }
     }
 
     #[test]

@@ -31,8 +31,8 @@
 //!   mutable state, so any worker count produces identical bits; tiling is
 //!   a fixed function of the task count and lane width.
 //! * **Instrumentation** — [`ExecStats`] reports tasks completed, wall
-//!   time, and worker utilization; [`ExecConfig`] takes an optional
-//!   progress callback and a telemetry handle.
+//!   time, and worker utilization; [`ExecConfig`] takes a telemetry
+//!   handle.
 //!
 //! The worker count defaults to the machine's parallelism and can be pinned
 //! with the `SFET_THREADS` environment variable (or per-call with
@@ -56,7 +56,7 @@
 use std::cell::UnsafeCell;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Once, OnceLock};
+use std::sync::{Once, OnceLock};
 use std::time::{Duration, Instant};
 
 use crate::fault::FaultPlan;
@@ -75,10 +75,6 @@ pub const BATCH_ENV: &str = "SFET_BATCH";
 /// working set cache-resident for cell-level circuits.
 const DEFAULT_BATCH: usize = 8;
 
-/// Progress callback: `(tasks_completed, tasks_total)`. Called once per
-/// task after its verdict, possibly from several worker threads at once.
-pub type ProgressFn = dyn Fn(usize, usize) + Send + Sync;
-
 /// The body of a [`Task::Each`]: `(index, attempt, &item)`.
 pub type EachFn<'a, T, U, E> = dyn Fn(usize, usize, &T) -> Result<U, E> + Sync + 'a;
 
@@ -87,13 +83,12 @@ pub type EachFn<'a, T, U, E> = dyn Fn(usize, usize, &T) -> Result<U, E> + Sync +
 pub type TileFn<'a, T, U, E> = dyn Fn(usize, &[(usize, &T)]) -> Vec<Result<U, E>> + Sync + 'a;
 
 /// Execution policy for [`par_map`] and [`par_map_outcomes`]: worker
-/// count, chunking, lane width, retries, and optional progress reporting.
+/// count, chunking, lane width, retries, fault plan and telemetry.
 /// Cheap to clone.
-#[derive(Clone, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct ExecConfig {
     workers: Option<usize>,
     chunk: Option<usize>,
-    progress: Option<Arc<ProgressFn>>,
     telemetry: Telemetry,
     /// Extra attempts granted to each task of a verdict sweep (total
     /// attempts = `retries + 1`). Ignored by the cancel-on-first-error
@@ -106,20 +101,6 @@ pub struct ExecConfig {
     /// Lane width of [`Task::Tiled`] sweeps; `None` resolves to the
     /// default. Ignored by per-item sweeps.
     batch: Option<usize>,
-}
-
-impl fmt::Debug for ExecConfig {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ExecConfig")
-            .field("workers", &self.workers)
-            .field("chunk", &self.chunk)
-            .field("progress", &self.progress.as_ref().map(|_| "<callback>"))
-            .field("telemetry", &self.telemetry)
-            .field("retries", &self.retries)
-            .field("fault", &self.fault)
-            .field("batch", &self.batch)
-            .finish()
-    }
 }
 
 impl ExecConfig {
@@ -158,12 +139,6 @@ impl ExecConfig {
     /// time.
     pub fn with_chunk(mut self, chunk: usize) -> Self {
         self.chunk = Some(chunk.max(1));
-        self
-    }
-
-    /// Installs a progress callback invoked after each completed task.
-    pub fn on_progress(mut self, progress: Arc<ProgressFn>) -> Self {
-        self.progress = Some(progress);
         self
     }
 
@@ -665,10 +640,7 @@ where
                         // claimed from `cursor`, and pending indices are
                         // distinct; reads happen after the join.
                         unsafe { results.write(index, result) };
-                        let done = completed.fetch_add(1, Ordering::Relaxed) + 1;
-                        if let Some(progress) = &config.progress {
-                            progress(done, tasks);
-                        }
+                        completed.fetch_add(1, Ordering::Relaxed);
                     }
                     if halt {
                         stop.store(true, Ordering::Release);
@@ -882,18 +854,6 @@ mod tests {
         assert!(stats.busy > Duration::ZERO);
         let u = stats.utilization();
         assert!((0.0..=1.0).contains(&u), "utilization {u}");
-    }
-
-    #[test]
-    fn progress_reaches_total() {
-        let seen_total = Arc::new(AtomicUsize::new(0));
-        let seen = Arc::clone(&seen_total);
-        let cfg = ExecConfig::with_workers(3).on_progress(Arc::new(move |done, _total| {
-            seen.fetch_max(done, Ordering::Relaxed);
-        }));
-        let items: Vec<usize> = (0..40).collect();
-        par_map(&cfg, &items, Task::Each(&|_, _, &x| Ok::<_, Boom>(x))).unwrap();
-        assert_eq!(seen_total.load(Ordering::Relaxed), 40);
     }
 
     #[test]
@@ -1152,28 +1112,6 @@ mod tests {
         assert_eq!(stats.tasks_completed, 23);
         assert_eq!(stats.workers, 2);
         assert!(stats.wall > Duration::ZERO);
-    }
-
-    #[test]
-    fn batched_progress_reaches_total_per_task() {
-        let seen_total = Arc::new(AtomicUsize::new(0));
-        let calls = Arc::new(AtomicUsize::new(0));
-        let (seen, count) = (Arc::clone(&seen_total), Arc::clone(&calls));
-        let cfg = ExecConfig::with_workers(3)
-            .with_batch(4)
-            .on_progress(Arc::new(move |done, total| {
-                assert_eq!(total, 23);
-                seen.fetch_max(done, Ordering::Relaxed);
-                count.fetch_add(1, Ordering::Relaxed);
-            }));
-        let items: Vec<u64> = (0..23).collect();
-        par_map(&cfg, &items, Task::Tiled(&seed_batch)).unwrap();
-        assert_eq!(seen_total.load(Ordering::Relaxed), 23);
-        assert_eq!(
-            calls.load(Ordering::Relaxed),
-            23,
-            "one progress call per task, not per tile"
-        );
     }
 
     #[test]

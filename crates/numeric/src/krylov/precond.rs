@@ -137,21 +137,24 @@ impl Preconditioner for Jacobi {
 /// refactorisation contract the MNA hot loop is built on.
 #[derive(Debug, Clone)]
 pub struct Ilu0 {
-    n: usize,
     /// CSR row pointers over the factor pattern.
     row_ptr: Vec<usize>,
     /// Column indices, ascending within each row.
     col_idx: Vec<usize>,
-    /// Slot of the diagonal within each row (structurally guaranteed).
+    /// Slot of the diagonal within each row (structurally guaranteed), so
+    /// also the dimension.
     diag: Vec<usize>,
     /// Factor values: strictly-lower slots hold `L`, the rest hold `U`.
     vals: Vec<f64>,
-    /// CSR slot for each CSC slot of the source matrix.
+    /// CSR slot for each CSC slot of the source matrix, so also the
+    /// source-pattern nonzero count the symbolic analysis belongs to.
     csc_to_csr: Vec<usize>,
-    /// Source-pattern nonzero count the symbolic analysis belongs to.
-    src_nnz: usize,
     /// Pivots regularised during the last (re)factorisation.
     replaced: usize,
+    /// Scatter index of the elimination: column -> slot within the
+    /// current row, `usize::MAX` elsewhere. Every row resets the entries
+    /// it set, so the index is all `usize::MAX` between factorisations.
+    pos: Vec<usize>,
 }
 
 impl Ilu0 {
@@ -211,14 +214,13 @@ impl Ilu0 {
         debug_assert!(diag.iter().all(|&d| d != usize::MAX));
 
         let mut ilu = Ilu0 {
-            n,
             row_ptr,
             col_idx,
             diag,
             vals: vec![0.0; entries.len()],
             csc_to_csr,
-            src_nnz: a.nnz(),
             replaced: 0,
+            pos: vec![usize::MAX; n],
         };
         ilu.factor_values(a)?;
         Ok(ilu)
@@ -233,9 +235,10 @@ impl Ilu0 {
     /// * [`NumericError::DimensionMismatch`] if the pattern differs.
     /// * [`NumericError::NonFinite`] if the elimination produces NaN/∞.
     pub fn refactor(&mut self, a: &CscMatrix) -> Result<()> {
-        if a.rows() != self.n || a.cols() != self.n || a.nnz() != self.src_nnz {
+        let (n, nnz) = (self.diag.len(), self.csc_to_csr.len());
+        if a.rows() != n || a.cols() != n || a.nnz() != nnz {
             return Err(NumericError::DimensionMismatch {
-                expected: self.src_nnz,
+                expected: nnz,
                 actual: a.nnz(),
             });
         }
@@ -261,9 +264,8 @@ impl Ilu0 {
             self.vals[csr_slot] = a.values()[csc_slot];
         }
         self.replaced = 0;
-        // Scatter index: column -> slot within the current row.
-        let mut pos = vec![usize::MAX; self.n];
-        for i in 0..self.n {
+        let pos = &mut self.pos;
+        for i in 0..self.diag.len() {
             let row = self.row_ptr[i]..self.row_ptr[i + 1];
             for p in row.clone() {
                 pos[self.col_idx[p]] = p;
@@ -285,23 +287,22 @@ impl Ilu0 {
                     }
                 }
             }
+            // Reset before the pivot check, so an early return leaves the
+            // index clean for the next factorisation.
+            for p in row.clone() {
+                pos[self.col_idx[p]] = usize::MAX;
+            }
             let d = self.vals[self.diag[i]];
             if !d.is_finite() {
                 return Err(NumericError::NonFinite {
                     context: format!("ilu0 pivot at row {i}"),
                 });
             }
-            let scale = row
-                .clone()
-                .map(|p| self.vals[p].abs())
-                .fold(0.0f64, f64::max);
+            let scale = row.map(|p| self.vals[p].abs()).fold(0.0f64, f64::max);
             if d.abs() <= scale * ILU_PIVOT_RTOL || d == 0.0 {
                 // Regularise instead of breaking down (module docs).
                 self.vals[self.diag[i]] = if scale > 0.0 { scale } else { 1.0 };
                 self.replaced += 1;
-            }
-            for p in row {
-                pos[self.col_idx[p]] = usize::MAX;
             }
         }
         Ok(())
@@ -310,15 +311,16 @@ impl Ilu0 {
 
 impl Preconditioner for Ilu0 {
     fn dim(&self) -> usize {
-        self.n
+        self.diag.len()
     }
 
     /// `z = U⁻¹ L⁻¹ r` — one forward and one backward sparse triangular
     /// sweep over the factor pattern.
     fn apply(&self, r: &[f64], z: &mut [f64]) {
         z.copy_from_slice(r);
+        let n = self.diag.len();
         // Forward: L has unit diagonal, strictly-lower slots hold L.
-        for i in 0..self.n {
+        for i in 0..n {
             let mut acc = z[i];
             for p in self.row_ptr[i]..self.diag[i] {
                 acc -= self.vals[p] * z[self.col_idx[p]];
@@ -326,7 +328,7 @@ impl Preconditioner for Ilu0 {
             z[i] = acc;
         }
         // Backward: diagonal and upper slots hold U.
-        for i in (0..self.n).rev() {
+        for i in (0..n).rev() {
             let mut acc = z[i];
             for p in self.diag[i] + 1..self.row_ptr[i + 1] {
                 acc -= self.vals[p] * z[self.col_idx[p]];

@@ -9,6 +9,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use sfet_numeric::dense::{DenseMatrix, LuFactors};
+use sfet_numeric::krylov::{gmres, GmresOptions, GmresWorkspace, Ilu0};
 use sfet_numeric::sparse::TripletMatrix;
 use sfet_telemetry::{names, Level, Telemetry};
 
@@ -53,9 +54,9 @@ fn min_allocations<F: FnMut()>(mut f: F) -> u64 {
         .unwrap()
 }
 
-/// Both backends' reuse paths run a sustained refactor/solve loop without
-/// touching the heap. One test function so the counter is not racing
-/// against a sibling test thread.
+/// The three backends' reuse paths run a sustained refactor/solve loop
+/// without touching the heap. One test function so the counter is not
+/// racing against a sibling test thread.
 #[test]
 fn refactor_solve_hot_path_is_allocation_free() {
     let n = 12;
@@ -119,6 +120,42 @@ fn refactor_solve_hot_path_is_allocation_free() {
     });
     assert_eq!(sparse_allocs, 0, "sparse refactor/solve loop allocated");
     assert!(b.iter().all(|v| v.is_finite()));
+
+    // --- GMRES: numeric-only ILU(0) refresh, reused Krylov workspace. ---
+    // A 4×3 grid pattern: ILU(0) drops fill, so GMRES iterates.
+    let grid = |shift: f64| {
+        let mut t = TripletMatrix::new(n, n);
+        for i in 0..n {
+            t.push(i, i, 4.5 + shift);
+            for j in [i + 1, i + 4] {
+                if j < n && (j != i + 1 || j % 4 != 0) {
+                    t.push(i, j, -1.0);
+                    t.push(j, i, -1.0 + shift * 0.1);
+                }
+            }
+        }
+        t.to_csc()
+    };
+    let (g0, g1) = (grid(0.0), grid(0.25));
+    let opts = GmresOptions::default();
+    let mut ilu = Ilu0::factor(&g0).unwrap();
+    let mut ws = GmresWorkspace::new(n, opts.restart);
+    let rhs = vec![1.0; n];
+    let mut x = vec![0.0; n];
+    ilu.refactor(&g1).unwrap();
+    let stats = gmres(&g1, &ilu, &rhs, &mut x, &opts, &mut ws).unwrap();
+    assert!(stats.converged && stats.iterations > 1, "{stats:?}");
+
+    let gmres_allocs = min_allocations(|| {
+        for k in 0..200 {
+            let g = if k % 2 == 0 { &g0 } else { &g1 };
+            ilu.refactor(g).unwrap();
+            x.iter_mut().for_each(|v| *v = 0.0);
+            gmres(g, &ilu, &rhs, &mut x, &opts, &mut ws).unwrap();
+        }
+    });
+    assert_eq!(gmres_allocs, 0, "ILU(0) refresh + GMRES loop allocated");
+    assert!(x.iter().all(|v| v.is_finite()));
 
     // --- Disabled telemetry inside the hot loop. ---
     // The simulator calls counter/histogram/span at every Newton iteration;

@@ -1,6 +1,6 @@
 //! A minimal blocking client for the job API, used by the loopback
-//! tests, the `bench_serve` harness, and scripts that want the server
-//! without hand-writing HTTP.
+//! tests, perfbench's `serve_mixed` workload, and scripts that want the
+//! server without hand-writing HTTP.
 //!
 //! One `TcpStream` per request (the server is `Connection: close`), so a
 //! `Client` is just an address and is freely cloneable across threads.

@@ -201,3 +201,95 @@ fn served_bytes_are_pinned() {
     handle.join().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The body of load slot `k`: one `power_gate_wake` job in slot 7 and a
+/// distinct `rc_step` job in every other slot.
+fn load_body(k: usize) -> String {
+    if k == 7 {
+        r#"{"scenario":"power_gate_wake","params":{"t_stop":6e-9}}"#.to_owned()
+    } else {
+        format!(
+            r#"{{"scenario":"rc_step","params":{{"r":{}.25}}}}"#,
+            500 + k
+        )
+    }
+}
+
+/// Concurrent clients against a small pool and a short queue: every
+/// submission lands (a 429 is retried after its `Retry-After`), every job
+/// ends `done` with a fetchable result, duplicates of a body are
+/// simulated at most once (plus the server's own retries), and a body
+/// fetched twice serves identical bytes.
+#[test]
+fn concurrent_duplicate_load_lands_every_job_and_simulates_each_body_once() {
+    const CLIENTS: usize = 4;
+    const SUBMISSIONS: usize = 12;
+    const DISTINCT: usize = 10;
+    let dir = std::env::temp_dir().join(format!("sfet-serve-load-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = ServeConfig::new(&dir)
+        .with_workers(2)
+        .with_queue_capacity(8);
+    let server = std::sync::Arc::new(Server::bind("127.0.0.1:0", cfg).unwrap());
+    let handle = server.spawn();
+    let client = Client::new(server.addr());
+
+    let start = std::sync::Arc::new(std::sync::Barrier::new(CLIENTS));
+    let clients: Vec<_> = (0..CLIENTS)
+        .map(|c| {
+            let client = Client::new(server.addr());
+            let start = std::sync::Arc::clone(&start);
+            std::thread::spawn(move || {
+                start.wait();
+                let mut ids = Vec::with_capacity(SUBMISSIONS);
+                for i in 0..SUBMISSIONS {
+                    // Interleave slots across clients, so duplicates of a
+                    // body arrive from different connections at once.
+                    let body = load_body((c + i * 7) % DISTINCT);
+                    loop {
+                        let response = client.submit_raw(&body).unwrap();
+                        match response.status {
+                            200 | 202 => {
+                                let doc = response.json().unwrap();
+                                let id = doc.get("job_id").and_then(Json::as_str).unwrap();
+                                ids.push(id.to_owned());
+                                break;
+                            }
+                            429 => {
+                                let secs = response.retry_after.expect("a 429 names Retry-After");
+                                std::thread::sleep(std::time::Duration::from_secs(secs));
+                            }
+                            other => panic!("submit answered {other}: {}", response.body),
+                        }
+                    }
+                }
+                for id in &ids {
+                    let events = client.follow_events(id).unwrap();
+                    assert_eq!(events.last().unwrap().0, "done", "{id}: {events:?}");
+                    let result = client.result(id).unwrap();
+                    assert_eq!(result.status, 200, "{id}: {}", result.body);
+                }
+            })
+        })
+        .collect();
+    for thread in clients {
+        thread.join().unwrap();
+    }
+
+    let a = client.run_to_result(&load_body(0)).unwrap();
+    let b = client.run_to_result(&load_body(0)).unwrap();
+    assert_eq!(a, b, "one body served twice gives identical bytes");
+
+    let health = client.health().unwrap().json().unwrap();
+    let stat = |key: &str| health.get(key).and_then(Json::as_f64).unwrap();
+    assert!(
+        stat("sim_attempts") <= (DISTINCT as f64) + stat("retries"),
+        "{} simulations for {DISTINCT} distinct bodies and {} retries",
+        stat("sim_attempts"),
+        stat("retries")
+    );
+
+    client.shutdown().unwrap();
+    handle.join().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
