@@ -229,7 +229,9 @@ pub struct LuFactors {
 /// row permutation in `perm` (which must start as the identity). Returns
 /// the permutation sign. Shared by [`LuFactors::factor`] (one-shot) and
 /// [`LuFactors::refactor`] (workspace reuse) so both paths are bitwise
-/// identical.
+/// identical. It is the only pivot search of dense LU: batched lanes
+/// replay the pivot order it chose ([`crate::batch::BatchDense`]), and a
+/// lane that leaves that order is refactored here.
 fn factor_in_place(a: &mut DenseMatrix, perm: &mut [usize]) -> Result<f64> {
     let n = a.rows;
     let mut perm_sign = 1.0;
@@ -344,6 +346,12 @@ impl LuFactors {
     /// System size.
     pub fn size(&self) -> usize {
         self.lu.rows
+    }
+
+    /// The row order of the stored factors: `perm[i]` is the original row
+    /// in pivot row `i`.
+    pub(crate) fn pivot_order(&self) -> &[usize] {
+        &self.perm
     }
 
     /// Solves `A x = b` using the stored factors.

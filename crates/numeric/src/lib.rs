@@ -33,8 +33,9 @@
 //!   verdict under a retry budget. Each takes a per-item or a tiled
 //!   [`Task`](exec::Task) (lanes for the batched transient engine).
 //! * [`batch`] — a batched structure-of-arrays dense LU
-//!   ([`BatchDense`](batch::BatchDense)) whose every lane is
-//!   bitwise-identical to the scalar dense LU.
+//!   ([`BatchDense`](batch::BatchDense)) whose lanes replay one
+//!   elimination plan, the pivot order the scalar dense LU chose for one
+//!   of them, every lane bitwise-identical to the scalar dense LU.
 //! * [`fault`] — deterministic fault injection (`SFET_FAULT_PLAN`) for
 //!   exercising the retry and checkpoint/resume paths in CI.
 //! * [`manifest`] — append-only sweep manifests so an interrupted verdict

@@ -3,11 +3,13 @@
 //! allocation would dominate small-circuit solve time.
 //!
 //! A counting global allocator observes the steady-state loop after a
-//! warm-up pass (the warm-up sizes the persistent workspaces).
+//! warm-up pass (the warm-up sizes the persistent workspaces and compiles
+//! the batched elimination plan; a recompile reuses its storage).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use sfet_numeric::batch::BatchDense;
 use sfet_numeric::dense::{DenseMatrix, LuFactors};
 use sfet_numeric::krylov::{gmres, GmresOptions, GmresWorkspace, Ilu0};
 use sfet_numeric::sparse::TripletMatrix;
@@ -54,9 +56,9 @@ fn min_allocations<F: FnMut()>(mut f: F) -> u64 {
         .unwrap()
 }
 
-/// The three backends' reuse paths run a sustained refactor/solve loop
-/// without touching the heap. One test function so the counter is not
-/// racing against a sibling test thread.
+/// The backends' reuse paths run a sustained refactor/solve loop without
+/// touching the heap. One test function so the counter is not racing
+/// against a sibling test thread.
 #[test]
 fn refactor_solve_hot_path_is_allocation_free() {
     let n = 12;
@@ -88,6 +90,51 @@ fn refactor_solve_hot_path_is_allocation_free() {
     });
     assert_eq!(dense_allocs, 0, "dense refactor/solve loop allocated");
     assert!(b.iter().all(|v| v.is_finite()));
+
+    // --- Batched dense: eight lanes replay one plan per round. ---
+    // Every lane's (0, 0) entry is `a00`: 4.0 and up keep row 0 as the
+    // first pivot, 1.0 loses it to row 1 (|-1.5|), another pivot order.
+    let lanes = 8;
+    let mut batch = BatchDense::new(n, lanes);
+    let active = vec![true; lanes];
+    let mut rhs = vec![0.0; n * lanes];
+    let mut solved: Vec<sfet_numeric::Result<()>> = (0..lanes).map(|_| Ok(())).collect();
+    let mut round = |a00: f64| {
+        batch.begin(&active);
+        for l in 0..lanes {
+            for i in 0..n {
+                batch.add(l, i, i, 4.0 + i as f64 + l as f64);
+                if i + 1 < n {
+                    batch.add(l, i, i + 1, -1.0);
+                    batch.add(l, i + 1, i, -1.5);
+                }
+            }
+            batch.add(l, 0, 0, a00 - 4.0 - l as f64);
+        }
+        rhs.iter_mut().for_each(|v| *v = 1.0);
+        batch.factor_solve(&mut rhs, &active, &mut solved);
+    };
+    for _ in 0..2 {
+        round(4.0);
+    }
+    let batch_allocs = min_allocations(|| {
+        for k in 0..200u32 {
+            round(4.0 + f64::from(k) * 1e-3);
+        }
+    });
+    assert_eq!(batch_allocs, 0, "batched round loop allocated");
+    // The pivot order flips at every round: lanes run the scalar path,
+    // and the plan misses and recompiles into the storage it holds.
+    let mut flips = || {
+        for k in 0..200 {
+            round(if k % 2 == 0 { 4.0 } else { 1.0 });
+        }
+    };
+    flips();
+    let flip_allocs = min_allocations(flips);
+    assert_eq!(flip_allocs, 0, "batched rounds that recompile allocated");
+    assert!(rhs.iter().all(|v| v.is_finite()));
+    assert!(solved.iter().all(|s| s.is_ok()));
 
     // --- Sparse: cached symbolic analysis, numeric-only refactor. ---
     let make = |shift: f64| {

@@ -103,8 +103,10 @@ impl std::fmt::Display for LinearSolver {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SolverStats {
     /// Full factorisations (symbolic analysis + pivot search + numeric).
-    /// The dense backend counts every in-place factorisation here, since
-    /// dense LU always re-pivots.
+    /// The dense backend counts every factorisation here, one per solve:
+    /// scalar dense LU always re-pivots, and a batched lane that replays
+    /// its elimination plan verifies that pivot order column by column and
+    /// gets the bits of a re-pivoting factorisation, so it counts as one.
     pub full_factorizations: u64,
     /// Numeric-only refactorisations that reused the cached symbolic
     /// analysis: on the sparse backend along the frozen pivot order, on

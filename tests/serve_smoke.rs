@@ -13,12 +13,18 @@ const JOB: &str = r#"{"scenario":"rc_step","params":{"r":2200,"tstop":5e-12}}"#;
 
 /// The same circuit and options `rc_step` resolves `JOB` to.
 fn direct_result() -> sfet_sim::TranResult {
-    let (tstop, t_ramp) = (5e-12, 1e-12);
+    direct_rc_step(2200.0, 5e-12)
+}
+
+/// The circuit and options `rc_step` resolves `{"r": r, "tstop": tstop}`
+/// to, run by the direct library call.
+fn direct_rc_step(r: f64, tstop: f64) -> sfet_sim::TranResult {
+    let t_ramp = 1e-12;
     let mut ckt = Circuit::new();
     let (inp, out, gnd) = (ckt.node("in"), ckt.node("out"), Circuit::ground());
     ckt.add_voltage_source("V1", inp, gnd, SourceWaveform::ramp(0.0, 1.0, 0.0, t_ramp))
         .unwrap();
-    ckt.add_resistor("R1", inp, out, 2200.0).unwrap();
+    ckt.add_resistor("R1", inp, out, r).unwrap();
     ckt.add_capacitor("C1", out, gnd, 1e-15).unwrap();
     transient(&ckt, tstop, &SimOptions::for_duration(tstop, 400)).unwrap()
 }
@@ -288,6 +294,84 @@ fn concurrent_duplicate_load_lands_every_job_and_simulates_each_body_once() {
         stat("sim_attempts"),
         stat("retries")
     );
+
+    client.shutdown().unwrap();
+    handle.join().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A burst of distinct jobs against one worker and a queue of one: the
+/// server refuses some with 429 and a `Retry-After`, and every job
+/// resubmitted after waiting that long lands `done` and serves the bytes
+/// of the direct library call.
+#[test]
+fn refused_jobs_resubmitted_after_retry_after_land_the_direct_call_bytes() {
+    const TSTOP: f64 = 5e-12;
+    let dir = std::env::temp_dir().join(format!("sfet-serve-retry-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = ServeConfig::new(&dir)
+        .with_workers(1)
+        .with_queue_capacity(1);
+    let server = std::sync::Arc::new(Server::bind("127.0.0.1:0", cfg).unwrap());
+    let handle = server.spawn();
+    let client = Client::new(server.addr());
+    // Distinct params defeat both the store and in-flight coalescing.
+    let body =
+        |r: f64| format!(r#"{{"scenario":"rc_step","params":{{"r":{r:?},"tstop":{TSTOP:?}}}}}"#);
+    let accepted = |response: &sfet_serve::HttpResponse| {
+        let doc = response.json().unwrap();
+        doc.get("job_id").and_then(Json::as_str).unwrap().to_owned()
+    };
+
+    // The burst stops at the second refusal.
+    let (mut jobs, mut refused) = (Vec::new(), Vec::new());
+    for i in 0..40 {
+        let r = 300.0 + i as f64 + 0.5;
+        let response = client.submit_raw(&body(r)).unwrap();
+        match response.status {
+            202 => jobs.push((r, accepted(&response))),
+            429 => {
+                let wait = response.retry_after.expect("a 429 names Retry-After");
+                refused.push((r, wait));
+                if refused.len() == 2 {
+                    break;
+                }
+            }
+            other => panic!("submit answered {other}: {}", response.body),
+        }
+    }
+    assert!(
+        !refused.is_empty(),
+        "a 40-job burst against a queue of one sees a 429"
+    );
+
+    let mut resubmitted = Vec::new();
+    for (r, mut wait) in refused {
+        loop {
+            std::thread::sleep(std::time::Duration::from_secs(wait));
+            let response = client.submit_raw(&body(r)).unwrap();
+            match response.status {
+                202 => break resubmitted.push((r, accepted(&response))),
+                429 => wait = response.retry_after.expect("a 429 names Retry-After"),
+                other => panic!("resubmit answered {other}: {}", response.body),
+            }
+        }
+    }
+    let health = client.health().unwrap().json().unwrap();
+    let rejected = health.get("queue_rejected").and_then(Json::as_f64).unwrap();
+    assert!(rejected > 0.0, "healthz counts the refusals: {health:?}");
+
+    for (r, id) in jobs.iter().chain(&resubmitted) {
+        let events = client.follow_events(id).unwrap();
+        assert_eq!(events.last().unwrap().0, "done", "{id}: {events:?}");
+        let result = client.result(id).unwrap();
+        assert_eq!(result.status, 200, "{id}: {}", result.body);
+        assert_eq!(
+            result.body,
+            encode_tran_result(&direct_rc_step(*r, TSTOP)),
+            "r = {r}: served == direct call"
+        );
+    }
 
     client.shutdown().unwrap();
     handle.join().unwrap();
