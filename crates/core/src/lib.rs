@@ -23,9 +23,6 @@
 //! * [`recommend`] — the §IV-E slew/T_PTM design-recommendation analysis;
 //! * [`power_gate`] / [`io_buffer`] — the voltage-droop application case
 //!   studies (Figs. 10, 11) built on `sfet-pdn`;
-//! * [`droop`] — full-chip droop-map metrics over the distributed PDN
-//!   grid (`sfet_pdn::PdnGrid`), the spatial extension of the droop
-//!   story the iterative solver backend unlocks;
 //! * [`report`] — plain-text table rendering for the experiment binaries.
 //!
 //! # Quickstart
@@ -50,7 +47,6 @@
 
 pub mod cells;
 pub mod design_space;
-pub mod droop;
 pub mod inverter;
 pub mod io_buffer;
 pub mod iso_imax;

@@ -22,7 +22,7 @@
 //!
 //! * **Scheduling** — tasks are cut into tiles in input order; workers
 //!   claim tiles from a shared atomic cursor (per-item sweeps claim runs of
-//!   tiles, see [`ExecConfig::with_chunk`]), and each lane writes its
+//!   up to 64 tiles, about four claims per worker), and each lane writes its
 //!   result into its own pre-allocated slot — no lock around the results,
 //!   and the output order never depends on thread scheduling.
 //! * **Determinism** — a task's result depends only on
@@ -83,12 +83,11 @@ pub type EachFn<'a, T, U, E> = dyn Fn(usize, usize, &T) -> Result<U, E> + Sync +
 pub type TileFn<'a, T, U, E> = dyn Fn(usize, &[(usize, &T)]) -> Vec<Result<U, E>> + Sync + 'a;
 
 /// Execution policy for [`par_map`] and [`par_map_outcomes`]: worker
-/// count, chunking, lane width, retries, fault plan and telemetry.
+/// count, lane width, retries, fault plan and telemetry.
 /// Cheap to clone.
 #[derive(Clone, Debug, Default)]
 pub struct ExecConfig {
     workers: Option<usize>,
-    chunk: Option<usize>,
     telemetry: Telemetry,
     /// Extra attempts granted to each task of a verdict sweep (total
     /// attempts = `retries + 1`). Ignored by the cancel-on-first-error
@@ -130,16 +129,6 @@ impl ExecConfig {
     /// Strictly serial execution on the calling thread.
     pub fn serial() -> Self {
         Self::with_workers(1)
-    }
-
-    /// Overrides the number of consecutive tasks a worker of a per-item
-    /// ([`Task::Each`]) sweep claims at once. Larger chunks amortise
-    /// scheduling for very cheap tasks; the default balances load for
-    /// simulation-sized tasks. Tiled sweeps always claim one tile at a
-    /// time.
-    pub fn with_chunk(mut self, chunk: usize) -> Self {
-        self.chunk = Some(chunk.max(1));
-        self
     }
 
     /// Attaches a telemetry handle. Each sweep then emits one
@@ -212,13 +201,14 @@ impl ExecConfig {
         };
         self.workers.unwrap_or_else(auto).max(1).min(n_items.max(1))
     }
+}
 
-    fn resolved_chunk(&self, n_items: usize, workers: usize) -> usize {
-        // Aim for ~4 claims per worker so stragglers can be stolen, without
-        // degenerating to per-item claims for large sweeps.
-        self.chunk
-            .unwrap_or_else(|| (n_items / (4 * workers)).clamp(1, 64))
-    }
+/// The number of consecutive tasks a worker of a per-item ([`Task::Each`])
+/// sweep claims at once: about 4 claims per worker, so stragglers can be
+/// stolen, without degenerating to per-item claims for large sweeps.
+/// Tiled sweeps claim one tile at a time.
+fn resolved_chunk(n_items: usize, workers: usize) -> usize {
+    (n_items / (4 * workers)).clamp(1, 64)
 }
 
 /// Parses a positive-integer override read from `var`, or returns the
@@ -611,7 +601,7 @@ where
         let (width, claim) = if tiled {
             (config.resolved_batch(tasks), 1)
         } else {
-            (1, config.resolved_chunk(tasks, workers))
+            (1, resolved_chunk(tasks, workers))
         };
         let tiles = tasks.div_ceil(width);
         let cursor = AtomicUsize::new(0);
@@ -802,7 +792,7 @@ mod tests {
         let ran = AtomicUsize::new(0);
         let items: Vec<usize> = (0..4096).collect();
         let result = par_map(
-            &ExecConfig::with_workers(4).with_chunk(1),
+            &ExecConfig::with_workers(4),
             &items,
             Task::Each(&|_, _, &x| {
                 ran.fetch_add(1, Ordering::Relaxed);

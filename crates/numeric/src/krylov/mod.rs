@@ -4,19 +4,14 @@
 //! stop scaling somewhere around 10³–10⁴ unknowns: fill-in grows the
 //! factor memory superlinearly and every Newton iteration pays the
 //! factorisation again when the matrix values change. Full-chip
-//! power-grid meshes (10⁴–10⁶ nodes) need a matrix-free path, and this
-//! module provides it:
+//! power-grid meshes (10⁴ nodes and up) take this iterative path:
 //!
-//! * [`LinearOperator`] — the matrix-free `y = A x` abstraction. A
-//!   [`CscMatrix`] is an operator out of the
-//!   box; so is anything that can apply itself to a vector (stencils,
-//!   sums of operators, Schur complements) without ever forming `A`.
-//! * [`Preconditioner`] — `z = M⁻¹ r` with [`Identity`], diagonal
-//!   [`Jacobi`], and zero-fill incomplete-LU [`Ilu0`] implementations.
-//!   `Ilu0` factors over the compiled CSC pattern of the MNA assembler
-//!   and supports KLU-style numeric-only refactorisation when only the
-//!   values change (the Newton hot loop).
-//! * [`gmres`] — restarted GMRES(m) with modified Gram–Schmidt Arnoldi
+//! * [`Ilu0`] — the zero-fill incomplete-LU preconditioner `z = M⁻¹ r`.
+//!   It factors over the compiled CSC pattern of the MNA assembler and
+//!   supports KLU-style numeric-only refactorisation when only the values
+//!   change (the Newton hot loop).
+//! * [`gmres`] — restarted GMRES(m) on a [`CscMatrix`](crate::sparse::CscMatrix)
+//!   preconditioned by an [`Ilu0`], with modified Gram–Schmidt Arnoldi
 //!   and Givens-rotation least squares, *right*-preconditioned so the
 //!   convergence test is on the true residual.
 //!
@@ -31,7 +26,7 @@
 //! # Example
 //!
 //! ```
-//! use sfet_numeric::krylov::{gmres, GmresOptions, GmresWorkspace, Jacobi};
+//! use sfet_numeric::krylov::{gmres, GmresOptions, GmresWorkspace, Ilu0};
 //! use sfet_numeric::sparse::TripletMatrix;
 //!
 //! # fn main() -> Result<(), sfet_numeric::NumericError> {
@@ -41,7 +36,7 @@
 //! t.push(1, 0, 1.0);
 //! t.push(1, 1, 3.0);
 //! let a = t.to_csc();
-//! let m = Jacobi::from_csc(&a)?;
+//! let m = Ilu0::factor(&a)?;
 //! let mut x = vec![0.0; 2];
 //! let mut ws = GmresWorkspace::new(2, 16);
 //! let stats = gmres(&a, &m, &[1.0, 2.0], &mut x, &GmresOptions::default(), &mut ws)?;
@@ -55,72 +50,4 @@ mod gmres_impl;
 mod precond;
 
 pub use gmres_impl::{gmres, GmresOptions, GmresStats, GmresWorkspace};
-pub use precond::{Identity, Ilu0, Jacobi, Preconditioner};
-
-use crate::sparse::CscMatrix;
-
-/// A matrix-free linear operator: anything that can compute `y = A x`.
-///
-/// The Krylov solvers only ever touch `A` through this trait, so callers
-/// can pass an explicit sparse matrix, a stencil, or a composition of
-/// operators without materialising entries.
-pub trait LinearOperator {
-    /// The operator dimension `n` (operators are square: `x` and `y` are
-    /// both length `n`).
-    fn dim(&self) -> usize;
-
-    /// Computes `y = A x`.
-    ///
-    /// # Panics
-    ///
-    /// Implementations may panic if `x.len()` or `y.len()` differ from
-    /// [`dim`](Self::dim); the solvers always pass correctly sized
-    /// buffers.
-    fn apply(&self, x: &[f64], y: &mut [f64]);
-}
-
-impl LinearOperator for CscMatrix {
-    fn dim(&self) -> usize {
-        self.cols()
-    }
-
-    fn apply(&self, x: &[f64], y: &mut [f64]) {
-        self.matvec_into(x, y);
-    }
-}
-
-impl<T: LinearOperator + ?Sized> LinearOperator for &T {
-    fn dim(&self) -> usize {
-        (**self).dim()
-    }
-
-    fn apply(&self, x: &[f64], y: &mut [f64]) {
-        (**self).apply(x, y);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::sparse::TripletMatrix;
-
-    #[test]
-    fn csc_operator_matches_matvec() {
-        let mut t = TripletMatrix::new(3, 3);
-        t.push(0, 0, 2.0);
-        t.push(1, 1, -1.5);
-        t.push(2, 0, 0.5);
-        t.push(2, 2, 3.0);
-        let a = t.to_csc();
-        let x = [1.0, 2.0, -1.0];
-        let mut y = vec![0.0; 3];
-        a.apply(&x, &mut y);
-        assert_eq!(y, a.matvec(&x).unwrap());
-        assert_eq!(LinearOperator::dim(&a), 3);
-        // Operators pass through references unchanged.
-        let r: &CscMatrix = &a;
-        let mut y2 = vec![0.0; 3];
-        r.apply(&x, &mut y2);
-        assert_eq!(y, y2);
-    }
-}
+pub use precond::Ilu0;

@@ -1,14 +1,8 @@
-//! Preconditioners for the Krylov solvers.
-//!
-//! All three implementations apply `z = M⁻¹ r` where `M` approximates the
-//! system matrix `A`:
-//!
-//! * [`Identity`] — `M = I`; the unpreconditioned baseline.
-//! * [`Jacobi`] — `M = diag(A)`; one division per unknown, effective when
-//!   `A` is diagonally dominant (resistive meshes with decap stamps are).
-//! * [`Ilu0`] — incomplete LU with zero fill: a sparse `L U ≈ A` whose
-//!   factors live on exactly the sparsity pattern of `A`, with KLU-style
-//!   numeric-only [`refactor`](Ilu0::refactor) for value-only updates.
+//! The GMRES preconditioner: [`Ilu0`] applies `z = M⁻¹ r`, where `M` is
+//! an incomplete LU with zero fill of the system matrix `A` — a sparse
+//! `L U ≈ A` whose factors live on exactly the sparsity pattern of `A`,
+//! with KLU-style numeric-only [`refactor`](Ilu0::refactor) for
+//! value-only updates.
 //!
 //! # MNA zero diagonals
 //!
@@ -21,111 +15,13 @@
 //! a nonsingular approximation, and GMRES converges against the true
 //! operator regardless. The count of regularised pivots is reported via
 //! [`Ilu0::replaced_pivots`] so callers can see when the approximation
-//! quality degraded. [`Jacobi`] treats zero diagonals the same way
-//! (identity on those rows).
+//! quality degraded.
 
 use crate::sparse::CscMatrix;
 use crate::{NumericError, Result};
 
 /// Pivot magnitudes below `row_scale * ILU_PIVOT_RTOL` are regularised.
 const ILU_PIVOT_RTOL: f64 = 1e-10;
-
-/// An approximate inverse applied as `z = M⁻¹ r`.
-pub trait Preconditioner {
-    /// The preconditioner dimension `n`.
-    fn dim(&self) -> usize;
-
-    /// Computes `z = M⁻¹ r`.
-    ///
-    /// # Panics
-    ///
-    /// Implementations may panic when `r.len()` or `z.len()` differ from
-    /// [`dim`](Self::dim).
-    fn apply(&self, r: &[f64], z: &mut [f64]);
-}
-
-impl<T: Preconditioner + ?Sized> Preconditioner for &T {
-    fn dim(&self) -> usize {
-        (**self).dim()
-    }
-
-    fn apply(&self, r: &[f64], z: &mut [f64]) {
-        (**self).apply(r, z);
-    }
-}
-
-/// The identity preconditioner (`M = I`): plain GMRES.
-#[derive(Debug, Clone)]
-pub struct Identity {
-    n: usize,
-}
-
-impl Identity {
-    /// An identity preconditioner of dimension `n`.
-    pub fn new(n: usize) -> Self {
-        Identity { n }
-    }
-}
-
-impl Preconditioner for Identity {
-    fn dim(&self) -> usize {
-        self.n
-    }
-
-    fn apply(&self, r: &[f64], z: &mut [f64]) {
-        z.copy_from_slice(r);
-    }
-}
-
-/// Diagonal (Jacobi) preconditioner: `z_i = r_i / a_ii`.
-#[derive(Debug, Clone)]
-pub struct Jacobi {
-    inv_diag: Vec<f64>,
-}
-
-impl Jacobi {
-    /// Builds the preconditioner from the diagonal of `a`. Structurally
-    /// missing or numerically zero diagonals become pass-through rows
-    /// (`1.0`), matching the MNA voltage-source-row convention described
-    /// in the module docs.
-    ///
-    /// # Errors
-    ///
-    /// [`NumericError::InvalidArgument`] if `a` is not square;
-    /// [`NumericError::NonFinite`] if a diagonal entry is NaN/∞.
-    pub fn from_csc(a: &CscMatrix) -> Result<Self> {
-        if a.rows() != a.cols() {
-            return Err(NumericError::InvalidArgument(format!(
-                "jacobi preconditioner needs a square matrix, got {}x{}",
-                a.rows(),
-                a.cols()
-            )));
-        }
-        let mut inv_diag = Vec::with_capacity(a.cols());
-        for i in 0..a.cols() {
-            let d = a.get(i, i);
-            if !d.is_finite() {
-                return Err(NumericError::NonFinite {
-                    context: format!("jacobi diagonal entry ({i}, {i})"),
-                });
-            }
-            inv_diag.push(if d.abs() > 0.0 { 1.0 / d } else { 1.0 });
-        }
-        Ok(Jacobi { inv_diag })
-    }
-}
-
-impl Preconditioner for Jacobi {
-    fn dim(&self) -> usize {
-        self.inv_diag.len()
-    }
-
-    fn apply(&self, r: &[f64], z: &mut [f64]) {
-        for ((zi, ri), di) in z.iter_mut().zip(r).zip(&self.inv_diag) {
-            *zi = ri * di;
-        }
-    }
-}
 
 /// Zero-fill incomplete LU (ILU(0)) preconditioner.
 ///
@@ -256,6 +152,39 @@ impl Ilu0 {
         self.vals.len()
     }
 
+    /// The dimension `n` of the factored matrix.
+    pub fn dim(&self) -> usize {
+        self.diag.len()
+    }
+
+    /// `z = U⁻¹ L⁻¹ r` — one forward and one backward sparse triangular
+    /// sweep over the factor pattern.
+    ///
+    /// # Panics
+    ///
+    /// If `r` and `z` differ in length or are shorter than
+    /// [`dim`](Self::dim).
+    pub fn apply(&self, r: &[f64], z: &mut [f64]) {
+        z.copy_from_slice(r);
+        let n = self.diag.len();
+        // Forward: L has unit diagonal, strictly-lower slots hold L.
+        for i in 0..n {
+            let mut acc = z[i];
+            for p in self.row_ptr[i]..self.diag[i] {
+                acc -= self.vals[p] * z[self.col_idx[p]];
+            }
+            z[i] = acc;
+        }
+        // Backward: diagonal and upper slots hold U.
+        for i in (0..n).rev() {
+            let mut acc = z[i];
+            for p in self.diag[i] + 1..self.row_ptr[i + 1] {
+                acc -= self.vals[p] * z[self.col_idx[p]];
+            }
+            z[i] = acc / self.vals[self.diag[i]];
+        }
+    }
+
     /// Scatters the CSC values into the CSR factor slots and runs the
     /// pattern-restricted IKJ elimination.
     fn factor_values(&mut self, a: &CscMatrix) -> Result<()> {
@@ -309,35 +238,6 @@ impl Ilu0 {
     }
 }
 
-impl Preconditioner for Ilu0 {
-    fn dim(&self) -> usize {
-        self.diag.len()
-    }
-
-    /// `z = U⁻¹ L⁻¹ r` — one forward and one backward sparse triangular
-    /// sweep over the factor pattern.
-    fn apply(&self, r: &[f64], z: &mut [f64]) {
-        z.copy_from_slice(r);
-        let n = self.diag.len();
-        // Forward: L has unit diagonal, strictly-lower slots hold L.
-        for i in 0..n {
-            let mut acc = z[i];
-            for p in self.row_ptr[i]..self.diag[i] {
-                acc -= self.vals[p] * z[self.col_idx[p]];
-            }
-            z[i] = acc;
-        }
-        // Backward: diagonal and upper slots hold U.
-        for i in (0..n).rev() {
-            let mut acc = z[i];
-            for p in self.diag[i] + 1..self.row_ptr[i + 1] {
-                acc -= self.vals[p] * z[self.col_idx[p]];
-            }
-            z[i] = acc / self.vals[self.diag[i]];
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -355,42 +255,6 @@ mod tests {
             }
         }
         t.to_csc()
-    }
-
-    #[test]
-    fn jacobi_inverts_diagonal_matrix_exactly() {
-        let mut t = TripletMatrix::new(3, 3);
-        t.push(0, 0, 2.0);
-        t.push(1, 1, -4.0);
-        t.push(2, 2, 0.5);
-        let m = Jacobi::from_csc(&t.to_csc()).unwrap();
-        let mut z = vec![0.0; 3];
-        m.apply(&[2.0, -4.0, 1.0], &mut z);
-        assert_eq!(z, vec![1.0, 1.0, 2.0]);
-        assert_eq!(m.dim(), 3);
-    }
-
-    #[test]
-    fn jacobi_zero_diag_is_pass_through() {
-        let mut t = TripletMatrix::new(2, 2);
-        t.push(0, 1, 1.0);
-        t.push(1, 0, 1.0);
-        let m = Jacobi::from_csc(&t.to_csc()).unwrap();
-        let mut z = vec![0.0; 2];
-        m.apply(&[3.0, 4.0], &mut z);
-        assert_eq!(z, vec![3.0, 4.0]);
-    }
-
-    #[test]
-    fn jacobi_rejects_non_square_and_non_finite() {
-        let t = TripletMatrix::new(2, 3);
-        assert!(Jacobi::from_csc(&t.to_csc()).is_err());
-        let mut t = TripletMatrix::new(1, 1);
-        t.push(0, 0, f64::NAN);
-        assert!(matches!(
-            Jacobi::from_csc(&t.to_csc()),
-            Err(NumericError::NonFinite { .. })
-        ));
     }
 
     /// On a matrix whose LU has no fill (tridiagonal), ILU(0) is an exact

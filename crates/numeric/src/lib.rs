@@ -9,10 +9,9 @@
 //!   factorisation, the workhorse for cell-level circuits (tens of nodes).
 //! * [`sparse`] — triplet/CSC sparse matrices and a left-looking
 //!   Gilbert–Peierls LU with partial pivoting, used for PDN-sized systems.
-//! * [`krylov`] — matrix-free iterative solvers for full-chip grids where
-//!   direct factorisation stops scaling: restarted GMRES(m) over a
-//!   [`LinearOperator`](krylov::LinearOperator) with Jacobi and ILU(0)
-//!   preconditioners.
+//! * [`krylov`] — the iterative solver for full-chip grids where direct
+//!   factorisation stops scaling: restarted GMRES(m) on a CSC matrix with
+//!   an ILU(0) preconditioner.
 //! * [`interp`] — piecewise-linear interpolation used by PWL sources and
 //!   waveform resampling.
 //! * [`smooth`] — numerically safe smooth primitives (softplus, logistic,

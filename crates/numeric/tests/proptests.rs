@@ -138,12 +138,12 @@ proptest! {
 }
 
 proptest! {
-    /// Preconditioned GMRES agrees with sparse LU to 1e-9 relative on
-    /// random diagonally dominant systems (the SPD-ish regime the MNA
-    /// grid matrices live in), with every preconditioner.
+    /// ILU(0)-preconditioned GMRES agrees with sparse LU to 1e-9 relative
+    /// on random diagonally dominant systems (the SPD-ish regime the MNA
+    /// grid matrices live in).
     #[test]
     fn gmres_matches_sparse_lu((n, entries) in dd_matrix(), b_seed in -1.0f64..1.0) {
-        use sfet_numeric::krylov::{gmres, GmresOptions, GmresWorkspace, Identity, Ilu0, Jacobi};
+        use sfet_numeric::krylov::{gmres, GmresOptions, GmresWorkspace, Ilu0};
 
         let (t, _) = build_matrices(n, &entries);
         let a = t.to_csc();
@@ -153,27 +153,13 @@ proptest! {
         let opts = GmresOptions::default();
         let mut ws = GmresWorkspace::new(n, opts.restart);
 
-        let mut check = |x: &[f64], name: &str| -> std::result::Result<(), proptest::test_runner::TestCaseError> {
-            for (g, l) in x.iter().zip(&x_lu) {
-                prop_assert!(
-                    (g - l).abs() <= 1e-9 * scale,
-                    "{name}: gmres {g} vs lu {l} (scale {scale})"
-                );
-            }
-            Ok(())
-        };
-
         let mut x = vec![0.0; n];
-        let stats = gmres(&a, &Identity::new(n), &b, &mut x, &opts, &mut ws).unwrap();
-        prop_assert!(stats.converged);
-        check(&x, "identity")?;
-
-        x.fill(0.0);
-        gmres(&a, &Jacobi::from_csc(&a).unwrap(), &b, &mut x, &opts, &mut ws).unwrap();
-        check(&x, "jacobi")?;
-
-        x.fill(0.0);
         gmres(&a, &Ilu0::factor(&a).unwrap(), &b, &mut x, &opts, &mut ws).unwrap();
-        check(&x, "ilu0")?;
+        for (g, l) in x.iter().zip(&x_lu) {
+            prop_assert!(
+                (g - l).abs() <= 1e-9 * scale,
+                "ilu0: gmres {g} vs lu {l} (scale {scale})"
+            );
+        }
     }
 }

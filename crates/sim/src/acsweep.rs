@@ -21,12 +21,11 @@
 //! Fig. 10 power-delivery model: inject a 1 A AC current and read the rail
 //! voltage (see `examples/pdn_impedance.rs`).
 
-use std::collections::HashMap;
-
-use crate::dcop::{solve_dc, DcWorkspace};
+use crate::dcop::operating_point;
 use crate::devices::{volt, CompiledCircuit, SimDevice};
 use crate::matrix::MnaMatrix;
 use crate::options::SimOptions;
+use crate::result::{Signal, SignalIndex};
 use crate::trace;
 use crate::{Result, SimError};
 use sfet_circuit::Circuit;
@@ -58,7 +57,7 @@ impl Phasor {
 #[derive(Debug, Clone)]
 pub struct AcSweepResult {
     freqs: Vec<f64>,
-    node_index: HashMap<String, usize>,
+    signals: SignalIndex,
     /// `data[node][freq_idx]`.
     data: Vec<Vec<Phasor>>,
 }
@@ -75,11 +74,7 @@ impl AcSweepResult {
     ///
     /// [`SimError::UnknownSignal`] for unknown nodes.
     pub fn phasors(&self, node: &str) -> Result<&[Phasor]> {
-        let &idx = self
-            .node_index
-            .get(node)
-            .ok_or_else(|| SimError::UnknownSignal(format!("v({node})")))?;
-        Ok(&self.data[idx])
+        Ok(&self.data[self.signals.column(Signal::Voltage, node)?])
     }
 
     /// Magnitude response |V(node)| across the sweep.
@@ -116,28 +111,35 @@ pub fn ac_sweep(
     }
     let sweep_span = opts.telemetry.span(Level::Analysis, names::SPAN_AC_SWEEP);
     let mut compiled = CompiledCircuit::compile(circuit);
-    let mut dc_ws = DcWorkspace::new(&compiled, opts);
-    let x_op = solve_dc(&mut compiled, opts, &mut dc_ws)?;
     // The operating-point solve reports under `dc.*`; the frequency loop's
     // bordered-real solves report under `ac.solver.*` below.
-    trace::emit_dc_stats(&opts.telemetry, &dc_ws.stats());
+    let (x_op, _) = operating_point(&mut compiled, opts)?;
     let n = compiled.size;
 
-    // Assemble G, C and the stimulus once (frequency-independent).
+    // Assemble G, C and the stimulus once (frequency-independent). Every
+    // source but the stimulus is AC-grounded: its rhs entries stay 0.
+    let stimulus = compiled
+        .source_named(source)
+        .ok_or_else(|| SimError::UnknownSignal(format!("AC source {source:?}")))?;
+    let mut u = vec![0.0f64; n];
+    match &compiled.devices[stimulus] {
+        SimDevice::Vsrc { branch, .. } => u[*branch] = 1.0,
+        // A designated current source injects 1 A from n into p
+        // (delivery-positive at p, matching supply_current conventions).
+        SimDevice::Isrc { p, n, .. } => {
+            if let Some(i) = *p {
+                u[i] += 1.0;
+            }
+            if let Some(j) = *n {
+                u[j] -= 1.0;
+            }
+        }
+        _ => unreachable!("sources are voltage and current sources"),
+    }
     let mut g_entries: Vec<(usize, usize, f64)> = Vec::new();
     let mut c_entries: Vec<(usize, usize, f64)> = Vec::new();
-    let mut u = vec![0.0f64; n];
+    stamp_ac(&compiled, &x_op, opts.gmin, &mut g_entries, &mut c_entries);
     let node_count = compiled.node_names.len();
-    stamp_ac(
-        &compiled,
-        &x_op,
-        source,
-        opts.gmin,
-        &mut g_entries,
-        &mut c_entries,
-        &mut u,
-        node_count,
-    )?;
 
     let mut data = vec![Vec::with_capacity(freqs.len()); node_count];
     // Bordered real system of size 2n; the matrix lives outside the loop so
@@ -176,29 +178,19 @@ pub fn ac_sweep(
 
     Ok(AcSweepResult {
         freqs: freqs.to_vec(),
-        node_index: compiled
-            .node_names
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (n.clone(), i))
-            .collect(),
+        signals: SignalIndex::new(&compiled),
         data,
     })
 }
 
-/// Builds the small-signal G/C entry lists and the stimulus vector.
-#[allow(clippy::too_many_arguments)]
+/// Builds the small-signal G/C entry lists.
 fn stamp_ac(
     compiled: &CompiledCircuit,
     x_op: &[f64],
-    source: &str,
     gmin: f64,
     g: &mut Vec<(usize, usize, f64)>,
     c: &mut Vec<(usize, usize, f64)>,
-    u: &mut [f64],
-    node_count: usize,
-) -> Result<()> {
-    let mut found_source = false;
+) {
     let add2 = |m: &mut Vec<(usize, usize, f64)>, p: Option<usize>, q: Option<usize>, v: f64| {
         if let Some(i) = p {
             m.push((i, i, v));
@@ -242,27 +234,9 @@ fn stamp_ac(
                     g.push((j, *branch, -1.0));
                     g.push((*branch, j, -1.0));
                 }
-                let name = &compiled.branch_names[*branch - node_count];
-                if name == source {
-                    u[*branch] = 1.0;
-                    found_source = true;
-                }
-                // Non-stimulus sources are AC-grounded: rhs stays 0.
             }
-            SimDevice::Isrc { p, n, .. } => {
-                // Current sources are open in AC unless designated; the
-                // designated one injects 1 A from n into p (delivery-positive
-                // at p, matching supply_current conventions).
-                if compiled.isrc_name(device) == Some(source) {
-                    if let Some(i) = *p {
-                        u[i] += 1.0;
-                    }
-                    if let Some(j) = *n {
-                        u[j] -= 1.0;
-                    }
-                    found_source = true;
-                }
-            }
+            // Current sources are open in AC.
+            SimDevice::Isrc { .. } => {}
             SimDevice::Vcvs {
                 p,
                 n,
@@ -371,10 +345,6 @@ fn stamp_ac(
             }
         }
     }
-    if !found_source {
-        return Err(SimError::UnknownSignal(format!("AC source {source:?}")));
-    }
-    Ok(())
 }
 
 #[cfg(test)]

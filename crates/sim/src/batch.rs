@@ -45,13 +45,13 @@ use std::path::Path;
 use std::time::Instant;
 
 use crate::checkpoint::{self, CheckpointPolicy, TranSnapshot};
-use crate::dcop::{init_state_from_dc, solve_dc, DcWorkspace};
-use crate::devices::{volt, CompiledCircuit, SimDevice, Stamp, StampMode};
+use crate::dcop::{damped_update, init_state_from_dc, operating_point};
+use crate::devices::{CompiledCircuit, SimDevice, Stamp, StampMode};
 use crate::matrix::{LinearSolver, MnaMatrix, SolverStats};
 use crate::options::SimOptions;
 use crate::result::{TranResult, TranStats};
 use crate::trace;
-use crate::transient::{compile_checked, non_finite_unknown, transient, unknown_name, Recorder};
+use crate::transient::{compile_checked, transient, Recorder};
 use crate::{Result, SimError};
 use sfet_circuit::Circuit;
 use sfet_numeric::batch::BatchDense;
@@ -417,11 +417,9 @@ impl<'a> Lane<'a> {
         if let Some(path) = &ckpt.resume_from {
             lane.resume(path)?;
         } else {
-            let mut dc_ws = DcWorkspace::new(&lane.compiled, opts);
-            let x_dc = solve_dc(&mut lane.compiled, opts, &mut dc_ws)?;
             // The initial operating point reports under the `dc.*`
             // namespace; it is deliberately excluded from `TranStats`/`tran.*`.
-            trace::emit_dc_stats(&opts.telemetry, &dc_ws.stats());
+            let (x_dc, _) = operating_point(&mut lane.compiled, opts)?;
             init_state_from_dc(&mut lane.compiled, &x_dc, opts);
             lane.recorder = Recorder::new(&lane.compiled);
             lane.recorder.record(0.0, &x_dc, &lane.compiled);
@@ -650,9 +648,13 @@ impl<'a> Lane<'a> {
         }
     }
 
-    /// Moves the Newton iterate toward the raw solve `x_next`, damped to
-    /// `max_newton_step`. `Ok(true)` when converged, `Ok(false)` while the
-    /// iteration budget lasts, and the error that fails the solve otherwise.
+    /// Moves the Newton iterate toward the raw solve `x_next` through the
+    /// shared [`damped_update`]. `Ok(true)` when converged, `Ok(false)`
+    /// while the iteration budget lasts, and the error that fails the solve
+    /// otherwise. A non-finite iterate fails it too: the recovery ladder
+    /// then retries, and if the breakdown persists the run ends with a
+    /// [`NumericError::NonFinite`](sfet_numeric::NumericError::NonFinite)
+    /// at `dtmin` naming the unknown.
     fn newton_update(
         &mut self,
         solved: sfet_numeric::Result<()>,
@@ -662,60 +664,19 @@ impl<'a> Lane<'a> {
         if self.poison {
             x_next[0] = f64::NAN;
         }
-        // A NaN/Inf iterate would pass the `raw.abs() > tol` convergence
-        // test below (NaN comparisons are false) and be accepted as a
-        // "converged" step — reject it here instead. The recovery ladder
-        // then retries, and if the breakdown persists the run ends with a
-        // [`NumericError::NonFinite`](sfet_numeric::NumericError::NonFinite)
-        // at `dtmin` naming the unknown.
-        if let Some(bad) = x_next.iter().position(|v| !v.is_finite()) {
-            let stage = format!("transient Newton solve at t={:.6e} s", self.t_next);
-            return Err(non_finite_unknown(&self.compiled, bad, &stage));
+        let update = damped_update(
+            &self.compiled,
+            self.opts,
+            &mut self.x_iter,
+            x_next,
+            format_args!("transient Newton solve at t={:.6e} s", self.t_next),
+        )?;
+        // A converged raw update ends the step even when the clamp damped
+        // it: the steps after it re-converge the iterate.
+        if update.converged || self.iter < self.opts.max_newton_iter {
+            return Ok(update.converged);
         }
-        let opts = self.opts;
-        let mut max_dx = 0.0f64;
-        for (xn, xo) in x_next.iter().zip(&self.x_iter) {
-            max_dx = max_dx.max((xn - xo).abs());
-        }
-        let scale = if max_dx > opts.max_newton_step {
-            opts.max_newton_step / max_dx
-        } else {
-            1.0
-        };
-        // Convergence is measured on the RAW (undamped) update: a raw step
-        // within tolerance means the iterate already sits at the Newton
-        // target, even when the damping clamp made `scale < 1` — the case
-        // a sharp PTM edge hits when one large-tolerance unknown drives
-        // the clamp. (Measuring the *damped* update instead would accept a
-        // damped crawl that is nowhere near the solution.)
-        let mut converged = true;
-        let mut max_raw = 0.0f64;
-        let mut worst = 0usize;
-        for (i, (&xn, xi)) in x_next.iter().zip(self.x_iter.iter_mut()).enumerate() {
-            let raw = xn - *xi;
-            *xi += raw * scale;
-            let tol = if i < self.node_count {
-                opts.reltol * xi.abs() + opts.vntol
-            } else {
-                opts.reltol * xi.abs() + opts.abstol
-            };
-            if raw.abs() > max_raw {
-                max_raw = raw.abs();
-                worst = i;
-            }
-            if raw.abs() > tol {
-                converged = false;
-            }
-        }
-        if converged || self.iter < opts.max_newton_iter {
-            return Ok(converged);
-        }
-        Err(SimError::NonConvergence {
-            time: self.t_next,
-            dt: self.dt_cur,
-            residual: max_raw,
-            unknown: unknown_name(&self.compiled, worst, self.node_count),
-        })
+        Err(update.non_convergence(&self.compiled, self.t_next, self.dt_cur))
     }
 
     /// Newton-failure rejection (solver error, non-finite iterate, budget
@@ -774,15 +735,10 @@ impl<'a> Lane<'a> {
         }
 
         // --- PTM event refinement. ---
-        let mut worst_overshoot = 0.0f64;
-        for &(i, _) in &self.compiled.ptm_devices {
-            if let SimDevice::Ptm { p, n, state, .. } = &self.compiled.devices[i] {
-                let v = volt(&self.x_iter, *p) - volt(&self.x_iter, *n);
-                if let Some(excess) = state.threshold_excess(v) {
-                    worst_overshoot = worst_overshoot.max(excess);
-                }
-            }
-        }
+        let ptms = self.compiled.ptm_devices.iter();
+        let worst_overshoot = ptms
+            .filter_map(|&(i, _)| self.compiled.devices[i].threshold_excess(&self.x_iter))
+            .fold(0.0f64, f64::max);
         if worst_overshoot > opts.event_vtol && self.dt_cur > 2.0 * opts.dtmin {
             return self.reject(self.dt_cur / 2.0);
         }
@@ -796,29 +752,11 @@ impl<'a> Lane<'a> {
         // step across every corner to kill it at the source.
         self.force_be = self.lands_on_corner;
         // Fire any armed transitions at the accepted point.
-        let mut fired = false;
-        for &(i, _) in &self.compiled.ptm_devices {
-            if let SimDevice::Ptm {
-                p,
-                n,
-                state,
-                events,
-                ..
-            } = &mut self.compiled.devices[i]
-            {
-                let v = volt(&self.x_iter, *p) - volt(&self.x_iter, *n);
-                if let Some(excess) = state.threshold_excess(v) {
-                    if excess >= 0.0 {
-                        let event = state.fire(self.t_next);
-                        trace::emit_ptm_event(&opts.telemetry, &event);
-                        events.push(event);
-                        self.stats.ptm_transitions += 1;
-                        fired = true;
-                    }
-                }
-            }
-        }
-        if fired {
+        let fired = self
+            .compiled
+            .fire_ptms(&self.x_iter, self.t_next, &opts.telemetry);
+        self.stats.ptm_transitions += fired;
+        if fired > 0 {
             self.force_be = true;
             self.dt = self.dt_cur.min(opts.dtmax / 16.0).max(opts.dtmin);
         } else if opts.lte_control {

@@ -11,13 +11,16 @@
 //! Capacitors are open in DC (initial conditions are enforced with a stiff
 //! Norton equivalent), inductors are shorts.
 
-use crate::devices::{CompiledCircuit, SimDevice, StampMode};
+use std::fmt;
+
+use crate::devices::{CompiledCircuit, StampMode};
 use crate::matrix::MnaMatrix;
 use crate::options::SimOptions;
 use crate::result::DcStats;
 use crate::trace;
 use crate::{Result, SimError};
 use sfet_circuit::Circuit;
+use sfet_numeric::NumericError;
 use sfet_telemetry::{names, Level};
 
 /// Reusable DC solver workspace: the MNA matrix (with its cached sparsity
@@ -100,13 +103,21 @@ pub fn dc_operating_point_with_stats(
 ) -> Result<(Vec<f64>, DcStats)> {
     opts.validate()?;
     circuit.validate()?;
-    let span = opts.telemetry.span(Level::Analysis, names::SPAN_DC);
-    let mut compiled = CompiledCircuit::compile(circuit);
-    let mut ws = DcWorkspace::new(&compiled, opts);
-    let x = solve_dc(&mut compiled, opts, &mut ws)?;
+    let _span = opts.telemetry.span(Level::Analysis, names::SPAN_DC);
+    operating_point(&mut CompiledCircuit::compile(circuit), opts)
+}
+
+/// The operating point of a compiled circuit in a workspace of its own,
+/// its totals emitted as `dc.*` counters: the DC analysis, a transient's
+/// initial point and an AC sweep's bias point.
+pub(crate) fn operating_point(
+    compiled: &mut CompiledCircuit,
+    opts: &SimOptions,
+) -> Result<(Vec<f64>, DcStats)> {
+    let mut ws = DcWorkspace::new(compiled, opts);
+    let x = solve_dc(compiled, opts, &mut ws)?;
     let stats = ws.stats();
     trace::emit_dc_stats(&opts.telemetry, &stats);
-    drop(span);
     Ok((x, stats))
 }
 
@@ -173,108 +184,165 @@ pub(crate) fn newton_dc(
     opts: &SimOptions,
     ws: &mut DcWorkspace,
 ) -> Result<Vec<f64>> {
-    let n = compiled.size;
     let mode = StampMode::Dc {
         source_scale,
         gmin_shunt,
     };
     let mut x = x0.to_vec();
-    let jac = &mut ws.jac;
-    let rhs = &mut ws.rhs;
-    let mut last_residual = f64::INFINITY;
-    let mut last_worst = 0usize;
-
+    let mut last = Update {
+        converged: false,
+        damped: false,
+        residual: f64::INFINITY,
+        worst: 0,
+    };
     for _ in 0..opts.max_newton_iter {
         ws.newton_iterations += 1;
-        jac.clear();
-        rhs.iter_mut().for_each(|v| *v = 0.0);
+        ws.jac.clear();
+        ws.rhs.fill(0.0);
         for device in &compiled.devices {
-            device.stamp(mode, &x, jac, rhs, opts.gmin);
+            device.stamp(mode, &x, &mut ws.jac, &mut ws.rhs, opts.gmin);
         }
-        jac.factor_solve(rhs)?;
-        let x_next: &[f64] = rhs;
-        // A NaN/Inf iterate would pass the `raw.abs() > tol` convergence
-        // test below (NaN comparisons are false) and be returned as a
-        // "converged" solution — reject it here instead.
-        if let Some(bad) = x_next.iter().position(|v| !v.is_finite()) {
-            return Err(crate::transient::non_finite_unknown(
-                compiled,
-                bad,
-                "DC Newton solve",
-            ));
-        }
-
-        let mut max_dx = 0.0f64;
-        for (xn, xo) in x_next.iter().zip(&x) {
-            max_dx = max_dx.max((xn - xo).abs());
-        }
-        let scale = if max_dx > opts.max_newton_step {
-            opts.max_newton_step / max_dx
-        } else {
-            1.0
-        };
-        let mut converged = true;
-        let node_count = compiled.node_names.len();
-        let mut max_raw = 0.0f64;
-        let mut worst = 0usize;
-        for i in 0..n {
-            let dx = (x_next[i] - x[i]) * scale;
-            x[i] += dx;
-            let tol = if i < node_count {
-                opts.reltol * x[i].abs() + opts.vntol
-            } else {
-                opts.reltol * x[i].abs() + opts.abstol
-            };
-            if dx.abs() > max_raw {
-                max_raw = dx.abs();
-                worst = i;
-            }
-            if dx.abs() > tol {
-                converged = false;
-            }
-        }
-        if converged && scale == 1.0 {
+        ws.jac.factor_solve(&mut ws.rhs)?;
+        let stage = format_args!("DC Newton solve");
+        last = damped_update(compiled, opts, &mut x, &ws.rhs, stage)?;
+        // An operating point is the answer DC returns, so DC accepts only
+        // an undamped update. A transient lane also accepts a damped one
+        // whose raw update converged: the steps after it re-converge it.
+        if last.converged && !last.damped {
             return Ok(x);
         }
-        last_residual = max_raw;
-        last_worst = worst;
     }
-    Err(SimError::NonConvergence {
-        time: 0.0,
-        dt: 0.0,
-        residual: last_residual,
-        unknown: crate::transient::unknown_name(compiled, last_worst, compiled.node_names.len()),
-    })
+    Err(last.non_convergence(compiled, 0.0, 0.0))
+}
+
+/// What one [`damped_update`] did.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Update {
+    /// Every unknown's raw (undamped) update is within its tolerance.
+    pub(crate) converged: bool,
+    /// The `max_newton_step` clamp scaled the update down.
+    pub(crate) damped: bool,
+    /// The largest raw update, and the unknown it moved.
+    residual: f64,
+    worst: usize,
+}
+
+impl Update {
+    /// The error of a Newton loop that ends on this update at `time`
+    /// (step `dt`): the largest raw update and the unknown it moved.
+    pub(crate) fn non_convergence(
+        &self,
+        compiled: &CompiledCircuit,
+        time: f64,
+        dt: f64,
+    ) -> SimError {
+        SimError::NonConvergence {
+            time,
+            dt,
+            residual: self.residual,
+            unknown: unknown_name(compiled, self.worst),
+        }
+    }
+}
+
+/// The damped Newton update every analysis shares: the DC operating point,
+/// every DC-sweep point and every transient lane. Moves the iterate `x`
+/// toward the raw solve `x_next`, scaled so no unknown moves by more than
+/// `max_newton_step`, and tests each unknown's raw update against
+/// `reltol·|x| + vntol` (nodes) or `reltol·|x| + abstol` (branches).
+///
+/// Convergence is measured on the RAW (undamped) update: a raw step within
+/// tolerance means the iterate already sits at the Newton target, even
+/// when the clamp damped the move — the case a sharp PTM edge hits when
+/// one large-tolerance unknown drives the clamp. (Measuring the *damped*
+/// update instead would accept a damped crawl that is nowhere near the
+/// solution.) Whether a damped, converged update ends the loop is the
+/// caller's choice.
+///
+/// # Errors
+///
+/// A [`NumericError::NonFinite`] naming `stage` and the first non-finite
+/// unknown of `x_next`.
+// Runs once per Newton iteration of every transient lane.
+#[inline]
+pub(crate) fn damped_update(
+    compiled: &CompiledCircuit,
+    opts: &SimOptions,
+    x: &mut [f64],
+    x_next: &[f64],
+    stage: fmt::Arguments<'_>,
+) -> Result<Update> {
+    // A NaN/Inf iterate would pass the `raw.abs() > tol` convergence test
+    // below (NaN comparisons are false) and be taken for converged; reject
+    // it here instead, naming the unknown.
+    if let Some(bad) = x_next.iter().position(|v| !v.is_finite()) {
+        let name = unknown_name(compiled, bad).unwrap_or_else(|| format!("unknown #{bad}"));
+        return Err(SimError::Numeric(NumericError::NonFinite {
+            context: format!("{stage}, first non-finite unknown {name}"),
+        }));
+    }
+    let mut max_dx = 0.0f64;
+    for (xn, xo) in x_next.iter().zip(x.iter()) {
+        max_dx = max_dx.max((xn - xo).abs());
+    }
+    let damped = max_dx > opts.max_newton_step;
+    let scale = if damped {
+        opts.max_newton_step / max_dx
+    } else {
+        1.0
+    };
+    let node_count = compiled.node_names.len();
+    let mut update = Update {
+        converged: true,
+        damped,
+        residual: 0.0,
+        worst: 0,
+    };
+    for (i, (&xn, xi)) in x_next.iter().zip(x.iter_mut()).enumerate() {
+        let raw = xn - *xi;
+        *xi += raw * scale;
+        let tol = if i < node_count {
+            opts.reltol * xi.abs() + opts.vntol
+        } else {
+            opts.reltol * xi.abs() + opts.abstol
+        };
+        if raw.abs() > update.residual {
+            update.residual = raw.abs();
+            update.worst = i;
+        }
+        if raw.abs() > tol {
+            update.converged = false;
+        }
+    }
+    Ok(update)
+}
+
+/// Human-readable name of MNA unknown `idx`: `v(<node>)` for node voltages,
+/// `i(<element>)` for branch currents.
+fn unknown_name(compiled: &CompiledCircuit, idx: usize) -> Option<String> {
+    let node_count = compiled.node_names.len();
+    if idx < node_count {
+        compiled.node_names.get(idx).map(|n| format!("v({n})"))
+    } else {
+        compiled
+            .branch_names
+            .get(idx - node_count)
+            .map(|n| format!("i({n})"))
+    }
 }
 
 /// Initialises companion histories and PTM step state from a DC solution.
 pub(crate) fn init_state_from_dc(compiled: &mut CompiledCircuit, x: &[f64], opts: &SimOptions) {
-    for device in &mut compiled.devices {
-        device.init_history(x);
-        device.prepare_step(0.0);
+    for &i in &compiled.stateful {
+        compiled.devices[i].init_history(x);
+    }
+    for &(i, _) in &compiled.ptm_devices {
+        compiled.devices[i].prepare_step(0.0);
     }
     // A PTM may already sit beyond its threshold at t=0 (e.g. a DC bias
     // above V_IMT). Fire those immediately so the transient starts from a
     // consistent phase.
-    for device in &mut compiled.devices {
-        if let SimDevice::Ptm {
-            p,
-            n,
-            state,
-            events,
-            ..
-        } = device
-        {
-            let v = crate::devices::volt(x, *p) - crate::devices::volt(x, *n);
-            if let Some(excess) = state.threshold_excess(v) {
-                if excess >= 0.0 {
-                    let event = state.fire(0.0);
-                    trace::emit_ptm_event(&opts.telemetry, &event);
-                    events.push(event);
-                }
-            }
-        }
-    }
+    compiled.fire_ptms(x, 0.0, &opts.telemetry);
 }
 
 #[cfg(test)]

@@ -8,11 +8,10 @@
 //! PTM traces its hysteresis loop exactly as the paper's Fig. 2 describes,
 //! and an inverter sweep yields its voltage-transfer characteristic.
 
-use std::collections::HashMap;
-
 use crate::dcop::{newton_dc, DcWorkspace};
-use crate::devices::{volt, CompiledCircuit, SimDevice};
+use crate::devices::{CompiledCircuit, SimDevice};
 use crate::options::SimOptions;
+use crate::result::{Signal, SignalIndex};
 use crate::trace;
 use crate::{Result, SimError};
 use sfet_circuit::{Circuit, SourceWaveform};
@@ -23,9 +22,8 @@ use sfet_waveform::Waveform;
 #[derive(Debug, Clone)]
 pub struct DcSweepResult {
     swept: Vec<f64>,
-    node_index: HashMap<String, usize>,
+    signals: SignalIndex,
     node_data: Vec<Vec<f64>>,
-    branch_index: HashMap<String, usize>,
     branch_data: Vec<Vec<f64>>,
 }
 
@@ -45,10 +43,7 @@ impl DcSweepResult {
     /// [`SimError::InvalidOptions`] if the sweep axis is not strictly
     /// increasing.
     pub fn transfer_curve(&self, node: &str) -> Result<Waveform> {
-        let &idx = self
-            .node_index
-            .get(node)
-            .ok_or_else(|| SimError::UnknownSignal(format!("v({node})")))?;
+        let idx = self.signals.column(Signal::Voltage, node)?;
         Waveform::from_samples(self.swept.clone(), self.node_data[idx].clone())
             .map_err(|e| SimError::InvalidOptions(format!("sweep axis unusable: {e}")))
     }
@@ -59,11 +54,7 @@ impl DcSweepResult {
     ///
     /// [`SimError::UnknownSignal`] for unknown nodes.
     pub fn voltage_at(&self, node: &str, k: usize) -> Result<f64> {
-        let &idx = self
-            .node_index
-            .get(node)
-            .ok_or_else(|| SimError::UnknownSignal(format!("v({node})")))?;
-        Ok(self.node_data[idx][k])
+        Ok(self.node_data[self.signals.column(Signal::Voltage, node)?][k])
     }
 
     /// Branch current of a voltage source / inductor at sweep point `k`.
@@ -72,11 +63,7 @@ impl DcSweepResult {
     ///
     /// [`SimError::UnknownSignal`] for unknown branches.
     pub fn branch_at(&self, element: &str, k: usize) -> Result<f64> {
-        let &idx = self
-            .branch_index
-            .get(element)
-            .ok_or_else(|| SimError::UnknownSignal(format!("i({element})")))?;
-        Ok(self.branch_data[idx][k])
+        Ok(self.branch_data[self.signals.column(Signal::Current, element)?][k])
     }
 }
 
@@ -99,11 +86,8 @@ pub fn dc_sweep(
     }
     let mut compiled = CompiledCircuit::compile(circuit);
     let src_idx = compiled
-        .devices
-        .iter()
-        .position(|d| {
-            matches!(d, SimDevice::Vsrc { .. }) && device_name(&compiled, d) == Some(source)
-        })
+        .source_named(source)
+        .filter(|&i| matches!(compiled.devices[i], SimDevice::Vsrc { .. }))
         .ok_or_else(|| SimError::UnknownSignal(format!("voltage source {source:?}")))?;
 
     // One solver workspace for the whole sweep: the compiled sparsity
@@ -124,31 +108,17 @@ pub fn dc_sweep(
         // (bounded — each PTM can flip at most twice per bias point).
         let mut solved = solve_point(&mut compiled, &x, warm, opts, &mut ws)?;
         for _ in 0..4 {
-            let mut fired = false;
-            for device in &mut compiled.devices {
-                if let SimDevice::Ptm {
-                    p,
-                    n,
-                    state,
-                    events,
-                    ..
-                } = device
-                {
-                    let v = volt(&solved, *p) - volt(&solved, *n);
-                    if state.threshold_excess(v).is_some_and(|e| e >= 0.0) {
-                        let event = state.fire(0.0);
-                        trace::emit_ptm_event(&opts.telemetry, &event);
-                        events.push(event);
-                        state.update(state.params().t_ptm); // instant completion
-                        fired = true;
-                    }
-                }
-            }
-            if !fired {
+            if compiled.fire_ptms(&solved, 0.0, &opts.telemetry) == 0 {
                 break;
             }
-            for device in &mut compiled.devices {
-                device.prepare_step(0.0);
+            // Each transition completes at once (the sweep is assumed slow
+            // against T_PTM) and its resistance is frozen for the re-solve.
+            for &(i, _) in &compiled.ptm_devices {
+                let ptm = &mut compiled.devices[i];
+                if let SimDevice::Ptm { state, .. } = ptm {
+                    state.update(state.params().t_ptm);
+                }
+                ptm.prepare_step(0.0);
             }
             solved = solve_point(&mut compiled, &solved, true, opts, &mut ws)?;
         }
@@ -168,19 +138,8 @@ pub fn dc_sweep(
 
     Ok(DcSweepResult {
         swept: points.to_vec(),
-        node_index: compiled
-            .node_names
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (n.clone(), i))
-            .collect(),
+        signals: SignalIndex::new(&compiled),
         node_data,
-        branch_index: compiled
-            .branch_names
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (n.clone(), i))
-            .collect(),
         branch_data,
     })
 }
@@ -200,16 +159,6 @@ fn solve_point(
         }
     }
     crate::dcop::solve_dc(compiled, opts, ws)
-}
-
-fn device_name<'a>(compiled: &'a CompiledCircuit, device: &SimDevice) -> Option<&'a str> {
-    // Branch-owning devices store their name in branch order.
-    if let SimDevice::Vsrc { branch, .. } = device {
-        let idx = branch - compiled.node_names.len();
-        compiled.branch_names.get(idx).map(String::as_str)
-    } else {
-        None
-    }
 }
 
 #[cfg(test)]

@@ -21,10 +21,12 @@
 //!   to `n` (SPICE convention: a supply delivering current reads negative).
 
 use crate::matrix::MnaMatrix;
+use crate::trace;
 use sfet_circuit::{Circuit, Element, SourceWaveform};
 use sfet_devices::mosfet::{self, GateCaps, MosfetModel};
 use sfet_devices::ptm::{PtmState, TransitionEvent};
 use sfet_numeric::integrate::{cap_companion, ind_companion, CapHistory, IndHistory, Method};
+use sfet_telemetry::Telemetry;
 
 /// Index of an unknown in the MNA vector; `None` means ground.
 pub(crate) type Unknown = Option<usize>;
@@ -543,6 +545,16 @@ impl SimDevice {
         }
     }
 
+    /// How far an armed PTM's terminal voltage at iterate `x` lies past its
+    /// threshold ([`PtmState::threshold_excess`]); `None` for a PTM in
+    /// transition and for every other device.
+    pub(crate) fn threshold_excess(&self, x: &[f64]) -> Option<f64> {
+        match self {
+            SimDevice::Ptm { p, n, state, .. } => state.threshold_excess(volt(x, *p) - volt(x, *n)),
+            _ => None,
+        }
+    }
+
     /// Voltage-unknown indices this device touches (for gmin stepping).
     /// Returns a fixed-size array (padded with ground) so the per-stamp
     /// hot path stays allocation-free.
@@ -679,9 +691,6 @@ pub(crate) struct CompiledCircuit {
     pub branch_names: Vec<String>,
     /// Indices into `devices` of PTM instances, with their names.
     pub ptm_devices: Vec<(usize, String)>,
-    /// Current-source names in device order (current sources own no branch
-    /// unknown, so they need their own name list).
-    pub isrc_names: Vec<String>,
     /// No device [reads the iterate](SimDevice::reads_iterate): within one
     /// transient step attempt every Newton iteration assembles the same
     /// system, so its solve is the same too.
@@ -689,6 +698,8 @@ pub(crate) struct CompiledCircuit {
     /// Indices into `devices` of the [sources](SimDevice::is_source), for
     /// the breakpoint search.
     pub sources: Vec<usize>,
+    /// The element name of each of `sources`, in the same order.
+    pub source_names: Vec<String>,
     /// Indices into `devices` whose transient stamp
     /// [writes the right-hand side](SimDevice::stamps_transient_rhs).
     pub rhs_devices: Vec<usize>,
@@ -737,7 +748,7 @@ impl CompiledCircuit {
         let mut next_branch = n_nodes - 1;
         let mut devices = Vec::with_capacity(circuit.elements().len());
         let mut ptm_devices = Vec::new();
-        let mut isrc_names = Vec::new();
+        let mut source_names = Vec::new();
 
         for element in circuit.elements() {
             let device = match element {
@@ -769,6 +780,7 @@ impl CompiledCircuit {
                     let branch = next_branch;
                     next_branch += 1;
                     branch_names.push(v.name.clone());
+                    source_names.push(v.name.clone());
                     SimDevice::Vsrc {
                         p: to_unknown(v.p),
                         n: to_unknown(v.n),
@@ -777,7 +789,7 @@ impl CompiledCircuit {
                     }
                 }
                 Element::CurrentSource(i) => {
-                    isrc_names.push(i.name.clone());
+                    source_names.push(i.name.clone());
                     SimDevice::Isrc {
                         p: to_unknown(i.p),
                         n: to_unknown(i.n),
@@ -874,6 +886,7 @@ impl CompiledCircuit {
         CompiledCircuit {
             linear: !devices.iter().any(SimDevice::reads_iterate),
             sources: role(SimDevice::is_source),
+            source_names,
             rhs_devices: role(SimDevice::stamps_transient_rhs),
             stateful: role(SimDevice::commits_state),
             devices,
@@ -881,25 +894,37 @@ impl CompiledCircuit {
             node_names,
             branch_names,
             ptm_devices,
-            isrc_names,
         }
     }
 
-    /// Name of a current-source device, if `device` is one (current sources
-    /// own no branch, so their names are recovered from the original order
-    /// of current sources in the element list).
-    pub(crate) fn isrc_name(&self, device: &SimDevice) -> Option<&str> {
-        let target = device as *const SimDevice;
-        let mut isrc_idx = 0;
-        for d in &self.devices {
-            if let SimDevice::Isrc { .. } = d {
-                if std::ptr::eq(d, target) {
-                    return self.isrc_names.get(isrc_idx).map(String::as_str);
-                }
-                isrc_idx += 1;
+    /// The index into `devices` of the independent source named `name`.
+    pub(crate) fn source_named(&self, name: &str) -> Option<usize> {
+        let mut named = self.sources.iter().zip(&self.source_names);
+        named.find_map(|(&i, source)| (source == name).then_some(i))
+    }
+
+    /// Fires every armed PTM whose terminal voltage at iterate `x` has
+    /// reached its threshold, at time `t`: records each event, emits its
+    /// counter and returns how many fired. DC init, the DC sweep's settling
+    /// and every accepted transient step fire PTMs here.
+    pub(crate) fn fire_ptms(&mut self, x: &[f64], t: f64, tel: &Telemetry) -> usize {
+        let mut fired = 0;
+        for &(i, _) in &self.ptm_devices {
+            let device = &mut self.devices[i];
+            if !device
+                .threshold_excess(x)
+                .is_some_and(|excess| excess >= 0.0)
+            {
+                continue;
+            }
+            if let SimDevice::Ptm { state, events, .. } = device {
+                let event = state.fire(t);
+                trace::emit_ptm_event(tel, &event);
+                events.push(event);
+                fired += 1;
             }
         }
-        None
+        fired
     }
 
     /// Commits an accepted step: [`commit`](SimDevice::commit)s only the
@@ -1011,6 +1036,16 @@ mod tests {
                 compiled.sources.contains(&i),
                 "{what}: has breakpoints exactly when in `sources`"
             );
+
+            // DC init walks `stateful` for `init_history`.
+            let mut probe = compiled.clone();
+            probe.devices[i].init_history(&x1);
+            if capture_devices(&probe) != capture_devices(&compiled) {
+                assert!(
+                    compiled.stateful.contains(&i),
+                    "{what}: `init_history` changes it, so it must be in `stateful`"
+                );
+            }
 
             let mut probe = compiled.clone();
             probe.devices[i].prepare_step(t_next);

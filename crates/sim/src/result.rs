@@ -1,7 +1,8 @@
-//! Transient analysis results.
+//! Analysis results, and the signal index they look signals up in.
 
 use std::collections::HashMap;
 
+use crate::devices::CompiledCircuit;
 use crate::matrix::SolverStats;
 use crate::{Result, SimError};
 use sfet_devices::ptm::TransitionEvent;
@@ -53,11 +54,9 @@ pub struct DcStats {
 #[derive(Debug, Clone)]
 pub struct TranResult {
     pub(crate) times: Vec<f64>,
-    pub(crate) node_index: HashMap<String, usize>,
+    pub(crate) signals: SignalIndex,
     pub(crate) node_data: Vec<Vec<f64>>,
-    pub(crate) branch_index: HashMap<String, usize>,
     pub(crate) branch_data: Vec<Vec<f64>>,
-    pub(crate) ptm_index: HashMap<String, usize>,
     pub(crate) ptm_resistance: Vec<Vec<f64>>,
     pub(crate) ptm_events: Vec<Vec<TransitionEvent>>,
     pub(crate) stats: TranStats,
@@ -77,19 +76,19 @@ impl TranResult {
     /// Names of all recorded node-voltage signals, in MNA unknown order
     /// (the circuit's node order, ground excluded).
     pub fn node_names(&self) -> impl Iterator<Item = &str> {
-        in_index_order(&self.node_index)
+        self.signals.names(Signal::Voltage)
     }
 
     /// Names of all recorded branch-current signals (voltage sources and
     /// inductors), in element order.
     pub fn branch_names(&self) -> impl Iterator<Item = &str> {
-        in_index_order(&self.branch_index)
+        self.signals.names(Signal::Current)
     }
 
     /// Names of all PTM instances with recorded resistance traces, in
     /// element order.
     pub fn ptm_names(&self) -> impl Iterator<Item = &str> {
-        in_index_order(&self.ptm_index)
+        self.signals.names(Signal::Resistance)
     }
 
     /// Node-voltage waveform by node name.
@@ -113,11 +112,7 @@ impl TranResult {
     ///
     /// [`SimError::UnknownSignal`] if the node does not exist.
     pub fn node_samples(&self, node: &str) -> Result<&[f64]> {
-        let &idx = self
-            .node_index
-            .get(node)
-            .ok_or_else(|| SimError::UnknownSignal(format!("v({node})")))?;
-        Ok(&self.node_data[idx])
+        Ok(&self.node_data[self.signals.column(Signal::Voltage, node)?])
     }
 
     /// Branch-current waveform of a voltage source or inductor, by element
@@ -129,10 +124,7 @@ impl TranResult {
     ///
     /// [`SimError::UnknownSignal`] if no such branch exists.
     pub fn branch_current(&self, element: &str) -> Result<Waveform> {
-        let &idx = self
-            .branch_index
-            .get(element)
-            .ok_or_else(|| SimError::UnknownSignal(format!("i({element})")))?;
+        let idx = self.signals.column(Signal::Current, element)?;
         Ok(
             Waveform::from_samples(self.times.clone(), self.branch_data[idx].clone())
                 .expect("engine produces a valid time axis"),
@@ -156,10 +148,7 @@ impl TranResult {
     ///
     /// [`SimError::UnknownSignal`] if no such PTM exists.
     pub fn ptm_resistance(&self, name: &str) -> Result<Waveform> {
-        let &idx = self
-            .ptm_index
-            .get(name)
-            .ok_or_else(|| SimError::UnknownSignal(format!("r({name})")))?;
+        let idx = self.signals.column(Signal::Resistance, name)?;
         Ok(
             Waveform::from_samples(self.times.clone(), self.ptm_resistance[idx].clone())
                 .expect("engine produces a valid time axis"),
@@ -190,11 +179,7 @@ impl TranResult {
         node: &str,
         exact: impl Fn(f64) -> f64,
     ) -> Result<sfet_numeric::norms::ErrorNorms> {
-        let &idx = self
-            .node_index
-            .get(node)
-            .ok_or_else(|| SimError::UnknownSignal(format!("v({node})")))?;
-        Ok(self.score_samples(&self.node_data[idx], exact))
+        Ok(self.score_samples(self.node_samples(node)?, exact))
     }
 
     /// Scores a branch current (voltage source or inductor) against a
@@ -208,10 +193,7 @@ impl TranResult {
         element: &str,
         exact: impl Fn(f64) -> f64,
     ) -> Result<sfet_numeric::norms::ErrorNorms> {
-        let &idx = self
-            .branch_index
-            .get(element)
-            .ok_or_else(|| SimError::UnknownSignal(format!("i({element})")))?;
+        let idx = self.signals.column(Signal::Current, element)?;
         Ok(self.score_samples(&self.branch_data[idx], exact))
     }
 
@@ -236,22 +218,82 @@ impl TranResult {
     ///
     /// [`SimError::UnknownSignal`] if no such PTM exists.
     pub fn ptm_events(&self, name: &str) -> Result<&[TransitionEvent]> {
-        let &idx = self
-            .ptm_index
-            .get(name)
-            .ok_or_else(|| SimError::UnknownSignal(format!("events({name})")))?;
-        Ok(&self.ptm_events[idx])
+        Ok(&self.ptm_events[self.signals.column(Signal::Events, name)?])
     }
 }
 
-/// The names of a signal index, ordered by their column, not by the
-/// `HashMap`'s per-instance iteration order.
-fn in_index_order(index: &HashMap<String, usize>) -> impl Iterator<Item = &str> {
-    let mut names = vec![""; index.len()];
-    for (name, &i) in index {
-        names[i] = name;
+/// A family of signals, and how a name missing from it is spelled.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Signal {
+    /// A node voltage: `v(name)`.
+    Voltage,
+    /// A branch current of a voltage source, inductor or controlled
+    /// voltage source: `i(name)`.
+    Current,
+    /// A PTM's resistance trace: `r(name)`.
+    Resistance,
+    /// A PTM's transition events: `events(name)`.
+    Events,
+}
+
+/// The one name-to-column index of every analysis result: node voltages,
+/// branch currents and PTM instances, each numbered in circuit order,
+/// which is the column order of the result's data.
+#[derive(Debug, Clone)]
+pub(crate) struct SignalIndex {
+    nodes: HashMap<String, usize>,
+    branches: HashMap<String, usize>,
+    ptms: HashMap<String, usize>,
+}
+
+impl SignalIndex {
+    pub(crate) fn new(compiled: &CompiledCircuit) -> Self {
+        fn index<'a>(names: impl Iterator<Item = &'a String>) -> HashMap<String, usize> {
+            names.enumerate().map(|(i, n)| (n.clone(), i)).collect()
+        }
+        SignalIndex {
+            nodes: index(compiled.node_names.iter()),
+            branches: index(compiled.branch_names.iter()),
+            ptms: index(compiled.ptm_devices.iter().map(|(_, name)| name)),
+        }
     }
-    names.into_iter()
+
+    fn family(&self, signal: Signal) -> &HashMap<String, usize> {
+        match signal {
+            Signal::Voltage => &self.nodes,
+            Signal::Current => &self.branches,
+            Signal::Resistance | Signal::Events => &self.ptms,
+        }
+    }
+
+    /// The column of signal `name`.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::UnknownSignal`] spelled `v(name)`, `i(name)`, `r(name)`
+    /// or `events(name)`.
+    pub(crate) fn column(&self, signal: Signal, name: &str) -> Result<usize> {
+        self.family(signal).get(name).copied().ok_or_else(|| {
+            let spelling = match signal {
+                Signal::Voltage => "v",
+                Signal::Current => "i",
+                Signal::Resistance => "r",
+                Signal::Events => "events",
+            };
+            SimError::UnknownSignal(format!("{spelling}({name})"))
+        })
+    }
+
+    /// The names of a family in column order, not in the `HashMap`'s
+    /// per-instance iteration order.
+    pub(crate) fn names(&self, signal: Signal) -> impl Iterator<Item = &str> {
+        let family = self.family(signal);
+        let mut names = vec![""; family.len()];
+        for (name, &i) in family {
+            names[i] = name;
+        }
+        names.into_iter()
+    }
 }
 
 #[cfg(test)]
@@ -259,17 +301,16 @@ mod tests {
     use super::*;
 
     fn sample_result() -> TranResult {
-        let mut node_index = HashMap::new();
-        node_index.insert("out".to_string(), 0);
-        let mut branch_index = HashMap::new();
-        branch_index.insert("VDD".to_string(), 0);
+        let mut ckt = sfet_circuit::Circuit::new();
+        let out = ckt.node("out");
+        let g = sfet_circuit::Circuit::ground();
+        ckt.add_voltage_source("VDD", out, g, sfet_circuit::SourceWaveform::Dc(1.0))
+            .unwrap();
         TranResult {
             times: vec![0.0, 1.0, 2.0],
-            node_index,
+            signals: SignalIndex::new(&CompiledCircuit::compile(&ckt)),
             node_data: vec![vec![0.0, 0.5, 1.0]],
-            branch_index,
             branch_data: vec![vec![0.0, -1e-6, 0.0]],
-            ptm_index: HashMap::new(),
             ptm_resistance: vec![],
             ptm_events: vec![],
             stats: TranStats::default(),
@@ -296,5 +337,24 @@ mod tests {
         let r = sample_result();
         assert!(r.ptm_resistance("P1").is_err());
         assert!(r.ptm_events("P1").is_err());
+    }
+
+    /// Every lookup of the one index spells its signal as it always has.
+    #[test]
+    fn unknown_signals_keep_their_spellings() {
+        let r = sample_result();
+        let spelled = |e: SimError| match e {
+            SimError::UnknownSignal(name) => name,
+            other => panic!("expected UnknownSignal, got {other:?}"),
+        };
+        assert_eq!(spelled(r.node_samples("x").unwrap_err()), "v(x)");
+        assert_eq!(spelled(r.score_voltage("x", |_| 0.0).unwrap_err()), "v(x)");
+        assert_eq!(spelled(r.branch_current("x").unwrap_err()), "i(x)");
+        let score = r.score_branch_current("x", |_| 0.0);
+        assert_eq!(spelled(score.unwrap_err()), "i(x)");
+        assert_eq!(spelled(r.ptm_resistance("x").unwrap_err()), "r(x)");
+        assert_eq!(spelled(r.ptm_events("x").unwrap_err()), "events(x)");
+        assert_eq!(r.node_names().collect::<Vec<_>>(), ["out"]);
+        assert_eq!(r.branch_names().collect::<Vec<_>>(), ["VDD"]);
     }
 }

@@ -27,17 +27,14 @@
 //! (see [`crate::checkpoint`]) and can later resume from the snapshot,
 //! producing a waveform bitwise identical to an uninterrupted run.
 
-use std::collections::HashMap;
-
 use crate::batch::{drive_lanes, Lane};
 use crate::checkpoint::CheckpointPolicy;
 use crate::devices::{CompiledCircuit, SimDevice};
 use crate::matrix::MnaMatrix;
 use crate::options::SimOptions;
-use crate::result::{TranResult, TranStats};
+use crate::result::{SignalIndex, TranResult, TranStats};
 use crate::{Result, SimError};
 use sfet_circuit::Circuit;
-use sfet_numeric::NumericError;
 
 /// Runs a transient analysis from `t = 0` to `tstop`.
 ///
@@ -100,35 +97,6 @@ pub(crate) fn compile_checked(
     }
     circuit.validate()?;
     Ok(CompiledCircuit::compile(circuit))
-}
-
-/// Builds the error for a non-finite Newton iterate: a
-/// [`NumericError::NonFinite`] whose context names the solve stage and the
-/// first offending MNA unknown, so a poisoned sweep task reports *which*
-/// node diverged rather than unwinding with a panic.
-pub(crate) fn non_finite_unknown(compiled: &CompiledCircuit, idx: usize, stage: &str) -> SimError {
-    let name = unknown_name(compiled, idx, compiled.node_names.len())
-        .unwrap_or_else(|| format!("unknown #{idx}"));
-    SimError::Numeric(NumericError::NonFinite {
-        context: format!("{stage}, first non-finite unknown {name}"),
-    })
-}
-
-/// Human-readable name of MNA unknown `idx`: `v(<node>)` for node voltages,
-/// `i(<element>)` for branch currents.
-pub(crate) fn unknown_name(
-    compiled: &CompiledCircuit,
-    idx: usize,
-    node_count: usize,
-) -> Option<String> {
-    if idx < node_count {
-        compiled.node_names.get(idx).map(|n| format!("v({n})"))
-    } else {
-        compiled
-            .branch_names
-            .get(idx - node_count)
-            .map(|n| format!("i({n})"))
-    }
 }
 
 /// Accumulates sampled signals during integration, one per lane.
@@ -215,24 +183,6 @@ impl Recorder {
     }
 
     pub(crate) fn finish(self, compiled: &CompiledCircuit, stats: TranStats) -> TranResult {
-        let node_index: HashMap<String, usize> = compiled
-            .node_names
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (n.clone(), i))
-            .collect();
-        let branch_index: HashMap<String, usize> = compiled
-            .branch_names
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (n.clone(), i))
-            .collect();
-        let ptm_index: HashMap<String, usize> = compiled
-            .ptm_devices
-            .iter()
-            .enumerate()
-            .map(|(i, (_, n))| (n.clone(), i))
-            .collect();
         let ptm_events = compiled
             .ptm_devices
             .iter()
@@ -243,11 +193,9 @@ impl Recorder {
             .collect();
         TranResult {
             times: self.times,
-            node_index,
+            signals: SignalIndex::new(compiled),
             node_data: self.node_data,
-            branch_index,
             branch_data: self.branch_data,
-            ptm_index,
             ptm_resistance: self.ptm_resistance,
             ptm_events,
             stats,
@@ -264,6 +212,7 @@ pub(crate) mod tests {
     use sfet_devices::ptm::PtmParams;
     use sfet_numeric::fault::FaultPlan;
     use sfet_numeric::integrate::Method;
+    use sfet_numeric::NumericError;
     use sfet_telemetry::names;
 
     fn opts_for(tstop: f64) -> SimOptions {

@@ -124,7 +124,7 @@ fn failing_task_cancels_sweep_and_names_the_point() {
     let ran = AtomicUsize::new(0);
     let items: Vec<usize> = (0..2048).collect();
     let err = exec::par_map(
-        &ExecConfig::with_workers(4).with_chunk(1),
+        &ExecConfig::with_workers(4),
         &items,
         Task::Each(&|_, _, &x| {
             ran.fetch_add(1, Ordering::Relaxed);
