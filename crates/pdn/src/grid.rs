@@ -9,6 +9,11 @@
 //! modelled as ramped current loads — and [`PdnGrid::droop_map`] reduces
 //! the transient to a per-tile minimum-voltage map ([`DroopMap`]).
 //!
+//! The map records no waveform. It runs the transient through
+//! [`transient_probe`], which passes the tile rail voltages of each
+//! accepted point to a fold that keeps each tile's running minimum, so a
+//! map holds one value per tile however long it runs.
+//!
 //! # Scale and solver choice
 //!
 //! A grid tile contributes two unknowns (rail node + decap internal
@@ -47,7 +52,7 @@
 use crate::model::PdnParams;
 use crate::{PdnError, Result};
 use sfet_circuit::{Circuit, SourceWaveform};
-use sfet_sim::{transient, SimOptions, TranStats};
+use sfet_sim::{transient_probe, SimOptions, TranStats};
 
 /// Distributed PDN-grid scenario description.
 ///
@@ -306,13 +311,14 @@ impl PdnGrid {
     }
 
     /// Runs the transient and reduces it to a per-tile minimum-voltage
-    /// map, with default options sized for `t_stop`.
+    /// map as it steps, with default options sized for `t_stop`.
     ///
     /// # Errors
     ///
     /// Propagates build and simulation failures;
-    /// [`PdnError::NonFiniteMetric`] if any tile's extracted minimum is
-    /// NaN/Inf.
+    /// [`PdnError::NonFiniteMetric`] naming the first tile, in row-major
+    /// order, with a NaN/Inf voltage sample, and that tile's first such
+    /// sample.
     pub fn droop_map(&self) -> Result<DroopMap> {
         self.droop_map_with(&SimOptions::for_duration(self.t_stop, 400))
     }
@@ -321,38 +327,71 @@ impl PdnGrid {
     /// for pinning a solver backend ([`SimOptions::solver`]) and attaching
     /// telemetry.
     ///
+    /// The tile minima and the statistics are bit for bit what folding
+    /// each tile's recorded waveform ([`sfet_sim::TranResult::node_samples`])
+    /// with `f64::min` from `+∞`, in time order, gives.
+    ///
     /// # Errors
     ///
     /// Propagates build and simulation failures;
-    /// [`PdnError::NonFiniteMetric`] if any tile's extracted minimum is
-    /// NaN/Inf.
+    /// [`PdnError::NonFiniteMetric`] naming the first tile, in row-major
+    /// order, with a NaN/Inf voltage sample, and that tile's first such
+    /// sample.
     pub fn droop_map_with(&self, opts: &SimOptions) -> Result<DroopMap> {
         let ckt = self.build()?;
-        let result = transient(&ckt, self.t_stop, opts)?;
-        let mut v_min = Vec::with_capacity(self.tiles());
-        for iy in 0..self.ny {
-            for ix in 0..self.nx {
-                let name = Self::tile_node_name(ix, iy);
-                let samples = result.node_samples(&name)?;
-                let mut m = f64::INFINITY;
-                for &v in samples {
-                    if !v.is_finite() {
-                        return Err(PdnError::NonFiniteMetric(format!(
-                            "tile ({ix}, {iy}) voltage sample is {v}"
-                        )));
-                    }
-                    m = m.min(v);
-                }
-                v_min.push(m);
-            }
-        }
+        let rails: Vec<String> = (0..self.ny)
+            .flat_map(|iy| (0..self.nx).map(move |ix| Self::tile_node_name(ix, iy)))
+            .collect();
+        let mut minima = TileMinima::new(self.tiles());
+        let stats = transient_probe(&ckt, self.t_stop, opts, &rails, |v| minima.fold(v))?;
         Ok(DroopMap {
             nx: self.nx,
             ny: self.ny,
             v_nom: self.pdn.v_nom,
-            v_min,
-            stats: result.stats(),
+            v_min: minima.finish(self.nx)?,
+            stats,
         })
+    }
+}
+
+/// Each tile's running minimum over the accepted points of a transient,
+/// in time order, and each tile's first non-finite sample.
+struct TileMinima {
+    v_min: Vec<f64>,
+    non_finite: Vec<Option<f64>>,
+}
+
+impl TileMinima {
+    fn new(tiles: usize) -> Self {
+        TileMinima {
+            v_min: vec![f64::INFINITY; tiles],
+            non_finite: vec![None; tiles],
+        }
+    }
+
+    /// Folds one accepted point: every tile's voltage, row-major.
+    fn fold(&mut self, rails: &[f64]) {
+        let tiles = self.v_min.iter_mut().zip(&mut self.non_finite);
+        for ((m, first), &v) in tiles.zip(rails) {
+            if !v.is_finite() {
+                first.get_or_insert(v);
+            }
+            *m = m.min(v);
+        }
+    }
+
+    /// The tile minima, or the error naming the first tile, row-major, that
+    /// saw a non-finite sample, and the first such sample it saw.
+    fn finish(self, nx: usize) -> Result<Vec<f64>> {
+        let mut tiles = self.non_finite.iter().enumerate();
+        match tiles.find_map(|(lin, first)| first.map(|v| (lin, v))) {
+            Some((lin, v)) => Err(PdnError::NonFiniteMetric(format!(
+                "tile ({}, {}) voltage sample is {v}",
+                lin % nx,
+                lin / nx
+            ))),
+            None => Ok(self.v_min),
+        }
     }
 }
 
@@ -554,6 +593,47 @@ mod tests {
         assert!(iter.stats.solver.gmres_iterations > 0);
         let diff = direct.max_rel_diff(&iter).unwrap();
         assert!(diff < 1e-6, "iterative vs direct per-tile diff {diff:e}");
+    }
+
+    /// No grid run produces a non-finite sample, so the fold's error is
+    /// checked directly: with NaN and ±∞ samples in two tiles at different
+    /// points, it names the first tile in row-major order and that tile's
+    /// first non-finite sample, as the recorded reduction did.
+    #[test]
+    fn tile_minima_name_the_first_tile_and_its_first_non_finite_sample() {
+        let (nx, ny) = (3, 2);
+        let mut minima = TileMinima::new(nx * ny);
+        let points = [
+            [1.0, 0.9, 0.8, 0.7, 0.6, 0.5],
+            [1.0, 0.9, 0.8, 0.7, f64::NAN, 0.5],
+            [1.0, f64::INFINITY, 0.8, 0.7, 0.6, 0.5],
+            [1.0, f64::NEG_INFINITY, 0.8, 0.7, 0.6, 0.5],
+        ];
+        for point in &points {
+            minima.fold(point);
+        }
+        assert_eq!(
+            minima.finish(nx),
+            Err(PdnError::NonFiniteMetric(
+                "tile (1, 0) voltage sample is inf".into()
+            ))
+        );
+
+        let mut minima = TileMinima::new(nx * ny);
+        for point in &points[..2] {
+            minima.fold(point);
+        }
+        assert_eq!(
+            minima.finish(nx),
+            Err(PdnError::NonFiniteMetric(
+                "tile (1, 1) voltage sample is NaN".into()
+            ))
+        );
+
+        let mut minima = TileMinima::new(nx * ny);
+        minima.fold(&[1.0, 0.9, 0.8, 0.7, 0.6, 0.5]);
+        minima.fold(&[0.5, 1.0, 0.3, 0.7, 0.7, 0.4]);
+        assert_eq!(minima.finish(nx), Ok(vec![0.5, 0.9, 0.3, 0.7, 0.6, 0.4]));
     }
 
     #[test]

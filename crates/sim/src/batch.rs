@@ -51,7 +51,7 @@ use crate::matrix::{LinearSolver, MnaMatrix, SolverStats};
 use crate::options::SimOptions;
 use crate::result::{TranResult, TranStats};
 use crate::trace;
-use crate::transient::{compile_checked, transient, Recorder};
+use crate::transient::{compile_checked, transient, Probe, Recorder, Sink};
 use crate::{Result, SimError};
 use sfet_circuit::Circuit;
 use sfet_numeric::batch::BatchDense;
@@ -302,8 +302,9 @@ enum LanePhase {
     StartStep,
     /// Mid-Newton: the lane wants a linear solve this round.
     Newton,
-    /// Finished; the lane no longer participates.
-    Done(Box<Result<TranResult>>),
+    /// Finished; the lane no longer participates. On success its
+    /// statistics are final.
+    Done(Result<()>),
 }
 
 /// What a linear lane's transient Jacobian is a function of: the bits of
@@ -333,10 +334,9 @@ pub(crate) struct Lane<'a> {
     tstop: f64,
     compiled: CompiledCircuit,
     fault: FaultPlan,
-    ckpt: &'a CheckpointPolicy,
     /// Binds snapshots to this (circuit, tstop, method) triple.
     fingerprint: u64,
-    recorder: Recorder,
+    sink: Sink<'a>,
     stats: TranStats,
     /// Solver counters of the segments before a resume. The solver itself
     /// starts fresh (one extra full factorisation, which does not perturb
@@ -373,15 +373,40 @@ pub(crate) struct Lane<'a> {
 }
 
 impl<'a> Lane<'a> {
-    /// Opens the analysis span and restores the stepper state from
-    /// `ckpt.resume_from`, or starts it from the DC operating point.
+    /// A lane that records every unknown: it opens the analysis span and
+    /// restores the stepper state from `ckpt.resume_from`, or starts it
+    /// from the DC operating point.
     pub(crate) fn setup(
         compiled: CompiledCircuit,
         tstop: f64,
         opts: &'a SimOptions,
         ckpt: &'a CheckpointPolicy,
     ) -> Result<Self> {
-        let mut lane = Lane {
+        let recorder = Recorder::new(&compiled);
+        let mut lane = Lane::new(compiled, tstop, opts, Sink::Record(recorder, ckpt));
+        match &ckpt.resume_from {
+            Some(path) => lane.resume(path, ckpt)?,
+            None => lane.start_from_dc()?,
+        }
+        Ok(lane)
+    }
+
+    /// A lane that records nothing and passes `probe`'s nodes to its
+    /// closure: it opens the analysis span and starts from the DC
+    /// operating point.
+    pub(crate) fn probe(
+        compiled: CompiledCircuit,
+        tstop: f64,
+        opts: &'a SimOptions,
+        probe: Probe<'a>,
+    ) -> Result<Self> {
+        let mut lane = Lane::new(compiled, tstop, opts, Sink::Probe(probe));
+        lane.start_from_dc()?;
+        Ok(lane)
+    }
+
+    fn new(compiled: CompiledCircuit, tstop: f64, opts: &'a SimOptions, sink: Sink<'a>) -> Self {
+        Lane {
             opts,
             tstop,
             fault: opts
@@ -389,9 +414,8 @@ impl<'a> Lane<'a> {
                 .clone()
                 .or_else(FaultPlan::from_env)
                 .unwrap_or_default(),
-            ckpt,
             fingerprint: checkpoint::fingerprint(&compiled, tstop, opts.method),
-            recorder: Recorder::default(),
+            sink,
             stats: TranStats::default(),
             resumed_solver: SolverStats::default(),
             node_count: compiled.node_names.len(),
@@ -413,24 +437,24 @@ impl<'a> Lane<'a> {
             step_span: None,
             iter_span: None,
             compiled,
-        };
-        if let Some(path) = &ckpt.resume_from {
-            lane.resume(path)?;
-        } else {
-            // The initial operating point reports under the `dc.*`
-            // namespace; it is deliberately excluded from `TranStats`/`tran.*`.
-            let (x_dc, _) = operating_point(&mut lane.compiled, opts)?;
-            init_state_from_dc(&mut lane.compiled, &x_dc, opts);
-            lane.recorder = Recorder::new(&lane.compiled);
-            lane.recorder.record(0.0, &x_dc, &lane.compiled);
-            lane.x = x_dc;
         }
-        Ok(lane)
     }
 
-    /// Restores the stepper state from the snapshot at `path`, checking
-    /// every length the stepper indexes by.
-    fn resume(&mut self, path: &Path) -> Result<()> {
+    /// Starts the run from the DC operating point, its `t = 0` sample.
+    fn start_from_dc(&mut self) -> Result<()> {
+        // The operating point's Newton solve reports under the `dc.*`
+        // namespace; it is deliberately excluded from `TranStats`/`tran.*`.
+        // A PTM transition it sets off at t = 0 counts in both.
+        let (x_dc, _) = operating_point(&mut self.compiled, self.opts)?;
+        self.stats.ptm_transitions += init_state_from_dc(&mut self.compiled, &x_dc, self.opts);
+        self.sink.take(0.0, &x_dc, &self.compiled);
+        self.x = x_dc;
+        Ok(())
+    }
+
+    /// Restores the stepper state and its recorder from the snapshot at
+    /// `path`, checking every length the stepper indexes by.
+    fn resume(&mut self, path: &Path, ckpt: &'a CheckpointPolicy) -> Result<()> {
         let snap = checkpoint::read_snapshot(path, self.fingerprint)?;
         checkpoint::restore_devices(&mut self.compiled, &snap.devices)?;
         let n = self.compiled.size;
@@ -446,13 +470,14 @@ impl<'a> Lane<'a> {
                 "snapshot LTE history must hold at most 2 points of {n} unknowns"
             )));
         }
-        self.recorder = Recorder::restore(
+        let recorder = Recorder::restore(
             &self.compiled,
             snap.times,
             snap.node_data,
             snap.branch_data,
             snap.ptm_resistance,
         )?;
+        self.sink = Sink::Record(recorder, ckpt);
         self.stats = snap.stats;
         self.resumed_solver = std::mem::take(&mut self.stats.solver);
         self.x = snap.x;
@@ -464,10 +489,21 @@ impl<'a> Lane<'a> {
         Ok(())
     }
 
-    /// The run's result, once the round loop has finished the lane.
+    /// The recorded run's result, once the round loop has finished the
+    /// lane.
     pub(crate) fn into_result(self) -> Result<TranResult> {
+        match (self.phase, self.sink) {
+            (LanePhase::Done(outcome), Sink::Record(recorder, _)) => {
+                outcome.map(|()| recorder.finish(&self.compiled, self.stats))
+            }
+            _ => unreachable!("the round loop runs every lane to completion; result lanes record"),
+        }
+    }
+
+    /// The run's statistics, once the round loop has finished the lane.
+    pub(crate) fn into_stats(self) -> Result<TranStats> {
         match self.phase {
-            LanePhase::Done(result) => *result,
+            LanePhase::Done(outcome) => outcome.map(|()| self.stats),
             _ => unreachable!("the round loop runs every lane to completion"),
         }
     }
@@ -482,9 +518,7 @@ impl<'a> Lane<'a> {
             if !(self.t < self.tstop * (1.0 - 1e-12)) {
                 self.stats.solver = self.resumed_solver.merged(&solver.stats(l));
                 trace::emit_tran_stats(&self.opts.telemetry, &self.stats);
-                let recorder = std::mem::take(&mut self.recorder);
-                let result = recorder.finish(&self.compiled, self.stats);
-                return self.finish(Ok(result));
+                return self.finish(Ok(()));
             }
             self.stats.steps_attempted += 1;
             let step = self.stats.steps_attempted;
@@ -779,8 +813,7 @@ impl<'a> Lane<'a> {
             };
         }
 
-        self.recorder
-            .record(self.t_next, &self.x_iter, &self.compiled);
+        self.sink.take(self.t_next, &self.x_iter, &self.compiled);
         self.stats.steps_accepted += 1;
         if opts.telemetry.is_enabled() {
             opts.telemetry.histogram(names::H_TRAN_DT, self.dt_cur);
@@ -820,9 +853,11 @@ impl<'a> Lane<'a> {
     }
 
     /// Writes the periodic snapshot when one is due, after the state
-    /// advanced.
+    /// advanced. A lane that records nothing writes none.
     fn write_checkpoint(&self, solver: &impl LaneSolver, l: usize) -> Result<()> {
-        let ckpt = self.ckpt;
+        let Sink::Record(recorder, ckpt) = &self.sink else {
+            return Ok(());
+        };
         let every = ckpt.checkpoint_every;
         let due = every > 0 && self.stats.steps_accepted.is_multiple_of(every);
         let (Some(path), true) = (&ckpt.checkpoint_to, due) else {
@@ -838,10 +873,10 @@ impl<'a> Lane<'a> {
                 solver: self.resumed_solver.merged(&solver.stats(l)),
                 ..self.stats
             },
-            times: self.recorder.times.clone(),
-            node_data: self.recorder.node_data.clone(),
-            branch_data: self.recorder.branch_data.clone(),
-            ptm_resistance: self.recorder.ptm_resistance.clone(),
+            times: recorder.times.clone(),
+            node_data: recorder.node_data.clone(),
+            branch_data: recorder.branch_data.clone(),
+            ptm_resistance: recorder.ptm_resistance.clone(),
             devices: checkpoint::capture_devices(&self.compiled),
         };
         checkpoint::write_snapshot(path, &snap, self.fingerprint)?;
@@ -850,10 +885,10 @@ impl<'a> Lane<'a> {
     }
 
     /// Ends the run: closes the open step span, then the analysis span.
-    fn finish(&mut self, result: Result<TranResult>) {
+    fn finish(&mut self, outcome: Result<()>) {
         self.step_span = None;
         self.span = None;
-        self.phase = LanePhase::Done(Box::new(result));
+        self.phase = LanePhase::Done(outcome);
     }
 }
 

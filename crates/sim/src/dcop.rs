@@ -331,8 +331,13 @@ fn unknown_name(compiled: &CompiledCircuit, idx: usize) -> Option<String> {
     }
 }
 
-/// Initialises companion histories and PTM step state from a DC solution.
-pub(crate) fn init_state_from_dc(compiled: &mut CompiledCircuit, x: &[f64], opts: &SimOptions) {
+/// Initialises companion histories and PTM step state from a DC solution,
+/// and returns how many PTM transitions fired at `t = 0`.
+pub(crate) fn init_state_from_dc(
+    compiled: &mut CompiledCircuit,
+    x: &[f64],
+    opts: &SimOptions,
+) -> usize {
     for &i in &compiled.stateful {
         compiled.devices[i].init_history(x);
     }
@@ -342,7 +347,7 @@ pub(crate) fn init_state_from_dc(compiled: &mut CompiledCircuit, x: &[f64], opts
     // A PTM may already sit beyond its threshold at t=0 (e.g. a DC bias
     // above V_IMT). Fire those immediately so the transient starts from a
     // consistent phase.
-    compiled.fire_ptms(x, 0.0, &opts.telemetry);
+    compiled.fire_ptms(x, 0.0, &opts.telemetry)
 }
 
 #[cfg(test)]

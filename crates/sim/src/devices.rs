@@ -31,6 +31,16 @@ use sfet_telemetry::Telemetry;
 /// Index of an unknown in the MNA vector; `None` means ground.
 pub(crate) type Unknown = Option<usize>;
 
+/// The unknown of circuit node `id`: the circuit's nodes in order, ground
+/// excluded.
+pub(crate) fn node_unknown(id: sfet_circuit::NodeId) -> Unknown {
+    if id.is_ground() {
+        None
+    } else {
+        Some(id.index() - 1)
+    }
+}
+
 /// Reads the voltage of a (possibly ground) unknown from the solution.
 #[inline]
 pub(crate) fn volt(x: &[f64], u: Unknown) -> f64 {
@@ -712,13 +722,6 @@ impl CompiledCircuit {
     /// Compiles a validated circuit.
     pub(crate) fn compile(circuit: &Circuit) -> Self {
         let n_nodes = circuit.node_count();
-        let to_unknown = |id: sfet_circuit::NodeId| -> Unknown {
-            if id.is_ground() {
-                None
-            } else {
-                Some(id.index() - 1)
-            }
-        };
         // Pass 1: branch-unknown layout. Voltage sources, inductors, VCVS
         // and CCVS own branch currents in element order; F/H cards resolve
         // their controlling voltage source's branch through this map, which
@@ -753,13 +756,13 @@ impl CompiledCircuit {
         for element in circuit.elements() {
             let device = match element {
                 Element::Resistor(r) => SimDevice::Resistor {
-                    p: to_unknown(r.p),
-                    n: to_unknown(r.n),
+                    p: node_unknown(r.p),
+                    n: node_unknown(r.n),
                     g: 1.0 / r.ohms,
                 },
                 Element::Capacitor(c) => SimDevice::Capacitor {
-                    p: to_unknown(c.p),
-                    n: to_unknown(c.n),
+                    p: node_unknown(c.p),
+                    n: node_unknown(c.n),
                     c: c.farads,
                     ic: c.ic,
                     hist: CapHistory::default(),
@@ -769,8 +772,8 @@ impl CompiledCircuit {
                     next_branch += 1;
                     branch_names.push(l.name.clone());
                     SimDevice::Inductor {
-                        p: to_unknown(l.p),
-                        n: to_unknown(l.n),
+                        p: node_unknown(l.p),
+                        n: node_unknown(l.n),
                         branch,
                         l: l.henries,
                         hist: IndHistory::default(),
@@ -782,8 +785,8 @@ impl CompiledCircuit {
                     branch_names.push(v.name.clone());
                     source_names.push(v.name.clone());
                     SimDevice::Vsrc {
-                        p: to_unknown(v.p),
-                        n: to_unknown(v.n),
+                        p: node_unknown(v.p),
+                        n: node_unknown(v.n),
                         branch,
                         wave: v.wave.clone(),
                     }
@@ -791,8 +794,8 @@ impl CompiledCircuit {
                 Element::CurrentSource(i) => {
                     source_names.push(i.name.clone());
                     SimDevice::Isrc {
-                        p: to_unknown(i.p),
-                        n: to_unknown(i.n),
+                        p: node_unknown(i.p),
+                        n: node_unknown(i.n),
                         wave: i.wave.clone(),
                     }
                 }
@@ -801,24 +804,24 @@ impl CompiledCircuit {
                     next_branch += 1;
                     branch_names.push(e.name.clone());
                     SimDevice::Vcvs {
-                        p: to_unknown(e.p),
-                        n: to_unknown(e.n),
-                        cp: to_unknown(e.cp),
-                        cn: to_unknown(e.cn),
+                        p: node_unknown(e.p),
+                        n: node_unknown(e.n),
+                        cp: node_unknown(e.cp),
+                        cn: node_unknown(e.cn),
                         branch,
                         gain: e.gain,
                     }
                 }
                 Element::Vccs(g) => SimDevice::Vccs {
-                    p: to_unknown(g.p),
-                    n: to_unknown(g.n),
-                    cp: to_unknown(g.cp),
-                    cn: to_unknown(g.cn),
+                    p: node_unknown(g.p),
+                    n: node_unknown(g.n),
+                    cp: node_unknown(g.cp),
+                    cn: node_unknown(g.cn),
                     gm: g.gm,
                 },
                 Element::Cccs(f) => SimDevice::Cccs {
-                    p: to_unknown(f.p),
-                    n: to_unknown(f.n),
+                    p: node_unknown(f.p),
+                    n: node_unknown(f.n),
                     cbranch: control_branch(&f.vname),
                     gain: f.gain,
                 },
@@ -827,18 +830,18 @@ impl CompiledCircuit {
                     next_branch += 1;
                     branch_names.push(h.name.clone());
                     SimDevice::Ccvs {
-                        p: to_unknown(h.p),
-                        n: to_unknown(h.n),
+                        p: node_unknown(h.p),
+                        n: node_unknown(h.n),
                         cbranch: control_branch(&h.vname),
                         branch,
                         r: h.r,
                     }
                 }
                 Element::Mosfet(m) => SimDevice::Mosfet {
-                    d: to_unknown(m.d),
-                    g: to_unknown(m.g),
-                    s: to_unknown(m.s),
-                    b: to_unknown(m.b),
+                    d: node_unknown(m.d),
+                    g: node_unknown(m.g),
+                    s: node_unknown(m.s),
+                    b: node_unknown(m.b),
                     model: m.model.clone(),
                     w: m.w,
                     l: m.l,
@@ -850,8 +853,8 @@ impl CompiledCircuit {
                 Element::Ptm(p) => {
                     ptm_devices.push((devices.len(), p.name.clone()));
                     SimDevice::Ptm {
-                        p: to_unknown(p.p),
-                        n: to_unknown(p.n),
+                        p: node_unknown(p.p),
+                        n: node_unknown(p.n),
                         state: PtmState::new(p.params)
                             .expect("params validated at circuit construction"),
                         r_step: p.params.r_ins,
@@ -865,7 +868,7 @@ impl CompiledCircuit {
         // `.ic` pins ride along as pseudo-devices active only in DC mode.
         for (node, v) in circuit.node_ics() {
             devices.push(SimDevice::NodeIc {
-                node: to_unknown(*node),
+                node: node_unknown(*node),
                 v: *v,
             });
         }

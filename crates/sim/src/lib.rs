@@ -15,7 +15,11 @@
 //!    stepper — over one structure-of-arrays dense LU when every lane
 //!    resolves to dense LU at one size, lane by lane otherwise — each lane
 //!    bitwise identical to its [`transient`] run, for parameter-sweep
-//!    throughput.
+//!    throughput;
+//! 4. [`transient_probe`] runs the same stepper but records nothing: it
+//!    passes the named nodes' values at every accepted point to a closure,
+//!    so a reduction such as a droop map's per-tile minimum folds as the
+//!    run steps, in memory that does not grow with the run.
 //!
 //! Every analysis takes its linear solver from one option,
 //! [`SimOptions::solver`]: unset, dense LU, sparse LU or GMRES is picked
@@ -76,7 +80,7 @@ pub use error::SimError;
 pub use matrix::{LinearSolver, SolverStats};
 pub use options::SimOptions;
 pub use result::{DcStats, TranResult, TranStats};
-pub use transient::{transient, transient_resumable};
+pub use transient::{transient, transient_probe, transient_resumable};
 
 /// Convenience result alias.
 pub type Result<T> = std::result::Result<T, SimError>;

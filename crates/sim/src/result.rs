@@ -104,9 +104,10 @@ impl TranResult {
     }
 
     /// Borrowed node-voltage samples (aligned with [`TranResult::times`])
-    /// by node name — the allocation-free accessor grid-scale droop-map
-    /// extraction uses, where cloning every tile's waveform would double
-    /// the result's memory footprint.
+    /// by node name, without the copy [`TranResult::voltage`] makes. A
+    /// caller that only reduces a few nodes' waveforms, as a droop map
+    /// does, runs [`transient_probe`](crate::transient_probe) instead and
+    /// records nothing.
     ///
     /// # Errors
     ///
@@ -236,6 +237,19 @@ pub(crate) enum Signal {
     Events,
 }
 
+impl Signal {
+    /// The [`SimError::UnknownSignal`] for `name`, missing from this family.
+    pub(crate) fn unknown(self, name: &str) -> SimError {
+        let spelling = match self {
+            Signal::Voltage => "v",
+            Signal::Current => "i",
+            Signal::Resistance => "r",
+            Signal::Events => "events",
+        };
+        SimError::UnknownSignal(format!("{spelling}({name})"))
+    }
+}
+
 /// The one name-to-column index of every analysis result: node voltages,
 /// branch currents and PTM instances, each numbered in circuit order,
 /// which is the column order of the result's data.
@@ -273,15 +287,10 @@ impl SignalIndex {
     /// [`SimError::UnknownSignal`] spelled `v(name)`, `i(name)`, `r(name)`
     /// or `events(name)`.
     pub(crate) fn column(&self, signal: Signal, name: &str) -> Result<usize> {
-        self.family(signal).get(name).copied().ok_or_else(|| {
-            let spelling = match signal {
-                Signal::Voltage => "v",
-                Signal::Current => "i",
-                Signal::Resistance => "r",
-                Signal::Events => "events",
-            };
-            SimError::UnknownSignal(format!("{spelling}({name})"))
-        })
+        self.family(signal)
+            .get(name)
+            .copied()
+            .ok_or_else(|| signal.unknown(name))
     }
 
     /// The names of a family in column order, not in the `HashMap`'s

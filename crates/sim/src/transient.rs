@@ -19,6 +19,9 @@
 //! The stepper is the lane state machine in `batch.rs`, which
 //! [`transient_batch`](crate::transient_batch) runs over many lanes; the
 //! entry points here run it as a single lane over an `MnaMatrix`.
+//! [`transient`] and [`transient_resumable`] record every unknown at every
+//! accepted point into a [`TranResult`]; [`transient_probe`] records
+//! nothing and passes the named nodes' values to a closure instead.
 //!
 //! # Checkpoint/restart
 //!
@@ -29,10 +32,10 @@
 
 use crate::batch::{drive_lanes, Lane};
 use crate::checkpoint::CheckpointPolicy;
-use crate::devices::{CompiledCircuit, SimDevice};
+use crate::devices::{node_unknown, CompiledCircuit, SimDevice};
 use crate::matrix::MnaMatrix;
 use crate::options::SimOptions;
-use crate::result::{SignalIndex, TranResult, TranStats};
+use crate::result::{Signal, SignalIndex, TranResult, TranStats};
 use crate::{Result, SimError};
 use sfet_circuit::Circuit;
 
@@ -75,11 +78,83 @@ pub fn transient_resumable(
 ) -> Result<TranResult> {
     let compiled = compile_checked(circuit, tstop, opts)?;
     let n = compiled.size;
+    run_alone(n, opts, Lane::setup(compiled, tstop, opts, ckpt))?.into_result()
+}
+
+/// Runs [`transient`]'s stepper, but records nothing: at every accepted
+/// point, the `t = 0` operating point included, it passes the voltages of
+/// `nodes`, in the order named, to `sample`, and it returns the run's
+/// statistics.
+///
+/// The values `sample` sees, point by point, are bit for bit the samples
+/// [`TranResult::node_samples`] holds after a [`transient`] run with the
+/// same arguments, and the statistics are bit for bit its
+/// [`TranResult::stats`]. A caller that folds the waveforms as the run
+/// steps, as a droop map keeps each tile's minimum, holds memory that does
+/// not grow with the run's length.
+///
+/// # Example
+///
+/// The lowest voltage an RC low-pass output reaches while its input falls:
+///
+/// ```
+/// use sfet_circuit::{Circuit, SourceWaveform};
+/// use sfet_sim::{transient_probe, SimOptions};
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let mut ckt = Circuit::new();
+/// let (inp, out, gnd) = (ckt.node("in"), ckt.node("out"), Circuit::ground());
+/// ckt.add_voltage_source("V1", inp, gnd, SourceWaveform::ramp(1.0, 0.0, 0.0, 1e-12))?;
+/// ckt.add_resistor("R1", inp, out, 1e3)?;
+/// ckt.add_capacitor("C1", out, gnd, 1e-15)?; // tau = 1 ps
+/// let mut v_min = f64::INFINITY;
+/// let stats = transient_probe(&ckt, 10e-12, &SimOptions::default(), &["out"], |v| {
+///     v_min = v_min.min(v[0]);
+/// })?;
+/// assert!(v_min < 0.01 && stats.steps_accepted > 0);
+/// # Ok(())
+/// # }
+/// ```
+///
+/// # Errors
+///
+/// Everything [`transient`] raises, and [`SimError::UnknownSignal`],
+/// spelled `v(name)` as [`TranResult::node_samples`] spells it, for a node
+/// the circuit does not have; that one is raised before the run starts.
+pub fn transient_probe<S: AsRef<str>>(
+    circuit: &Circuit,
+    tstop: f64,
+    opts: &SimOptions,
+    nodes: &[S],
+    mut sample: impl FnMut(&[f64]),
+) -> Result<TranStats> {
+    let mut nodes = nodes.iter().map(AsRef::as_ref);
+    probe_lane(circuit, tstop, opts, &mut nodes, &mut sample)
+}
+
+/// [`transient_probe`] with nothing generic, so that the stepper it runs
+/// is compiled in this crate alone, as the recording entry points' is.
+fn probe_lane(
+    circuit: &Circuit,
+    tstop: f64,
+    opts: &SimOptions,
+    nodes: &mut dyn Iterator<Item = &str>,
+    sample: &mut dyn FnMut(&[f64]),
+) -> Result<TranStats> {
+    let compiled = compile_checked(circuit, tstop, opts)?;
+    let probe = Probe::new(circuit, nodes, sample)?;
+    let n = compiled.size;
+    run_alone(n, opts, Lane::probe(compiled, tstop, opts, probe))?.into_stats()
+}
+
+/// Runs one lane of `n` unknowns to its end over an [`MnaMatrix`] of the
+/// backend `opts` pick for that size.
+fn run_alone<'a>(n: usize, opts: &SimOptions, lane: Result<Lane<'a>>) -> Result<Lane<'a>> {
     let mut jac = MnaMatrix::new(opts.effective_solver(n), n, opts.reuse_factorization);
-    let mut lane = [Lane::setup(compiled, tstop, opts, ckpt)];
+    let mut lane = [lane];
     drive_lanes(&mut jac, &mut lane, n);
     let [lane] = lane;
-    lane?.into_result()
+    lane
 }
 
 /// Validates a transient's options, stop time and circuit, and compiles
@@ -99,8 +174,63 @@ pub(crate) fn compile_checked(
     Ok(CompiledCircuit::compile(circuit))
 }
 
+/// What a lane keeps of each accepted point, the `t = 0` operating point
+/// included.
+pub(crate) enum Sink<'a> {
+    /// Every unknown's waveform, and the snapshots the policy asks for.
+    Record(Recorder, &'a CheckpointPolicy),
+    /// Nothing: the named nodes' values go to the caller's closure.
+    Probe(Probe<'a>),
+}
+
+impl Sink<'_> {
+    /// Keeps the accepted point `x` at time `t`.
+    pub(crate) fn take(&mut self, t: f64, x: &[f64], compiled: &CompiledCircuit) {
+        match self {
+            Sink::Record(recorder, _) => recorder.record(t, x, compiled),
+            Sink::Probe(probe) => probe.take(x),
+        }
+    }
+}
+
+/// The named nodes of a [`transient_probe`] run: their unknowns, a buffer
+/// for their values at one point, and the caller's closure.
+pub(crate) struct Probe<'a> {
+    unknowns: Vec<usize>,
+    values: Vec<f64>,
+    sample: &'a mut dyn FnMut(&[f64]),
+}
+
+impl<'a> Probe<'a> {
+    fn new(
+        circuit: &Circuit,
+        nodes: &mut dyn Iterator<Item = &str>,
+        sample: &'a mut dyn FnMut(&[f64]),
+    ) -> Result<Self> {
+        let unknowns = nodes
+            .map(|name| {
+                circuit
+                    .find_node(name)
+                    .and_then(node_unknown)
+                    .ok_or_else(|| Signal::Voltage.unknown(name))
+            })
+            .collect::<Result<Vec<usize>>>()?;
+        Ok(Probe {
+            values: vec![0.0; unknowns.len()],
+            unknowns,
+            sample,
+        })
+    }
+
+    fn take(&mut self, x: &[f64]) {
+        for (v, &i) in self.values.iter_mut().zip(&self.unknowns) {
+            *v = x[i];
+        }
+        (self.sample)(&self.values);
+    }
+}
+
 /// Accumulates sampled signals during integration, one per lane.
-#[derive(Default)]
 pub(crate) struct Recorder {
     pub(crate) times: Vec<f64>,
     pub(crate) node_data: Vec<Vec<f64>>,
@@ -166,6 +296,10 @@ impl Recorder {
         })
     }
 
+    /// Appends one accepted point to every column. Out of line, so that
+    /// [`Sink::take`] stays a small dispatch and every recording lane runs
+    /// this one loop.
+    #[inline(never)]
     pub(crate) fn record(&mut self, t: f64, x: &[f64], compiled: &CompiledCircuit) {
         self.times.push(t);
         let nc = compiled.node_names.len();
@@ -1019,6 +1153,94 @@ pub(crate) mod tests {
         .unwrap();
         assert_eq!(agg.snapshot().counter(names::CHECKPOINT_RESUMED), 1);
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// A probed run sees, point by point, the samples a recorded run of
+    /// the same arguments holds, and returns its statistics: on the Fig. 3
+    /// staircase, with PTM events and rejected steps, at every method.
+    #[test]
+    fn probe_sees_the_recorded_samples_bit_for_bit() {
+        let ckt = staircase_circuit();
+        let tstop = 300e-12;
+        for method in [Method::Trapezoidal, Method::BackwardEuler, Method::Gear2] {
+            let opts = SimOptions::for_duration(tstop, 600).with_method(method);
+            let recorded = transient(&ckt, tstop, &opts).unwrap();
+            let mut seen: Vec<[u64; 2]> = Vec::new();
+            let stats = transient_probe(&ckt, tstop, &opts, &["vc", "in"], |v| {
+                seen.push([v[0].to_bits(), v[1].to_bits()]);
+            })
+            .unwrap();
+            let (vc, vin) = (
+                recorded.node_samples("vc").unwrap(),
+                recorded.node_samples("in").unwrap(),
+            );
+            let want: Vec<[u64; 2]> = vc
+                .iter()
+                .zip(vin)
+                .map(|(a, b)| [a.to_bits(), b.to_bits()])
+                .collect();
+            assert_eq!(seen, want, "{method:?}: samples");
+            assert_eq!(stats, recorded.stats(), "{method:?}: statistics");
+            assert!(stats.ptm_transitions > 0 && stats.steps_rejected > 0);
+        }
+    }
+
+    /// A node the circuit lacks is spelled as `node_samples` spells it, and
+    /// the run does not start.
+    #[test]
+    fn probe_of_an_unknown_node_names_it() {
+        let ckt = staircase_circuit();
+        let opts = SimOptions::for_duration(100e-12, 200);
+        for name in ["nope", "0", "gnd"] {
+            let mut calls = 0;
+            let err = transient_probe(&ckt, 100e-12, &opts, &["vc", name], |_| calls += 1);
+            match err {
+                Err(SimError::UnknownSignal(s)) => assert_eq!(s, format!("v({name})")),
+                other => panic!("expected UnknownSignal, got {other:?}"),
+            }
+            assert_eq!(calls, 0, "{name}");
+        }
+    }
+
+    /// A PTM that the DC operating point biases past V_IMT fires at
+    /// t = 0. That transition counts in `TranStats::ptm_transitions` and
+    /// the `tran.ptm_transitions` counter like the ones accepted steps
+    /// fire, on every entry point.
+    #[test]
+    fn ptm_firing_at_t0_is_counted() {
+        use crate::batch::{transient_batch, BatchSpec};
+        use sfet_telemetry::{SharedAggregator, Telemetry};
+        let mut ckt = Circuit::new();
+        let a = ckt.node("a");
+        let m = ckt.node("m");
+        let g = Circuit::ground();
+        ckt.add_voltage_source("V1", a, g, SourceWaveform::Dc(1.0))
+            .unwrap();
+        ckt.add_resistor("R1", a, m, 1e3).unwrap();
+        // 1 V over 1 kΩ and the 500 kΩ insulator puts 0.998 V on the PTM,
+        // past V_IMT = 0.4 V; metallic, it holds 0.83 V, above V_MIT.
+        ckt.add_ptm("P1", m, g, PtmParams::vo2_default()).unwrap();
+        let tstop = 100e-12;
+        let agg = SharedAggregator::new();
+        let opts = SimOptions::for_duration(tstop, 200).with_telemetry(Telemetry::new(agg.clone()));
+        let r = transient(&ckt, tstop, &opts).unwrap();
+        let events = r.ptm_events("P1").unwrap();
+        assert_eq!(events.len(), 1, "{events:?}");
+        assert_eq!(events[0].time, 0.0);
+        assert!(events[0].is_imt());
+        assert_eq!(r.stats().ptm_transitions, 1);
+        assert_eq!(agg.snapshot().counter(names::TRAN_PTM_TRANSITIONS), 1);
+
+        let probed = transient_probe(&ckt, tstop, &opts, &["m"], |_| {}).unwrap();
+        assert_eq!(probed, r.stats());
+        let spec = BatchSpec {
+            circuit: &ckt,
+            tstop,
+            opts: &opts,
+        };
+        for lane in transient_batch(&[spec; 2]) {
+            assert_eq!(lane.unwrap().stats(), r.stats());
+        }
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! * `newton_iterations >= steps_accepted` — each accepted step converged
 //!   through at least one Newton iteration;
 //! * the recorded waveform has `steps_accepted + 1` samples (the DC point
-//!   plus one per accepted step).
+//!   plus one per accepted step);
+//! * `ptm_transitions` equals the number of recorded PTM events, those
+//!   fired at `t = 0` included.
 
 use sfet_numeric::integrate::Method;
 use sfet_verify::analytic::catalog;
@@ -40,6 +42,15 @@ fn stats_counters_are_consistent_across_the_catalog() {
             assert!(
                 stats.steps_attempted > 0,
                 "{} ({method:?}): no steps attempted",
+                reference.name
+            );
+            let events: usize = result
+                .ptm_names()
+                .map(|name| result.ptm_events(name).unwrap().len())
+                .sum();
+            assert_eq!(
+                stats.ptm_transitions, events,
+                "{} ({method:?}): ptm_transitions != recorded PTM events",
                 reference.name
             );
         }

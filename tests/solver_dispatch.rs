@@ -6,7 +6,9 @@
 //! iteration had stamped and solved, and on sparse LU and GMRES a step
 //! that repeats the last assembled step size, method and PTM resistances
 //! re-solves with the held factors (GMRES: the held matrix and ILU(0))
-//! without assembling.
+//! without assembling. A droop map folds its tile minima as the transient
+//! steps and records nothing, bit for bit the minima and statistics that
+//! reducing a recorded run gives.
 
 use sfet_circuit::{Circuit, SourceWaveform};
 use sfet_devices::mosfet::MosfetModel;
@@ -51,6 +53,42 @@ fn default_droop_map_equals_dense_with_far_fewer_factorizations() {
         4 * (s.full_factorizations + s.refactorizations) < s.solves,
         "unchanged matrices reuse their factors: {s:?}"
     );
+}
+
+/// Each tile's recorded rail waveform folded with `f64::min` from `+∞`, in
+/// time order, row-major, and the recorded run's statistics: the
+/// reduction a droop map took over a recorded transient.
+fn recorded_reduction(grid: &PdnGrid, opts: &SimOptions) -> (Vec<u64>, TranStats) {
+    let result = transient(&grid.build().unwrap(), grid.t_stop, opts).unwrap();
+    let mut v_min = Vec::with_capacity(grid.tiles());
+    for iy in 0..grid.ny {
+        for ix in 0..grid.nx {
+            let samples = result.node_samples(&PdnGrid::tile_node_name(ix, iy));
+            let m = samples
+                .unwrap()
+                .iter()
+                .copied()
+                .fold(f64::INFINITY, f64::min);
+            v_min.push(m.to_bits());
+        }
+    }
+    (v_min, result.stats())
+}
+
+#[test]
+fn streamed_droop_map_equals_the_recorded_reduction_bit_for_bit() {
+    let grid = PdnGrid::chip(6, 6);
+    let n = grid.unknown_estimate();
+    let default = SimOptions::for_duration(grid.t_stop, 400);
+    let dense = default.clone().with_solver(LinearSolver::Dense);
+    for (opts, what) in [(default, "default (sparse LU)"), (dense, "dense LU")] {
+        let map = grid.droop_map_with(&opts).unwrap();
+        let (v_min, stats) = recorded_reduction(&grid, &opts);
+        assert_eq!(bits(&map), v_min, "{what}: tile minima");
+        assert_eq!(map.stats, stats, "{what}: statistics");
+        let dense_arm = map.stats.solver.factor_nnz == n * n;
+        assert_eq!(dense_arm, what == "dense LU", "{what}: {:?}", map.stats);
+    }
 }
 
 /// The circuit plus one MOSFET with all four terminals on ground. It stamps
